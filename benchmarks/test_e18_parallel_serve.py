@@ -25,6 +25,7 @@ from repro.serve import ServeConfig, StreamingGateway, retime
 WORKER_COUNTS = [1, 2, 4, 8]
 N_PACKETS = 30_000
 MAX_LATENCY = 0.005
+TABLE_CAPACITY = 32_768
 
 
 def _usable_cores() -> int:
@@ -40,10 +41,10 @@ def _stream_packets(dataset):
 
 def test_e18_worker_saturation_sweep(benchmark, inet):
     packets = _stream_packets(inet)
-    # Classification-bound: a wide uncompiled rule set (~1.2k ternary
-    # entries) so workers have real per-batch work and the ring hop is
-    # a small fraction.
-    rules = synthetic_firewall_ruleset(n_rules=64, fields_per_rule=2)
+    # Classification-bound: a wide rule set (~20k ternary entries) so
+    # workers have real per-batch work and the ring hop is a small
+    # fraction.
+    rules = synthetic_firewall_ruleset(n_rules=1024, fields_per_rule=2)
     stream = list(retime(packets, rate=1_000_000.0, seed=1))
 
     def soak(executor: str, n_shards: int):
@@ -55,7 +56,7 @@ def test_e18_worker_saturation_sweep(benchmark, inet):
                 max_latency=MAX_LATENCY,
                 queue_capacity=8192,
                 record_verdicts=False,
-                compiled=False,
+                table_capacity=TABLE_CAPACITY,
                 executor=executor,
             ),
         )
@@ -114,7 +115,7 @@ def test_e18_worker_saturation_sweep(benchmark, inet):
             max_latency=MAX_LATENCY,
             queue_capacity=8192,
             record_verdicts=False,
-            compiled=False,
+            table_capacity=TABLE_CAPACITY,
             executor="process",
         ),
     )

@@ -74,7 +74,6 @@ def test_e19_fleet_capacity_sweep(benchmark, inet):
         max_latency=0.005,
         queue_capacity=65_536,
         record_verdicts=True,
-        compiled=False,
     )
 
     rows = []

@@ -296,9 +296,17 @@ class RuleSet:
                 )
         return entries
 
-    def resource_report(self) -> Dict[str, int]:
-        """Data-plane cost: rules, TCAM entries, match width, TCAM bits."""
-        entries = self.to_ternary()
+    def resource_report(
+        self, entries: Optional[Sequence[TernaryEntry]] = None
+    ) -> Dict[str, int]:
+        """Data-plane cost: rules, TCAM entries, match width, TCAM bits.
+
+        Args:
+            entries: this rule set's :meth:`to_ternary` expansion, when
+                the caller already has it (the expansion is the cost).
+        """
+        if entries is None:
+            entries = self.to_ternary()
         width_bits = 8 * len(self.offsets)
         return {
             "rules": len(self.rules),

@@ -1,11 +1,9 @@
 """Compiled per-byte LUT-bitmap classification (the DPDK-ACL trick).
 
-The vectorised ``lookup_batch`` paths in :mod:`repro.dataplane.tables`
-still broadcast every key against every installed entry — an
-O(entries × packets) mask-and-compare per table.  This module compiles
-an installed rule set into **per-selected-byte 256-slot lookup tables
-whose values are entry bitmasks**, so classifying a batch becomes one
-``np.take`` gather per key byte plus a bitwise-AND intersection:
+This is the switch's batch classifier.  Each table's installed rule set
+compiles to **per-selected-byte 256-slot lookup tables whose values are
+entry bitmasks**, so classifying a batch is one gather per key byte
+plus a bitwise-AND intersection:
 
 * Entries are laid out in *match order* — the exact order the scalar
   reference path scans them (ternary/range: priority descending, then
@@ -15,8 +13,7 @@ whose values are entry bitmasks**, so classifying a batch becomes one
   with ``E`` entries packs into ``W = ceil(E / 64)`` words.
 * For key byte position ``j`` the compiler precomputes
   ``lut[j][b]`` — the bitmask of every entry that *could* match byte
-  value ``b`` at position ``j`` (value/mask test for ternary and LPM,
-  closed interval test for range, equality for exact).
+  value ``b`` at position ``j``.
 * A key matches entry ``e`` iff **all** of its bytes are allowed by
   ``e``, so the surviving-entry mask of a key is the AND over its
   bytes' LUT slots, and the winner is the **lowest set bit** (first
@@ -27,33 +24,40 @@ Per batch the cost is ``key_width`` gathers of ``(n, W)`` words plus
 the intersections and one find-first-set pass — independent of the
 entry count except through ``W`` (64 entries per word).
 
-The compiled path is a pure acceleration: results are emitted as the
-same :class:`~repro.dataplane.tables.BatchMatchResult` the vectorised
-path produces and funnelled through the table's own
-``_count_batch`` / shadow accounting, so verdicts, direct counters,
-aggregate telemetry, and :class:`~repro.obs.events.DecisionRecord`
-entry ids are indistinguishable from the scalar and vectorised
-oracles.  ``tests/test_compiled_differential.py`` and the hypothesis
-suite in ``tests/test_tables_property.py`` lock that equivalence.
+The build is O(E) per byte position, never O(E × 256):
 
-Lifecycle (see docs/ARCHITECTURE.md, "Compiled classification"):
-:meth:`repro.dataplane.switch.Switch.compile` (or the
-``REPRO_COMPILED=1`` environment gate) opts a switch in; every entry
-install/remove bumps the owning table's ``generation``, which marks
-the program stale; the next ``process_batch`` recompiles lazily, and
-``ShardSet.install`` rule swaps in :mod:`repro.serve` recompile
-eagerly so the swap stays atomic between batches.  A table kind the
-compiler does not understand falls back to its ``lookup_batch``
-(counted by ``compiled_fallbacks_total``).
+* value/mask entries (ternary, LPM) decompose by bit: per position and
+  bit the compiler packs the entries that admit that bit as 0 and as 1
+  (16 W-word masks), and ``lut[j][b]`` is the AND of the 8 masks
+  selected by the bits of ``b``;
+* interval entries (range, and exact as the point interval
+  ``[v, v]``) scatter each entry's bit into the rows of its ``lo`` and
+  ``hi``; a running OR up the byte values gives "``lo <= b``", one
+  down gives "``hi >= b``", and their AND is the LUT.
+
+Results are emitted as :class:`~repro.dataplane.tables.BatchMatchResult`
+and funnelled through the table's own ``_count_batch`` / shadow
+accounting, so verdicts, direct counters, aggregate telemetry, and
+:class:`~repro.obs.events.DecisionRecord` entry ids are
+indistinguishable from the scalar oracle ``lookup``.
+``tests/test_compiled_differential.py`` and the hypothesis suites in
+``tests/test_tables_property.py`` lock that equivalence.
+
+Lifecycle (see docs/ARCHITECTURE.md, "Compiled classification"): a
+program is derived state.  Every entry install/remove bumps the owning
+table's ``generation``; before each batch the classifier rebuilds only
+the tables whose generation moved since their program was built.
+:meth:`repro.dataplane.switch.Switch.compile` builds every table's
+program now, for callers that want the cost up front.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
+import itertools
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,64 +76,90 @@ from repro.dataplane.tables import (
 )
 
 __all__ = [
-    "ENV_VAR",
     "CompileReport",
     "CompiledTable",
     "CompiledClassifier",
     "compile_table",
-    "env_enabled",
 ]
-
-#: Environment gate: any value except 0/false/no/off opts new switches in.
-ENV_VAR = "REPRO_COMPILED"
-
-_BYTES = np.arange(256, dtype=np.uint8)
-
-#: Per-byte popcount, for the shadow-hit accounting on a uint8 view of
-#: the surviving words (kept alongside ``np.bitwise_count`` so the
-#: counting path has no numpy>=2 requirement baked into correctness).
-_POPCOUNT8 = np.array(
-    [bin(b).count("1") for b in range(256)], dtype=np.uint8
-)
-
-
-def env_enabled() -> bool:
-    """Whether ``REPRO_COMPILED`` opts new switches into compilation."""
-    value = os.environ.get(ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
 
 @dataclasses.dataclass
 class CompileReport:
-    """What one :meth:`CompiledClassifier.compile` pass produced."""
+    """What one build pass of :class:`CompiledClassifier` produced."""
 
     generation: int
     tables: int
-    compiled_tables: int
     entries: int
     words: int
+    lut_bytes: int
     seconds: float
 
     def __str__(self) -> str:
         return (
-            f"gen {self.generation}: {self.compiled_tables}/{self.tables} "
-            f"tables, {self.entries} entries in {self.words} words, "
-            f"{self.seconds * 1e3:.2f} ms"
+            f"gen {self.generation}: {self.tables} tables, "
+            f"{self.entries} entries in {self.words} words "
+            f"({self.lut_bytes} LUT bytes), {self.seconds * 1e3:.2f} ms"
         )
 
 
-def _pack_words(allowed: np.ndarray, words: int) -> np.ndarray:
-    """Pack an ``(256, E)`` allowed matrix into ``(256, W)`` uint64 words.
+def _words_for(count: int) -> int:
+    return max(1, -(-count // 64))
 
-    Bit ``e % 64`` of word ``e // 64`` is set where ``allowed[:, e]``
-    is true.  Packed via little-endian bit and byte order so entry 0 is
-    the least significant bit of word 0 — the find-first-set resolve in
+
+def _pack_entries(admits: np.ndarray, words: int) -> np.ndarray:
+    """Pack a ``(..., E)`` bool array into ``(..., W)`` uint64 words.
+
+    Bit ``e % 64`` of word ``e // 64`` is set where ``admits[..., e]``
+    is true.  Little-endian bit and byte order puts entry 0 in the
+    least significant bit of word 0 — the find-first-set resolve in
     :meth:`CompiledTable.classify` depends on exactly this layout.
     """
-    packed = np.packbits(allowed, axis=1, bitorder="little")
-    padded = np.zeros((256, words * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    return padded.view("<u8").reshape(256, words)
+    packed = np.packbits(admits, axis=-1, bitorder="little")
+    padded = np.zeros(admits.shape[:-1] + (words * 8,), dtype=np.uint8)
+    padded[..., : packed.shape[-1]] = packed
+    return padded.view("<u8").astype(np.uint64, copy=False)
+
+
+def value_mask_luts(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``(width, 256, W)`` LUTs for ``(E, width)`` value/mask entries.
+
+    Entry ``e`` admits bit ``k`` of key byte ``j`` set to ``x`` iff its
+    mask leaves that bit free or its value has that bit equal to ``x``.
+    The LUT over bits ``0..k`` doubles from the one over bits
+    ``0..k-1``: row ``b`` ANDs the old row ``b mod 2**k`` with the
+    mask admitting bit ``k`` of ``b``.
+    """
+    count, width = values.shape
+    words = _words_for(count)
+    shifts = np.arange(8, dtype=np.uint8)[None, :, None]
+    care = ((masks.T[:, None, :] >> shifts) & 1).astype(bool)
+    one = ((values.T[:, None, :] >> shifts) & 1).astype(bool)
+    # planes[j, k, x]: the entries admitting bit k of byte j == x.
+    planes = _pack_entries(np.stack([~care | ~one, ~care | one], axis=2), words)
+    luts = planes[:, 0]
+    for k in range(1, 8):
+        luts = (planes[:, k, :, None, :] & luts[:, None, :, :]).reshape(
+            width, -1, words
+        )
+    return luts
+
+
+def interval_luts(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """``(width, 256, W)`` LUTs for ``(E, width)`` closed byte intervals."""
+    count, width = lows.shape
+    words = _words_for(count)
+    entry = np.arange(count)
+    word = entry // 64
+    bit = np.left_shift(np.uint64(1), (entry % 64).astype(np.uint64))
+    luts = np.empty((width, 256, words), dtype=np.uint64)
+    for j in range(width):
+        starts = np.zeros((256, words), dtype=np.uint64)
+        ends = np.zeros((256, words), dtype=np.uint64)
+        np.bitwise_or.at(starts, (lows[:, j], word), bit)
+        np.bitwise_or.at(ends, (highs[:, j], word), bit)
+        started = np.bitwise_or.accumulate(starts, axis=0)  # lo <= b
+        open_ = np.bitwise_or.accumulate(ends[::-1], axis=0)[::-1]  # hi >= b
+        np.bitwise_and(started, open_, out=luts[j])
+    return luts
 
 
 @dataclasses.dataclass
@@ -148,7 +178,7 @@ class CompiledTable:
         entry_actions: match-order action names.
         shadowed: whether multi-match keys count as shadow hits (the
             priority-ordered ternary/range kinds, mirroring the
-            oracle paths' ``table_shadow_hits_total`` accounting).
+            scalar path's ``table_shadow_hits_total`` accounting).
     """
 
     key_width: int
@@ -163,27 +193,22 @@ class CompiledTable:
     @classmethod
     def from_match_order(
         cls,
-        key_width: int,
-        allowed: np.ndarray,
+        luts: np.ndarray,
         entry_ids: Sequence[int],
         priorities: Sequence[int],
         actions: Sequence[str],
         *,
         shadowed: bool,
     ) -> "CompiledTable":
-        """Build from an ``(E, key_width, 256)`` allowed-byte matrix."""
+        """Wrap ``luts`` built over entries listed in match order."""
         count = len(entry_ids)
-        words = max(1, -(-count // 64))
-        luts = np.zeros((key_width, 256, words), dtype=np.uint64)
-        if count:
-            for j in range(key_width):
-                luts[j] = _pack_words(allowed[:, j, :].T, words)
+        width, __, words = luts.shape
         padded_ids = np.full(words * 64, -1, dtype=np.int64)
-        padded_ids[:count] = np.asarray(entry_ids, dtype=np.int64)
+        padded_ids[:count] = entry_ids
         padded_pri = np.zeros(words * 64, dtype=np.int64)
-        padded_pri[:count] = np.asarray(priorities, dtype=np.int64)
+        padded_pri[:count] = priorities
         return cls(
-            key_width=key_width,
+            key_width=width,
             entries=count,
             words=words,
             luts=luts,
@@ -213,9 +238,9 @@ class CompiledTable:
                 0,
             )
         # One gather per selected byte, intersected into survivor masks.
-        survivors = self.luts[0][keys[:, 0]]
+        survivors = np.take(self.luts[0], keys[:, 0], axis=0)
         for j in range(1, self.key_width):
-            survivors &= self.luts[j][keys[:, j]]
+            survivors &= np.take(self.luts[j], keys[:, j], axis=0)
         nonzero = survivors != 0
         hit = nonzero.any(axis=1)
         # First entry in match order == lowest set bit overall: locate
@@ -232,70 +257,50 @@ class CompiledTable:
         priority = np.where(hit, self.priorities[slot], 0)
         shadow_hits = 0
         if count_shadows and self.shadowed:
-            matches = (
-                _POPCOUNT8[survivors.view(np.uint8)]
-                .reshape(n, -1)
-                .sum(axis=1, dtype=np.int64)
-            )
-            shadow_hits = int((matches >= 2).sum())
+            # A key matched >= 2 entries iff its first nonzero word has
+            # a second set bit or a later word is nonzero too.
+            crowded = (row_words & (row_words - np.uint64(1))) != 0
+            shadow_hits = int((crowded | (nonzero.sum(axis=1) >= 2)).sum())
         return hit, slot, entry_id, priority, shadow_hits
 
 
-def _allowed_value_mask(
-    values: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """``(E, width, 256)`` allowed bytes for value/mask entries."""
-    wide_masks = masks[:, :, None]
-    return (_BYTES[None, None, :] & wide_masks) == (
-        (values & masks)[:, :, None]
-    )
+def _byte_matrix(rows, width: int) -> np.ndarray:
+    """``(E, width)`` uint8 matrix from an iterable of byte tuples."""
+    flat = bytes(itertools.chain.from_iterable(rows))
+    return np.frombuffer(flat, dtype=np.uint8).reshape(-1, width)
 
 
-def compile_table(table) -> Optional[CompiledTable]:
-    """Compile one table to LUT bitmaps; ``None`` for unknown kinds."""
+def compile_table(table) -> CompiledTable:
+    """Compile one table's installed entries to LUT bitmaps.
+
+    Raises:
+        TypeError: for a table kind the compiler does not know.
+    """
     width = table.key_width
-    if isinstance(table, TernaryTable):
+    if isinstance(table, (TernaryTable, RangeTable)):
         records = table.entries()  # already in match order
-        if not records:
-            return CompiledTable.from_match_order(
-                width, np.zeros((0, width, 256), dtype=bool),
-                [], [], [], shadowed=True,
+        ids = [r.entry_id for r in records]
+        priorities = [r.priority for r in records]
+        actions = [r.action for r in records]
+        if isinstance(table, TernaryTable):
+            luts = value_mask_luts(
+                _byte_matrix((r.value for r in records), width),
+                _byte_matrix((r.mask for r in records), width),
             )
-        values = np.array([r.value for r in records], dtype=np.uint8)
-        masks = np.array([r.mask for r in records], dtype=np.uint8)
+        else:
+            bounds = np.array(
+                [r.ranges for r in records], dtype=np.intp
+            ).reshape(-1, width, 2)
+            luts = interval_luts(bounds[:, :, 0], bounds[:, :, 1])
         return CompiledTable.from_match_order(
-            width,
-            _allowed_value_mask(values.reshape(-1, width),
-                                masks.reshape(-1, width)),
-            [r.entry_id for r in records],
-            [r.priority for r in records],
-            [r.action for r in records],
-            shadowed=True,
-        )
-    if isinstance(table, RangeTable):
-        records = table._entries  # priority-sorted match order
-        bounds = np.array(
-            [r.ranges for r in records], dtype=np.int64
-        ).reshape(len(records), width, 2)
-        wide = _BYTES.astype(np.int64)[None, None, :]
-        allowed = (wide >= bounds[:, :, 0:1]) & (wide <= bounds[:, :, 1:2])
-        return CompiledTable.from_match_order(
-            width,
-            allowed,
-            [r.entry_id for r in records],
-            [r.priority for r in records],
-            [r.action for r in records],
-            shadowed=True,
+            luts, ids, priorities, actions, shadowed=True
         )
     if isinstance(table, ExactTable):
         items = list(table._entries.items())
-        values = np.array(
-            [key for key, __ in items], dtype=np.uint8
-        ).reshape(len(items), width)
-        masks = np.full_like(values, 0xFF)
+        keys = np.array([key for key, __ in items], dtype=np.intp)
+        keys = keys.reshape(len(items), width)
         return CompiledTable.from_match_order(
-            width,
-            _allowed_value_mask(values, masks),
+            interval_luts(keys, keys),
             [eid for __, (eid, __a) in items],
             [0] * len(items),
             [action for __, (__e, action) in items],
@@ -303,61 +308,53 @@ def compile_table(table) -> Optional[CompiledTable]:
         )
     if isinstance(table, LpmTable):
         total_bits = 8 * width
-        values: List[Tuple[int, ...]] = []
-        masks_list: List[np.ndarray] = []
-        ids: List[int] = []
-        actions: List[str] = []
+        values, masks, ids, actions = [], [], [], []
         # Longest prefix first == match order (one match per length max).
         for prefix_len in sorted(table._by_length, reverse=True):
             mask = table._prefix_mask(prefix_len)
             for value, (entry_id, action) in table._by_length[prefix_len].items():
-                full = (
-                    (value << (total_bits - prefix_len)) if prefix_len else 0
-                ).to_bytes(width, "big")
-                values.append(tuple(full))
-                masks_list.append(mask)
+                full = (value << (total_bits - prefix_len)) if prefix_len else 0
+                values.append(full.to_bytes(width, "big"))
+                masks.append(mask)
                 ids.append(entry_id)
                 actions.append(action)
-        value_matrix = np.array(values, dtype=np.uint8).reshape(len(ids), width)
-        mask_matrix = (
-            np.array(masks_list, dtype=np.uint8).reshape(len(ids), width)
-            if ids
-            else np.zeros((0, width), dtype=np.uint8)
-        )
+        value_matrix = np.frombuffer(b"".join(values), dtype=np.uint8)
+        mask_matrix = np.array(masks, dtype=np.uint8).reshape(-1, width)
         return CompiledTable.from_match_order(
-            width,
-            _allowed_value_mask(value_matrix, mask_matrix),
+            value_mask_luts(value_matrix.reshape(-1, width), mask_matrix),
             ids,
             [0] * len(ids),
             actions,
             shadowed=False,
         )
-    return None
+    raise TypeError(f"cannot compile table kind {type(table).__name__}")
 
 
 class CompiledClassifier:
-    """Compiled programs for a switch pipeline, with staleness tracking.
+    """Per-table compiled programs, each rebuilt when its table mutates.
 
-    Holds one :class:`CompiledTable` per compilable pipeline table,
-    keyed by table identity, plus the table ``generation`` captured at
-    compile time.  :meth:`stale` is a cheap per-batch check (one int
-    compare per table); any entry install/remove moves a generation
-    and invalidates the whole program.
+    Holds one :class:`CompiledTable` per table, with the table's
+    ``generation`` captured when it was built.  :meth:`refresh` is the
+    per-batch staleness check (one int compare per table) and rebuilds
+    only the tables whose entries changed.
 
     Telemetry (``docs/OBSERVABILITY.md``, "Compiled classification"):
     ``compiled_compile_seconds`` / ``compiled_generation`` /
-    ``compiled_tables`` / ``compiled_entries`` on each compile,
-    ``compiled_batches_total`` per compiled batch lookup,
-    ``compiled_fallbacks_total`` when an uncompilable table falls back
-    to its vectorised path, and ``compiled_recompiles_total`` when a
-    stale program is rebuilt.
+    ``compiled_tables`` / ``compiled_entries`` on each build pass,
+    ``compiled_batches_total`` per table batch lookup, and
+    ``compiled_recompiles_total`` once per stale table rebuilt.
     """
 
     def __init__(self) -> None:
         self.generation = 0
-        self._programs: Dict[int, Optional[CompiledTable]] = {}
-        self._signature: Tuple[Tuple[int, int], ...] = ()
-        self._capture_obs()
+        #: ``id(table) -> (table, generation built at, program)``; the
+        #: table reference pins the id so it cannot be reused.
+        self._programs: Dict[int, Tuple[object, int, CompiledTable]] = {}
+        # Instruments are resolved by the first build (see _sync_obs):
+        # every lookup is preceded by one, and switches that never
+        # classify never pay for the registration.
+        self._obs_gen = None
+        self._obs_on = False
 
     def _capture_obs(self) -> None:
         registry = obs.registry()
@@ -383,93 +380,82 @@ class CompiledClassifier:
             "compiled_batches_total",
             help="table batch lookups served by the compiled LUT path",
         )
-        self._obs_fallbacks = registry.counter(
-            "compiled_fallbacks_total",
-            help="batch lookups that fell back to the vectorised path "
-            "(table kind not compiled)",
-        )
         self._obs_recompiles = registry.counter(
             "compiled_recompiles_total",
-            help="stale-program rebuilds triggered by entry churn",
+            help="stale-table rebuilds triggered by entry churn",
         )
 
     def _sync_obs(self) -> None:
         if _obs_state._generation != self._obs_gen:
             self._capture_obs()
 
+    def _current(self, table) -> Optional[CompiledTable]:
+        """``table``'s program if it is up to date, else ``None``."""
+        cached = self._programs.get(id(table))
+        if cached is None or cached[1] != table.generation:
+            return None
+        return cached[2]
+
     def compile(self, tables: Sequence) -> CompileReport:
-        """(Re)compile every table; returns a :class:`CompileReport`."""
+        """Build every table's program now, stale or not."""
         self._sync_obs()
         start = time.perf_counter()
-        programs: Dict[int, Optional[CompiledTable]] = {}
-        entries = 0
-        words = 0
-        compiled = 0
+        recompiles = 0
+        built = []
         for table in tables:
+            cached = self._programs.get(id(table))
+            if cached is not None and cached[1] != table.generation:
+                recompiles += 1
             program = compile_table(table)
-            programs[id(table)] = program
-            if program is not None:
-                compiled += 1
-                entries += program.entries
-                words += program.words
+            self._programs[id(table)] = (table, table.generation, program)
+            built.append(program)
         seconds = time.perf_counter() - start
-        self._programs = programs
-        self._signature = tuple(
-            (id(table), table.generation) for table in tables
-        )
         self.generation += 1
         if self._obs_on:
             self._obs_compile_seconds.observe(seconds)
             self._obs_generation.set(self.generation)
-            self._obs_tables.set(compiled)
-            self._obs_entries.set(entries)
+            self._obs_recompiles.inc(recompiles)
+            self._obs_tables.set(len(self._programs))
+            self._obs_entries.set(
+                sum(program.entries for __, __g, program in self._programs.values())
+            )
         return CompileReport(
             generation=self.generation,
-            tables=len(programs),
-            compiled_tables=compiled,
-            entries=entries,
-            words=words,
+            tables=len(built),
+            entries=sum(p.entries for p in built),
+            words=sum(p.words for p in built),
+            lut_bytes=sum(p.luts.nbytes for p in built),
             seconds=seconds,
         )
 
-    def stale(self, tables: Sequence) -> bool:
-        """Whether any pipeline table mutated since the last compile."""
-        return self._signature != tuple(
-            (id(table), table.generation) for table in tables
-        )
-
     def refresh(self, tables: Sequence) -> Optional[CompileReport]:
-        """Recompile iff stale; returns the report when it did."""
-        if not self.stale(tables):
-            return None
-        self._sync_obs()
-        if self._obs_on and self._signature:
-            self._obs_recompiles.inc()
-        return self.compile(tables)
+        """Rebuild only the tables mutated since their last build.
 
-    def program_for(self, table) -> Optional[CompiledTable]:
-        """The compiled form of ``table`` (``None`` = fallback)."""
-        return self._programs.get(id(table))
+        Returns the build report, or ``None`` when nothing was stale.
+        """
+        stale = [table for table in tables if self._current(table) is None]
+        return self.compile(stale) if stale else None
+
+    def program_for(self, table) -> CompiledTable:
+        """``table``'s up-to-date program, building it if stale."""
+        program = self._current(table)
+        if program is None:
+            self.compile([table])
+            program = self._programs[id(table)][2]
+        return program
 
     def lookup_batch(
         self, table, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
     ) -> BatchMatchResult:
-        """Drop-in for ``table.lookup_batch`` via the compiled program.
+        """Batch equivalent of ``table.lookup`` over an ``(n, width)`` matrix.
 
         Validates inputs with the table's own helpers and funnels the
         result through ``table._count_batch``, so direct counters and
-        aggregate telemetry stay bit-identical to the oracle paths.
+        aggregate telemetry stay bit-identical to the scalar path.
         """
-        program = self._programs.get(id(table))
-        if program is None:
-            self._sync_obs()
-            if self._obs_on:
-                self._obs_fallbacks.inc()
-            return table.lookup_batch(keys, packet_sizes=packet_sizes)
+        program = self.program_for(table)
         keys = table._check_batch_keys(keys)
         sizes = table._batch_sizes(len(keys), packet_sizes)
-        if program.entries == 0:
-            return table._miss_batch(len(keys), sizes)
         hit, slot, entry_id, priority, shadow_hits = program.classify(
             keys, count_shadows=table._obs_on
         )

@@ -112,8 +112,9 @@ class GatewayController:
         table.clear()
         self._entry_ids = []
         self._installed = []
+        entries = ruleset.to_ternary()
         try:
-            for entry in ruleset.to_ternary():
+            for entry in entries:
                 entry_id = table.add(
                     entry.value, entry.mask, entry.action,
                     priority=entry.priority,
@@ -130,7 +131,7 @@ class GatewayController:
                 self.deploy(previous)
             raise
         self._deployed = ruleset
-        report = ruleset.resource_report()
+        report = ruleset.resource_report(entries)
         return DeploymentReport(
             rules=report["rules"],
             ternary_entries=report["ternary_entries"],

@@ -14,20 +14,16 @@ Two data paths share these semantics:
 
 * :meth:`Switch.process` — the scalar reference path, one packet at a
   time through the pipeline;
-* :meth:`Switch.process_batch` — a numpy-vectorised path that extracts
-  every match key in one pass and runs the tables' ``lookup_batch``
-  implementations, decided-packet masking preserving the scalar path's
-  first-table-wins semantics bit for bit.  ``tests/test_batch_differential.py``
-  holds the two paths equal on randomized rule sets and traces.
+* :meth:`Switch.process_batch` — extracts every match key in one pass
+  and classifies each table through its compiled per-byte LUT bitmaps
+  (:mod:`repro.dataplane.compiled`), decided-packet masking preserving
+  the scalar path's first-table-wins semantics bit for bit.
 
-A third, opt-in acceleration rides on the batch path:
-:meth:`Switch.compile` (or ``REPRO_COMPILED=1``) compiles the installed
-rule sets into per-byte LUT bitmaps (:mod:`repro.dataplane.compiled`)
-and ``process_batch`` then classifies via table gathers and bitwise
-intersections instead of entry broadcasts.  Entry churn invalidates the
-program (lazy recompile on the next batch); verdicts, counters, and
-decision records remain bit-identical to both oracle paths
-(``tests/test_compiled_differential.py``).
+The compiled programs are derived state: entry churn bumps a table's
+``generation`` and the next batch rebuilds just that table's program.
+Verdicts, counters, and decision records are bit-identical to the
+scalar path (``tests/test_batch_differential.py``,
+``tests/test_compiled_differential.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ import sys
 _obs_state = sys.modules["repro.obs.registry"]
 from repro.obs.events import KIND_DECISION, DecisionRecord
 from repro.net.packet import Packet
-from repro.dataplane import compiled as compiled_mod
 from repro.dataplane.compiled import CompiledClassifier, CompileReport
 from repro.dataplane.tables import (
     ExactTable,
@@ -173,6 +168,22 @@ class SwitchStats:
         return total
 
 
+class _PacketStamps:
+    """``stamps[row]`` reads ``packets[row].timestamp`` on demand.
+
+    Decision records are kept for a few percent of a batch, so the
+    batch path reads just those packets' timestamps.
+    """
+
+    __slots__ = ("_packets",)
+
+    def __init__(self, packets: Sequence[Packet]):
+        self._packets = packets
+
+    def __getitem__(self, row: int) -> float:
+        return self._packets[row].timestamp
+
+
 class Switch:
     """A P4-style gateway switch: parser → ingress tables → verdict."""
 
@@ -190,11 +201,9 @@ class Switch:
         self._seq = 0
         self._names_cache: Optional[Tuple[str, ...]] = None
         self._prefix_cache: Optional[Dict[Optional[str], Tuple[str, ...]]] = None
-        #: LUT-bitmap program (see :mod:`repro.dataplane.compiled`);
-        #: built lazily once enabled via :meth:`compile` or the
-        #: ``REPRO_COMPILED`` environment gate.
-        self._compiled: Optional[CompiledClassifier] = None
-        self._compiled_enabled = compiled_mod.env_enabled()
+        #: LUT-bitmap programs of the pipeline tables (see
+        #: :mod:`repro.dataplane.compiled`), rebuilt per stale table.
+        self._compiled = CompiledClassifier()
         self._capture_obs()
 
     def _capture_obs(self) -> None:
@@ -307,40 +316,17 @@ class Switch:
     # -- compiled classification ---------------------------------------------
 
     @property
-    def compiled_enabled(self) -> bool:
-        """Whether :meth:`process_batch` uses the compiled LUT path."""
-        return self._compiled_enabled
-
-    @property
     def compiled_generation(self) -> int:
-        """Active compiled-program generation (0 = never compiled)."""
-        return self._compiled.generation if self._compiled is not None else 0
+        """Compiled build passes so far (0 = never compiled)."""
+        return self._compiled.generation
 
     def compile(self) -> CompileReport:
-        """Opt in to compiled classification and build the program now.
+        """Build every table's LUT program now.
 
-        Installs/removes on any pipeline table invalidate the program;
-        the next :meth:`process_batch` recompiles lazily (callers that
-        must keep compile cost out of the batch path — e.g. the serve
-        layer's atomic rule swaps — call :meth:`compile` again eagerly
-        after mutating entries).
+        Optional: :meth:`classify_arrays` rebuilds stale tables before
+        it classifies, so this only moves the build cost up front.
         """
-        self._compiled_enabled = True
-        if self._compiled is None:
-            self._compiled = CompiledClassifier()
         return self._compiled.compile(self._pipeline)
-
-    def uncompile(self) -> None:
-        """Drop the compiled program and return to the vectorised path."""
-        self._compiled_enabled = False
-        self._compiled = None
-
-    def _compiled_program(self) -> CompiledClassifier:
-        """The current program, rebuilt first if any table mutated."""
-        if self._compiled is None:
-            self._compiled = CompiledClassifier()
-        self._compiled.refresh(self._pipeline)
-        return self._compiled
 
     # -- data path -----------------------------------------------------------
 
@@ -420,17 +406,14 @@ class Switch:
         *,
         seqs: Optional[Sequence[int]] = None,
     ) -> List[Verdict]:
-        """Vectorised :meth:`process` over a whole batch of packets.
+        """Batch :meth:`process` over a whole batch of packets.
 
         Extracts all match keys as one ``(n, key_width)`` uint8 matrix,
-        runs each table's ``lookup_batch`` on the packets still undecided
-        when that table is reached (first-table-wins, like the scalar
-        loop), and updates statistics and table counters in aggregate.
-        With compiled classification enabled (:meth:`compile` /
-        ``REPRO_COMPILED``), per-table matching goes through the LUT
-        program instead of ``lookup_batch``.  Either way verdicts,
-        stats, counters, and decision records are identical to running
-        :meth:`process` packet by packet.
+        classifies each table's compiled program on the packets still
+        undecided when that table is reached (first-table-wins, like
+        the scalar loop), and updates statistics and table counters in
+        aggregate.  Verdicts, stats, counters, and decision records are
+        identical to running :meth:`process` packet by packet.
 
         Args:
             seqs: per-packet sequence numbers for decision records
@@ -446,27 +429,32 @@ class Switch:
         keys = Packet.batch_keys(packets, self.config.key_offsets)
         timestamps = None
         if self.recorder is not None:
-            timestamps = np.fromiter(
-                (p.timestamp for p in packets), dtype=np.float64, count=n
-            )
+            timestamps = _PacketStamps(packets)
         final_action, final_table, final_entry = self.classify_arrays(
             keys, sizes, timestamps=timestamps, seqs=seqs
         )
-        return [
-            Verdict(
-                final_action[i],
-                table=final_table[i],
-                entry_id=int(final_entry[i]) if final_entry[i] >= 0 else None,
-            )
-            for i in range(n)
-        ]
+        # A batch resolves to few distinct outcomes; share one frozen
+        # Verdict per outcome instead of allocating one per packet.
+        shared: Dict[tuple, Verdict] = {}
+        verdicts = []
+        for outcome in zip(
+            final_action.tolist(), final_table.tolist(), final_entry.tolist()
+        ):
+            verdict = shared.get(outcome)
+            if verdict is None:
+                action, table, entry = outcome
+                verdict = shared[outcome] = Verdict(
+                    action, table=table, entry_id=entry if entry >= 0 else None
+                )
+            verdicts.append(verdict)
+        return verdicts
 
     def classify_arrays(
         self,
         keys: np.ndarray,
         sizes: np.ndarray,
         *,
-        timestamps: Optional[np.ndarray] = None,
+        timestamps: Optional[Sequence[float]] = None,
         seqs: Optional[Sequence[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Classify a pre-extracted ``(n, key_width)`` key matrix.
@@ -480,8 +468,9 @@ class Switch:
         object, int64; no-table/no-entry encoded as ``None``/``-1``).
 
         Args:
-            timestamps: per-packet stream timestamps, required only
-                when a recorder is attached (stamped on records).
+            timestamps: per-packet stream timestamps indexed by row,
+                required only when a recorder is attached (stamped on
+                records; only the recorded rows are read).
             seqs: per-packet sequence numbers for decision records
                 (defaults to the switch's running counter).
         """
@@ -491,7 +480,8 @@ class Switch:
         self.stats.received += n
         self.stats.bytes_received += int(sizes.sum())
 
-        program = self._compiled_program() if self._compiled_enabled else None
+        classifier = self._compiled
+        classifier.refresh(self._pipeline)
         final_action = np.full(n, "allow", dtype=object)
         final_table = np.full(n, None, dtype=object)
         final_entry = np.full(n, -1, dtype=np.int64)
@@ -499,22 +489,18 @@ class Switch:
         for table in self._pipeline:
             if not pending.size:
                 break
-            if program is not None:
-                result = program.lookup_batch(
-                    table, keys[pending], packet_sizes=sizes[pending]
-                )
-            else:
-                result = table.lookup_batch(
-                    keys[pending], packet_sizes=sizes[pending]
-                )
-            terminal_codes = [
-                code
-                for code, action in enumerate(result.actions)
-                if action in TERMINAL_ACTIONS
-            ]
-            terminal = np.isin(result.action_code, terminal_codes)
+            result = classifier.lookup_batch(
+                table, keys[pending], packet_sizes=sizes[pending]
+            )
+            # Resolve names per distinct action code, not per entry:
+            # a batch hits a few codes of a possibly huge table.
+            codes, inverse = np.unique(result.action_code, return_inverse=True)
+            names = np.array(
+                [result.actions[code] for code in codes.tolist()], dtype=object
+            )
+            terminal = np.isin(names, TERMINAL_ACTIONS)[inverse]
             decided = pending[terminal]
-            final_action[decided] = result.action_names()[terminal]
+            final_action[decided] = names[inverse[terminal]]
             final_table[decided] = table.name
             final_entry[decided] = result.entry_id[terminal]
             pending = pending[~terminal]
@@ -567,34 +553,30 @@ class Switch:
         path's :meth:`~repro.obs.FlightRecorder.admit_permit` would.
         """
         recorder = self.recorder
-        permits = recorder.admit_permit_mask(seq_array) & ~critical
-        selected = np.flatnonzero(critical | permits)
-        recorder.note_sampled_out(
-            int(len(seq_array) - int(critical.sum()) - int(permits.sum()))
-        )
+        selected = np.flatnonzero(critical | recorder.admit_permit_mask(seq_array))
+        recorder.note_sampled_out(len(seq_array) - len(selected))
         if not selected.size:
             return
         prefixes = self._table_prefixes()
         offsets = tuple(self.config.key_offsets)
-        values = keys[selected].tolist()
-        for row, i in enumerate(selected):
-            table = final_table[i]
-            entry = int(final_entry[i])
-            recorder.add(
-                DecisionRecord(
-                    kind=KIND_DECISION,
-                    seq=int(seq_array[i]),
-                    timestamp=float(timestamps[i]),
-                    verdict=final_action[i],
-                    shard=self.recorder_shard,
-                    tenant=self.recorder_tenant,
-                    table=table,
-                    entry_id=entry if entry >= 0 else None,
-                    tables=prefixes[table],
-                    offsets=offsets,
-                    values=tuple(values[row]),
-                )
-            )
+        shard, tenant, add = self.recorder_shard, self.recorder_tenant, recorder.add
+        # Python scalars for the selected rows only, in one pass each.
+        for seq, timestamp, action, table, entry, values in zip(
+            seq_array[selected].tolist(),
+            [float(timestamps[i]) for i in selected.tolist()],
+            final_action[selected].tolist(),
+            final_table[selected].tolist(),
+            final_entry[selected].tolist(),
+            keys[selected].tolist(),
+        ):
+            # Positional in field order (kind, seq, timestamp, verdict,
+            # shard, tenant, table, entry_id, tables, offsets, values):
+            # keyword construction costs twice as much per record.
+            add(DecisionRecord(
+                KIND_DECISION, seq, timestamp, action, shard, tenant, table,
+                entry if entry >= 0 else None, prefixes[table], offsets,
+                tuple(values),
+            ))
 
     def process_trace(
         self, packets: Sequence[Packet], *, batch_size: Optional[int] = None

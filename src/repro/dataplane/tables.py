@@ -26,20 +26,25 @@ into the scoped registry.  With observability disabled (the default)
 the handles are shared no-ops and the shadow scan is skipped entirely,
 so the hot lookup paths pay one branch.
 
-Every table has two lookup implementations with identical semantics:
+Each table's :meth:`lookup` is the scalar reference path, one key at a
+time, written for clarity and used as the oracle by the differential
+test suites.  Batches are classified by the compiled LUT program
+(:mod:`repro.dataplane.compiled`), which the tables feed through their
+``generation`` counter and whose results they count in aggregate
+(:meth:`_BaseTable._count_batch`), so both paths leave a table in the
+same state.
 
-* :meth:`lookup` — the scalar reference path, one key at a time, written
-  for clarity and used as the oracle by the differential test suite;
-* :meth:`lookup_batch` — a numpy-vectorised path over an
-  ``(n_packets, key_width)`` uint8 key matrix, used by
-  :meth:`repro.dataplane.switch.Switch.process_batch`.  Counters are
-  updated in aggregate so both paths leave the table in the same state.
+The priority-ordered kinds (ternary, range) keep their entries sorted
+by ``(-priority, insertion order)``: an install is one ``bisect.insort``
+and a remove one id-map lookup plus a bisect, so deploying ``E``
+entries costs O(E log E) comparisons, not a re-sort per insert.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +87,7 @@ class MatchResult:
 
 @dataclasses.dataclass
 class BatchMatchResult:
-    """Vectorised outcome of :meth:`lookup_batch` over ``n`` keys.
+    """Outcome of a batch lookup over ``n`` keys.
 
     Attributes:
         hit: ``(n,)`` bool — whether each key hit an entry.
@@ -99,23 +104,6 @@ class BatchMatchResult:
     action_code: np.ndarray
     actions: Tuple[str, ...]
     priority: np.ndarray
-
-    def action_names(self) -> np.ndarray:
-        """Per-key action names as an object array."""
-        return np.array(self.actions, dtype=object)[self.action_code]
-
-
-def _keys_as_strings(keys: np.ndarray) -> np.ndarray:
-    """View an ``(n, k)`` uint8 matrix as ``(n,)`` fixed-width byte strings.
-
-    All rows are exactly ``k`` bytes, so numpy's trailing-NUL-padded ``S``
-    comparison is exact equality on the rows — this is what makes the
-    sorted-array hash-join in :meth:`ExactTable.lookup_batch` and the
-    per-length buckets in :meth:`LpmTable.lookup_batch` correct.
-    """
-    keys = np.ascontiguousarray(keys, dtype=np.uint8)
-    width = keys.shape[1]
-    return np.frombuffer(keys.tobytes(), dtype=f"S{width}")
 
 
 @dataclasses.dataclass
@@ -151,12 +139,9 @@ class _BaseTable:
         self.default_counter = _Counter()
         self._next_id = 0
         #: monotone entry-mutation counter — every install/remove bumps
-        #: it, so cached derivations (the per-table batch index here,
-        #: the LUT programs in :mod:`repro.dataplane.compiled`) can
+        #: it, so the LUT programs in :mod:`repro.dataplane.compiled`
         #: detect staleness with one int compare.
         self.generation = 0
-        #: lazily-built vectorised index; dropped on any entry mutation
-        self._batch_cache: Optional[dict] = None
         self._capture_obs()
 
     def _capture_obs(self) -> None:
@@ -230,12 +215,12 @@ class _BaseTable:
         # so skip the method-call overhead and do just the compare.
         if _obs_state._generation != self._obs_gen:
             self._capture_obs()
-        key = tuple(int(b) for b in key)
+        key = tuple(map(int, key))
         if len(key) != self.key_width:
             raise ValueError(
                 f"table {self.name!r}: key width {len(key)} != {self.key_width}"
             )
-        if any(not 0 <= b <= 255 for b in key):
+        if min(key) < 0 or max(key) > 255:
             raise ValueError("key bytes must be in [0, 255]")
         return key
 
@@ -253,24 +238,23 @@ class _BaseTable:
         """Packets that hit ``entry_id`` so far."""
         return self.counters[entry_id].packets
 
-    # -- vectorised path ---------------------------------------------------
+    # -- batch support -----------------------------------------------------
 
-    def _invalidate_batch(self) -> None:
-        """Drop the vectorised index (and refresh the occupancy gauge).
+    def _entries_changed(self) -> None:
+        """Advance :attr:`generation` (and refresh the occupancy gauge).
 
         Called after every entry mutation, which makes it the single
         choke point where ``table_entries`` can be kept current and
-        where :attr:`generation` advances.
+        where compiled programs learn they are stale.
         """
         self.generation += 1
-        self._batch_cache = None
         self._sync_obs()
         if self._obs_on:
             self._obs_entries.set(len(self))
 
     def _check_batch_keys(self, keys: np.ndarray) -> np.ndarray:
         """Validate and normalise an ``(n, key_width)`` key matrix."""
-        self._sync_obs()  # first call on every lookup_batch path
+        self._sync_obs()  # first call on every batch lookup
         keys = np.asarray(keys)
         if keys.ndim != 2 or keys.shape[1] != self.key_width:
             raise ValueError(
@@ -305,29 +289,17 @@ class _BaseTable:
             self.default_counter.bytes += int(sizes[miss].sum())
         hit_ids = result.entry_id[result.hit]
         if hit_ids.size:
-            hit_sizes = sizes[result.hit]
-            for entry_id, count in zip(*np.unique(hit_ids, return_counts=True)):
-                counter = self.counters[int(entry_id)]
-                counter.packets += int(count)
-                counter.bytes += int(hit_sizes[hit_ids == entry_id].sum())
-
-    def _miss_batch(self, n: int, sizes: np.ndarray) -> BatchMatchResult:
-        """All-miss result (the empty-table fast path)."""
-        result = BatchMatchResult(
-            hit=np.zeros(n, dtype=bool),
-            entry_id=np.full(n, -1, dtype=np.int64),
-            action_code=np.zeros(n, dtype=np.int64),
-            actions=(self.default_action,),
-            priority=np.zeros(n, dtype=np.int64),
-        )
-        self._count_batch(result, sizes)
-        return result
-
-    def lookup_batch(
-        self, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
-    ) -> BatchMatchResult:
-        """Vectorised :meth:`lookup` over an ``(n, key_width)`` matrix."""
-        raise NotImplementedError
+            ids, slots, counts = np.unique(
+                hit_ids, return_inverse=True, return_counts=True
+            )
+            totals = np.zeros(len(ids), dtype=np.int64)
+            np.add.at(totals, slots, sizes[result.hit])
+            for entry_id, count, total in zip(
+                ids.tolist(), counts.tolist(), totals.tolist()
+            ):
+                counter = self.counters[entry_id]
+                counter.packets += count
+                counter.bytes += total
 
 
 class ExactTable(_BaseTable):
@@ -347,7 +319,7 @@ class ExactTable(_BaseTable):
             raise EntryExistsError(f"duplicate exact key {key}")
         entry_id = self._allocate_id()
         self._entries[key] = (entry_id, action)
-        self._invalidate_batch()
+        self._entries_changed()
         return entry_id
 
     def remove(self, entry_id: int) -> None:
@@ -356,7 +328,7 @@ class ExactTable(_BaseTable):
             if eid == entry_id:
                 del self._entries[key]
                 del self.counters[entry_id]
-                self._invalidate_batch()
+                self._entries_changed()
                 return
         raise KeyError(f"no entry {entry_id}")
 
@@ -371,48 +343,6 @@ class ExactTable(_BaseTable):
         self._count(result, packet_size)
         return result
 
-    def _batch_index(self) -> dict:
-        """Sorted entry-key strings + aligned id/action arrays (hash join)."""
-        if self._batch_cache is None:
-            key_matrix = np.array(
-                sorted(self._entries), dtype=np.uint8
-            ).reshape(len(self._entries), self.key_width)
-            entry_keys = _keys_as_strings(key_matrix)
-            order = np.argsort(entry_keys)
-            items = [self._entries[tuple(row)] for row in key_matrix[order]]
-            self._batch_cache = {
-                "keys": entry_keys[order],
-                "entry_ids": np.array([eid for eid, __ in items], dtype=np.int64),
-                "entry_actions": tuple(action for __, action in items),
-            }
-        return self._batch_cache
-
-    def lookup_batch(
-        self, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
-    ) -> BatchMatchResult:
-        keys = self._check_batch_keys(keys)
-        sizes = self._batch_sizes(len(keys), packet_sizes)
-        if not self._entries:
-            return self._miss_batch(len(keys), sizes)
-        index = self._batch_index()
-        sorted_keys = index["keys"]
-        rows = _keys_as_strings(keys)
-        positions = np.searchsorted(sorted_keys, rows)
-        clipped = np.minimum(positions, len(sorted_keys) - 1)
-        hit = sorted_keys[clipped] == rows
-        entry_id = np.where(hit, index["entry_ids"][clipped], -1)
-        # action code 0 = default; entry e maps to code 1 + its sorted slot
-        action_code = np.where(hit, clipped + 1, 0)
-        result = BatchMatchResult(
-            hit=hit,
-            entry_id=entry_id,
-            action_code=action_code,
-            actions=(self.default_action,) + index["entry_actions"],
-            priority=np.zeros(len(keys), dtype=np.int64),
-        )
-        self._count_batch(result, sizes)
-        return result
-
 
 @dataclasses.dataclass
 class _TernaryEntryRecord:
@@ -424,78 +354,67 @@ class _TernaryEntryRecord:
     order: int  # insertion order, used as the tie-break
 
 
-class TernaryTable(_BaseTable):
-    """TCAM-style value/mask match with priorities.
+@dataclasses.dataclass
+class _RangeEntryRecord:
+    entry_id: int
+    ranges: Tuple[Tuple[int, int], ...]
+    priority: int
+    action: str
+    order: int
 
-    Overlap resolution is part of the table's contract, not an
-    implementation accident, because three independent implementations
-    (the scalar scan here, the broadcast ``lookup_batch``, and the LUT
-    program in :mod:`repro.dataplane.compiled`) must agree bit for bit:
 
-    * the highest ``priority`` wins among matching entries;
-    * **equal priorities tie-break by insertion order** — the earliest
-      ``add`` wins, the P4Runtime convention.  The tie-break follows
-      the per-table ``add`` sequence (``_order``), *not* entry ids, and
-      survives interleaved removes: re-adding an entry puts it at the
-      back of its priority band.
+def _match_order(record) -> Tuple[int, int]:
+    """Sort key of the priority-ordered kinds: higher priority, then earlier add."""
+    return (-record.priority, record.order)
 
-    ``tests/test_tables.py::TestTernaryTieBreak`` locks this contract
-    across all three paths.
+
+class _PriorityTable(_BaseTable):
+    """Entries kept in match order; the first matching entry wins.
+
+    Subclasses supply the record type and the scalar ``_matches`` test.
     """
 
     def __init__(self, name: str, key_width: int, **kwargs):
         super().__init__(name, key_width, **kwargs)
-        self._entries: List[_TernaryEntryRecord] = []
+        self._entries: list = []
+        self._by_id: dict = {}
         self._order = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def add(
-        self,
-        value: Sequence[int],
-        mask: Sequence[int],
-        action: str,
-        *,
-        priority: int = 0,
-    ) -> int:
-        """Install a value/mask entry; higher ``priority`` wins overlaps."""
-        value = self._check_key(value)
-        mask = self._check_key(mask)
-        entry_id = self._allocate_id()
+    def _next_order(self) -> int:
         self._order += 1
-        record = _TernaryEntryRecord(
-            entry_id, value, mask, priority, action, self._order
-        )
-        self._entries.append(record)
-        # Keep sorted: higher priority first, then earlier insertion.
-        self._entries.sort(key=lambda e: (-e.priority, e.order))
-        self._invalidate_batch()
-        return entry_id
+        return self._order
+
+    def _install(self, record) -> int:
+        bisect.insort(self._entries, record, key=_match_order)
+        self._by_id[record.entry_id] = record
+        self._entries_changed()
+        return record.entry_id
 
     def remove(self, entry_id: int) -> None:
         """Delete an entry (and its counter) by id."""
-        for index, record in enumerate(self._entries):
-            if record.entry_id == entry_id:
-                del self._entries[index]
-                del self.counters[entry_id]
-                self._invalidate_batch()
-                return
-        raise KeyError(f"no entry {entry_id}")
+        record = self._by_id.pop(entry_id, None)
+        if record is None:
+            raise KeyError(f"no entry {entry_id}")
+        index = bisect.bisect_left(
+            self._entries, _match_order(record), key=_match_order
+        )
+        del self._entries[index]
+        del self.counters[entry_id]
+        self._entries_changed()
 
     def clear(self) -> None:
         """Remove every entry and counter at once (controller rollbacks)."""
         self._entries.clear()
+        self._by_id.clear()
         self.counters.clear()
-        self._invalidate_batch()
+        self._entries_changed()
 
-    @staticmethod
-    def _matches(key, record) -> bool:
-        """Scalar value/mask match of one key against one entry."""
-        return all(
-            (k & m) == (v & m)
-            for k, v, m in zip(key, record.value, record.mask)
-        )
+    def entries(self) -> list:
+        """Current entries in match order (for inspection/tests)."""
+        return list(self._entries)
 
     def lookup(self, key: Sequence[int], packet_size: int = 0) -> MatchResult:
         """First match in priority order, bumping its direct counter."""
@@ -519,88 +438,58 @@ class TernaryTable(_BaseTable):
         self._count(result, packet_size)
         return result
 
-    def _batch_index(self) -> dict:
-        """Priority-sorted value/mask matrices for mask-and-compare."""
-        if self._batch_cache is None:
-            count = len(self._entries)
-            values = np.array(
-                [e.value for e in self._entries], dtype=np.uint8
-            ).reshape(count, self.key_width)
-            masks = np.array(
-                [e.mask for e in self._entries], dtype=np.uint8
-            ).reshape(count, self.key_width)
-            self._batch_cache = {
-                "masks": masks,
-                # pre-masked values: a key k matches row e iff k & mask == this
-                "masked_values": values & masks,
-                "entry_ids": np.array(
-                    [e.entry_id for e in self._entries], dtype=np.int64
-                ),
-                "priorities": np.array(
-                    [e.priority for e in self._entries], dtype=np.int64
-                ),
-                "entry_actions": tuple(e.action for e in self._entries),
-            }
-        return self._batch_cache
 
-    def lookup_batch(
-        self, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
-    ) -> BatchMatchResult:
-        keys = self._check_batch_keys(keys)
-        sizes = self._batch_sizes(len(keys), packet_sizes)
-        if not self._entries:
-            return self._miss_batch(len(keys), sizes)
-        index = self._batch_index()
-        # (n, entries, width) mask-and-compare, collapsed over key bytes;
-        # entries are already in match order, so argmax gives the winner.
-        matches = (
-            (keys[:, None, :] & index["masks"][None, :, :])
-            == index["masked_values"][None, :, :]
-        ).all(axis=2)
-        hit = matches.any(axis=1)
-        if self._obs_on:
-            self._obs_shadow.inc(int((matches.sum(axis=1) >= 2).sum()))
-        winner = matches.argmax(axis=1)
-        entry_id = np.where(hit, index["entry_ids"][winner], -1)
-        action_code = np.where(hit, winner + 1, 0)
-        result = BatchMatchResult(
-            hit=hit,
-            entry_id=entry_id,
-            action_code=action_code,
-            actions=(self.default_action,) + index["entry_actions"],
-            priority=np.where(hit, index["priorities"][winner], 0),
+class TernaryTable(_PriorityTable):
+    """TCAM-style value/mask match with priorities.
+
+    Overlap resolution is part of the table's contract, not an
+    implementation accident, because the scalar scan here and the LUT
+    program in :mod:`repro.dataplane.compiled` must agree bit for bit:
+
+    * the highest ``priority`` wins among matching entries;
+    * **equal priorities tie-break by insertion order** — the earliest
+      ``add`` wins, the P4Runtime convention.  The tie-break follows
+      the per-table ``add`` sequence (``_order``), *not* entry ids, and
+      survives interleaved removes: re-adding an entry puts it at the
+      back of its priority band.
+
+    ``tests/test_tables.py::TestTernaryTieBreak`` locks this contract
+    across both paths.
+    """
+
+    def add(
+        self,
+        value: Sequence[int],
+        mask: Sequence[int],
+        action: str,
+        *,
+        priority: int = 0,
+    ) -> int:
+        """Install a value/mask entry; higher ``priority`` wins overlaps."""
+        value = self._check_key(value)
+        mask = self._check_key(mask)
+        return self._install(
+            _TernaryEntryRecord(
+                self._allocate_id(), value, mask, priority, action,
+                self._next_order(),
+            )
         )
-        self._count_batch(result, sizes)
-        return result
 
-    def entries(self) -> List[_TernaryEntryRecord]:
-        """Current entries in match order (for inspection/tests)."""
-        return list(self._entries)
+    @staticmethod
+    def _matches(key, record) -> bool:
+        """Scalar value/mask match of one key against one entry."""
+        return all(
+            (k & m) == (v & m)
+            for k, v, m in zip(key, record.value, record.mask)
+        )
 
     def tcam_bits(self) -> int:
         """TCAM cost: 2 × key bits × entries (value and mask both stored)."""
         return 2 * 8 * self.key_width * len(self._entries)
 
 
-@dataclasses.dataclass
-class _RangeEntryRecord:
-    entry_id: int
-    ranges: Tuple[Tuple[int, int], ...]
-    priority: int
-    action: str
-    order: int
-
-
-class RangeTable(_BaseTable):
+class RangeTable(_PriorityTable):
     """Per-byte range match with priorities (Tofino range match units)."""
-
-    def __init__(self, name: str, key_width: int, **kwargs):
-        super().__init__(name, key_width, **kwargs)
-        self._entries: List[_RangeEntryRecord] = []
-        self._order = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def add(
         self,
@@ -617,101 +506,17 @@ class RangeTable(_BaseTable):
         for lo, hi in ranges:
             if not 0 <= lo <= hi <= 255:
                 raise ValueError(f"invalid byte range [{lo}, {hi}]")
-        entry_id = self._allocate_id()
-        self._order += 1
-        self._entries.append(
+        return self._install(
             _RangeEntryRecord(
-                entry_id, tuple((int(l), int(h)) for l, h in ranges),
-                priority, action, self._order,
+                self._allocate_id(), tuple((int(l), int(h)) for l, h in ranges),
+                priority, action, self._next_order(),
             )
         )
-        self._entries.sort(key=lambda e: (-e.priority, e.order))
-        self._invalidate_batch()
-        return entry_id
-
-    def remove(self, entry_id: int) -> None:
-        for index, record in enumerate(self._entries):
-            if record.entry_id == entry_id:
-                del self._entries[index]
-                del self.counters[entry_id]
-                self._invalidate_batch()
-                return
-        raise KeyError(f"no entry {entry_id}")
 
     @staticmethod
     def _matches(key, record) -> bool:
         """Scalar per-byte interval match of one key against one entry."""
         return all(lo <= k <= hi for k, (lo, hi) in zip(key, record.ranges))
-
-    def lookup(self, key: Sequence[int], packet_size: int = 0) -> MatchResult:
-        """First match in priority order, bumping its direct counter."""
-        key = self._check_key(key)
-        for index, record in enumerate(self._entries):
-            if self._matches(key, record):
-                result = MatchResult(
-                    True, record.action, entry_id=record.entry_id,
-                    priority=record.priority,
-                )
-                self._count(result, packet_size)
-                if self._obs_on and any(
-                    self._matches(key, later)
-                    for later in self._entries[index + 1 :]
-                ):
-                    self._obs_shadow.inc()
-                return result
-        result = MatchResult(False, self.default_action)
-        self._count(result, packet_size)
-        return result
-
-    def _batch_index(self) -> dict:
-        """Priority-sorted per-byte interval bounds for broadcast tests."""
-        if self._batch_cache is None:
-            count = len(self._entries)
-            bounds = np.array(
-                [e.ranges for e in self._entries], dtype=np.int64
-            ).reshape(count, self.key_width, 2)
-            self._batch_cache = {
-                "lows": bounds[:, :, 0],
-                "highs": bounds[:, :, 1],
-                "entry_ids": np.array(
-                    [e.entry_id for e in self._entries], dtype=np.int64
-                ),
-                "priorities": np.array(
-                    [e.priority for e in self._entries], dtype=np.int64
-                ),
-                "entry_actions": tuple(e.action for e in self._entries),
-            }
-        return self._batch_cache
-
-    def lookup_batch(
-        self, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
-    ) -> BatchMatchResult:
-        keys = self._check_batch_keys(keys)
-        sizes = self._batch_sizes(len(keys), packet_sizes)
-        if not self._entries:
-            return self._miss_batch(len(keys), sizes)
-        index = self._batch_index()
-        # (n, entries, width) broadcast interval tests over the byte columns.
-        wide = keys[:, None, :].astype(np.int64)
-        matches = (
-            (wide >= index["lows"][None, :, :])
-            & (wide <= index["highs"][None, :, :])
-        ).all(axis=2)
-        hit = matches.any(axis=1)
-        if self._obs_on:
-            self._obs_shadow.inc(int((matches.sum(axis=1) >= 2).sum()))
-        winner = matches.argmax(axis=1)
-        entry_id = np.where(hit, index["entry_ids"][winner], -1)
-        action_code = np.where(hit, winner + 1, 0)
-        result = BatchMatchResult(
-            hit=hit,
-            entry_id=entry_id,
-            action_code=action_code,
-            actions=(self.default_action,) + index["entry_actions"],
-            priority=np.where(hit, index["priorities"][winner], 0),
-        )
-        self._count_batch(result, sizes)
-        return result
 
 
 class LpmTable(_BaseTable):
@@ -737,7 +542,7 @@ class LpmTable(_BaseTable):
             raise EntryExistsError(f"duplicate prefix {value}/{prefix_len}")
         entry_id = self._allocate_id()
         bucket[value] = (entry_id, action)
-        self._invalidate_batch()
+        self._entries_changed()
         return entry_id
 
     def remove(self, entry_id: int) -> None:
@@ -746,7 +551,7 @@ class LpmTable(_BaseTable):
                 if eid == entry_id:
                     del bucket[value]
                     del self.counters[entry_id]
-                    self._invalidate_batch()
+                    self._entries_changed()
                     return
         raise KeyError(f"no entry {entry_id}")
 
@@ -775,80 +580,3 @@ class LpmTable(_BaseTable):
         if rem:
             mask[full] = (0xFF << (8 - rem)) & 0xFF
         return mask
-
-    def _batch_index(self) -> dict:
-        """Per-prefix-length buckets, longest first, as sorted masked keys."""
-        if self._batch_cache is None:
-            total_bits = 8 * self.key_width
-            buckets = []
-            actions: List[str] = []
-            for prefix_len in sorted(self._by_length, reverse=True):
-                bucket = self._by_length[prefix_len]
-                if not bucket:
-                    continue
-                values = np.frombuffer(
-                    b"".join(
-                        ((value << (total_bits - prefix_len)) if prefix_len else 0)
-                        .to_bytes(self.key_width, "big")
-                        for value in bucket
-                    ),
-                    dtype=np.uint8,
-                ).reshape(len(bucket), self.key_width)
-                prefixes = _keys_as_strings(values)
-                order = np.argsort(prefixes)
-                items = list(bucket.values())
-                entry_ids = np.array(
-                    [items[i][0] for i in order], dtype=np.int64
-                )
-                codes = np.arange(len(items), dtype=np.int64) + 1 + len(actions)
-                actions.extend(items[i][1] for i in order)
-                buckets.append(
-                    {
-                        "mask": self._prefix_mask(prefix_len),
-                        "prefixes": prefixes[order],
-                        "entry_ids": entry_ids,
-                        "codes": codes,
-                    }
-                )
-            self._batch_cache = {
-                "buckets": buckets,
-                "entry_actions": tuple(actions),
-            }
-        return self._batch_cache
-
-    def lookup_batch(
-        self, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
-    ) -> BatchMatchResult:
-        keys = self._check_batch_keys(keys)
-        n = len(keys)
-        sizes = self._batch_sizes(n, packet_sizes)
-        if not len(self):
-            return self._miss_batch(n, sizes)
-        index = self._batch_index()
-        hit = np.zeros(n, dtype=bool)
-        entry_id = np.full(n, -1, dtype=np.int64)
-        action_code = np.zeros(n, dtype=np.int64)
-        remaining = np.arange(n)
-        # Longest prefix first: rows matched by a bucket stop participating,
-        # exactly like the scalar descending-length scan.
-        for bucket in index["buckets"]:
-            if not remaining.size:
-                break
-            masked = _keys_as_strings(keys[remaining] & bucket["mask"])
-            positions = np.searchsorted(bucket["prefixes"], masked)
-            clipped = np.minimum(positions, len(bucket["prefixes"]) - 1)
-            found = bucket["prefixes"][clipped] == masked
-            rows = remaining[found]
-            hit[rows] = True
-            entry_id[rows] = bucket["entry_ids"][clipped[found]]
-            action_code[rows] = bucket["codes"][clipped[found]]
-            remaining = remaining[~found]
-        result = BatchMatchResult(
-            hit=hit,
-            entry_id=entry_id,
-            action_code=action_code,
-            actions=(self.default_action,) + index["entry_actions"],
-            priority=np.zeros(n, dtype=np.int64),
-        )
-        self._count_batch(result, sizes)
-        return result

@@ -93,13 +93,6 @@ class ServeConfig:
         record_verdicts: keep the per-packet verdict list in arrival
             order (tests / differential comparison); turn off for long
             soaks to bound memory.
-        compiled: opt every shard switch into the compiled LUT-bitmap
-            classification path, recompiled eagerly on rule swaps
-            (see :mod:`repro.dataplane.compiled`); ``None`` defers to
-            the ``REPRO_COMPILED`` environment gate — except under
-            ``executor="process"``, where ``None`` means *on* (workers
-            compile by default; the parent's shard switches only keep
-            accounting and never classify).
         executor: ``"inline"`` (classify in the event-loop process, the
             historical behaviour) or ``"process"`` (one worker process
             per shard fed over shared-memory frame rings — see
@@ -133,7 +126,6 @@ class ServeConfig:
     table_capacity: int = 4096
     hash_mode: str = "bytes"
     record_verdicts: bool = True
-    compiled: Optional[bool] = None
     executor: str = "inline"
     ring_slots: int = 8
     worker_timeout: float = 30.0
@@ -300,10 +292,8 @@ class StreamingGateway:
         #: verdicts and decision records.  ``None`` (single-tenant)
         #: leaves every record untagged, byte-identical to pre-fleet runs.
         self.tenant = tenant
-        # Process backend: the parent's shard switches never classify
-        # (workers do, compiled by default), so skip compiling them —
-        # they only carry batchers, queues, and aggregated stats.
-        process_mode = self.config.executor == "process"
+        # Under the process backend the parent's shard switches never
+        # classify (workers do), so their LUT programs are never built.
         self.shards = ShardSet(
             rules,
             n_shards=self.config.n_shards,
@@ -311,7 +301,6 @@ class StreamingGateway:
             max_batch=self.config.max_batch,
             max_latency=self.config.max_latency,
             queue_capacity=self.config.queue_capacity,
-            compiled=False if process_mode else self.config.compiled,
         )
         self._executor: Optional[ProcessExecutor] = None
         self.retrain_hook = retrain_hook
@@ -505,14 +494,10 @@ class StreamingGateway:
         record = config.record_verdicts
         hash_mode = config.hash_mode
         if config.executor == "process":
-            worker_compiled = (
-                True if config.compiled is None else bool(config.compiled)
-            )
             self._executor = ProcessExecutor(
                 self.shards.rules,
                 n_shards=config.n_shards,
                 table_capacity=config.table_capacity,
-                compiled=worker_compiled,
                 max_batch=config.max_batch,
                 ring_slots=config.ring_slots,
                 recorder=self.recorder,
@@ -542,21 +527,27 @@ class StreamingGateway:
     ) -> SoakResult:
         shards = self.shards.shards
         n_shards = len(shards)
+        # Per-packet state lives in locals; the attributes are synced
+        # before the calls that read them and after the loop.
+        offered = self._offered
+        first_t = self._first_t
+        next_deadline = self._next_deadline
+        next_alert_t = self._next_alert_t
+        t = self._last_t
         with self._registry.span("serve.soak"):
             for packet in source:
                 t = packet.timestamp
-                if self._first_t is None:
-                    self._first_t = t
+                if first_t is None:
+                    first_t = self._first_t = t
                     if self.alert_engine is not None:
-                        self._next_alert_t = t + self.alert_interval
-                self._last_t = t
-                if t >= self._next_deadline:
+                        next_alert_t = t + self.alert_interval
+                if t >= next_deadline:
                     self._flush_due(t)
-                if t >= self._next_alert_t:
+                    next_deadline = self._next_deadline
+                if t >= next_alert_t:
+                    self._offered = offered
                     self._evaluate_alerts(t)
-                    self._next_alert_t = t + self.alert_interval
-                index = self._offered
-                self._offered += 1
+                    next_alert_t = t + self.alert_interval
                 if record:
                     self._verdicts.append(None)
                 shard = shards[
@@ -564,15 +555,22 @@ class StreamingGateway:
                     if n_shards > 1
                     else 0
                 ]
-                batch = shard.batcher.add(packet, index)
+                batcher = shard.batcher
+                batch = batcher.add(packet, offered)
+                offered += 1
                 if batch is not None:
                     self._dispatch(shard, batch, t)
                     self._recompute_deadline()
-                elif len(shard.batcher) == 1:
-                    deadline = shard.batcher.deadline
-                    if deadline < self._next_deadline:
-                        self._next_deadline = deadline
-            self._drain(self._last_t)
+                    next_deadline = self._next_deadline
+                elif len(batcher._packets) == 1:
+                    # A batch just opened; its deadline may be the next.
+                    # (len() of the list skips a Python-level __len__.)
+                    if batcher.deadline < next_deadline:
+                        next_deadline = self._next_deadline = batcher.deadline
+            self._offered = offered
+            self._next_alert_t = next_alert_t
+            self._last_t = t
+            self._drain(t)
             if self.alert_engine is not None:
                 self._evaluate_alerts(self._last_t)
                 self.alert_engine.finalize()
@@ -703,7 +701,7 @@ class StreamingGateway:
             else:
                 completion = start
             self._latencies.extend(
-                completion - p.timestamp for p in batch.packets
+                [completion - p.timestamp for p in batch.packets]
             )
             shard.processed += len(batch)
             shard.count_verdicts(verdicts)

@@ -29,6 +29,7 @@ matched against a half-installed table).
 
 from __future__ import annotations
 
+import operator
 import time
 import zlib
 from typing import Deque, Dict, List, Optional, Tuple
@@ -36,7 +37,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 import collections
 
 from repro.core.rules import RuleSet
-from repro.dataplane import compiled as compiled_mod
 from repro.dataplane.controller import GatewayController
 from repro.dataplane.switch import SwitchStats
 from repro.net.packet import Packet
@@ -172,10 +172,11 @@ class Shard:
         return self.controller.switch
 
     def count_verdicts(self, verdicts) -> None:
-        for verdict in verdicts:
-            self.verdict_counts[verdict.action] = (
-                self.verdict_counts.get(verdict.action, 0) + 1
-            )
+        counts = self.verdict_counts
+        for action, count in collections.Counter(
+            map(operator.attrgetter("action"), verdicts)
+        ).items():
+            counts[action] = counts.get(action, 0) + count
 
 
 class ShardSet:
@@ -188,10 +189,6 @@ class ShardSet:
         max_batch / max_latency / queue_capacity: per-shard policy
             (queue capacity is per shard, so total buffering scales
             with the shard count, as it would across real workers).
-        compiled: compile every shard's switch to the LUT-bitmap
-            classification path (:mod:`repro.dataplane.compiled`) and
-            keep it current across rule swaps; ``None`` defers to the
-            ``REPRO_COMPILED`` environment gate.
     """
 
     def __init__(
@@ -203,14 +200,10 @@ class ShardSet:
         max_batch: int = 1024,
         max_latency: float = 0.005,
         queue_capacity: int = 8192,
-        compiled: Optional[bool] = None,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.table_capacity = table_capacity
-        self.compiled = (
-            compiled_mod.env_enabled() if compiled is None else bool(compiled)
-        )
         self._build_args = dict(
             max_batch=max_batch,
             max_latency=max_latency,
@@ -237,8 +230,6 @@ class ShardSet:
             rules, table_capacity=self.table_capacity
         )
         controller.deploy(rules)
-        if self.compiled:
-            controller.switch.compile()
         return controller
 
     def __len__(self) -> int:
@@ -258,22 +249,18 @@ class ShardSet:
         offsets → incremental :meth:`GatewayController.update` (minimal
         churn); changed offsets → a fresh switch per shard (new parser,
         as on hardware), with batcher/queue contents carried over
-        untouched (they hold raw packets, not parsed keys).
+        untouched (they hold raw packets, not parsed keys).  Each
+        changed table's LUT program is rebuilt by the next batch that
+        shard classifies.
         """
         swap_start = time.perf_counter()
         same_offsets = tuple(rules.offsets) == tuple(self.rules.offsets)
         for shard in self.shards:
             if same_offsets:
                 shard.controller.update(rules)
-                # Eager recompile-on-swap: entry churn invalidated the
-                # LUT program, so rebuild it here — between batches —
-                # rather than letting the next batch pay the compile.
-                if self.compiled:
-                    shard.switch.compile()
             else:
                 # A parser change retires the old switch; keep its
                 # counts so aggregate stats survive the swap.
-                # (_deployed_controller compiles the fresh switch.)
                 self._retired.append(shard.switch.stats)
                 shard.controller = self._deployed_controller(rules)
         self.rules = rules

@@ -17,8 +17,7 @@ Division of labour (and why verdicts stay bit-identical to inline):
   accounting.  Those are deterministic functions of the arrival
   process in both backends.
 * The **worker** does only the classification work: it builds its
-  shard's switch from a serialized RuleSet (compiled LUT path on by
-  default), services its frame ring with
+  shard's switch from a serialized RuleSet, services its frame ring with
   :meth:`~repro.dataplane.switch.Switch.classify_arrays` on the
   shared-memory key matrix (zero-copy — the batch is classified in
   place before the slot is released), and ships verdict arrays back.
@@ -140,7 +139,6 @@ class _ShardWorker:
     def __init__(self, shard_index: int, init: Dict):
         self.shard = shard_index
         self.table_capacity = int(init["table_capacity"])
-        self.compiled = bool(init["compiled"])
         recorder_cfg = init.get("recorder")
         self.sink = (
             _RecorderSink(recorder_cfg["sample_rate"], recorder_cfg["seed"])
@@ -165,8 +163,8 @@ class _ShardWorker:
 
         Mirrors ``ShardSet.install``: same offsets → incremental
         ``update`` (same entry-id churn as inline), changed offsets →
-        fresh switch.  Either way the compiled program is rebuilt here,
-        between batches, never inside one.
+        fresh switch.  The next frame classified rebuilds the LUT
+        program of each changed table.
         """
         rules = ruleset_from_dict(data) if isinstance(data, dict) else data
         if (
@@ -174,15 +172,11 @@ class _ShardWorker:
             and tuple(rules.offsets) == tuple(self.rules.offsets)
         ):
             self.controller.update(rules)
-            if self.compiled:
-                self.switch.compile()
         else:
             self.controller = GatewayController.for_ruleset(
                 rules, table_capacity=self.table_capacity
             )
             self.controller.deploy(rules)
-            if self.compiled:
-                self.switch.compile()
         if self.sink is not None:
             self.switch.attach_recorder(self.sink, shard=self.shard)
         self.rules = rules
@@ -344,7 +338,6 @@ class ProcessExecutor:
         *,
         n_shards: int,
         table_capacity: int = 4096,
-        compiled: bool = True,
         max_batch: int = 1024,
         ring_slots: int = 8,
         recorder=None,
@@ -385,7 +378,6 @@ class ProcessExecutor:
         init = {
             "ruleset": ruleset_to_dict(rules),
             "table_capacity": table_capacity,
-            "compiled": compiled,
             "recorder": (
                 {"sample_rate": recorder.sample_rate, "seed": recorder.seed}
                 if recorder is not None

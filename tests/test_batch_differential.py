@@ -1,14 +1,14 @@
-"""Differential harness: scalar reference path vs vectorised batch path.
+"""Differential harness: scalar reference path vs the batch data path.
 
 The switch has two data paths with one contract: ``Switch.process`` (the
-scalar reference, written for clarity) and ``Switch.process_batch`` (the
-numpy-vectorised pipeline the benchmarks time).  This suite locks the two
-together: randomized rule sets and packet traces — arbitrary parser
-offsets, short/truncated packets, overlapping ternary priorities, empty
-and full tables — are replayed through both paths on identically
-configured switches, and every observable must agree bit for bit:
-per-packet verdicts (action, table, entry id), aggregate switch stats,
-and per-entry/default table counters.
+scalar reference, written for clarity) and ``Switch.process_batch``
+(the compiled LUT-bitmap classifier the benchmarks time).  This suite
+locks the two together: randomized rule sets and packet traces —
+arbitrary parser offsets, short/truncated packets, overlapping ternary
+priorities, empty and full tables — are replayed through both paths on
+identically configured switches, and every observable must agree bit
+for bit: per-packet verdicts (action, table, entry id), aggregate
+switch stats, and per-entry/default table counters.
 
 Tables are built from declarative *specs* so two independent instances
 (one per path) can be constructed without sharing counter state.
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataplane.compiled import CompiledClassifier
 from repro.dataplane.switch import Switch, SwitchConfig
 from repro.dataplane.tables import (
     EntryExistsError,
@@ -130,6 +131,11 @@ def assert_switches_equal(switch_a, switch_b):
         assert_tables_equal(table_a, table_b)
 
 
+def batch_lookup(table, keys, sizes=None):
+    """One batch lookup of ``table`` through a fresh compiled program."""
+    return CompiledClassifier().lookup_batch(table, keys, packet_sizes=sizes)
+
+
 def scalar_lookup_series(table, keys, sizes):
     """Reference results for a key batch, one scalar lookup at a time."""
     return [
@@ -139,7 +145,7 @@ def scalar_lookup_series(table, keys, sizes):
 
 
 class TestSingleTableDifferential:
-    """lookup_batch vs lookup, per table kind, on random contents/keys."""
+    """Compiled batch lookup vs scalar lookup, per table kind."""
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
     @settings(max_examples=200, deadline=None)
@@ -168,7 +174,7 @@ class TestSingleTableDifferential:
         table_scalar = build_table(spec, width, "t")
         table_batch = build_table(spec, width, "t")
         reference = scalar_lookup_series(table_scalar, keys, sizes)
-        batch = table_batch.lookup_batch(keys, packet_sizes=sizes)
+        batch = batch_lookup(table_batch, keys, sizes)
 
         for row, result in enumerate(reference):
             assert bool(batch.hit[row]) == result.hit
@@ -264,7 +270,7 @@ class TestEdgeCases:
         spec = {"kind": kind, "default": "drop", "entries": []}
         table = build_table(spec, 2, "t")
         keys = np.array([[0, 0], [255, 255]], dtype=np.uint8)
-        batch = table.lookup_batch(keys)
+        batch = batch_lookup(table, keys)
         assert not batch.hit.any()
         assert [batch.actions[c] for c in batch.action_code] == ["drop", "drop"]
         assert table.default_counter.packets == 2
@@ -286,7 +292,7 @@ class TestEdgeCases:
         keys = rng.integers(0, 256, size=(200, 2)).astype(np.uint8)
         sizes = rng.integers(0, 1500, size=200).astype(np.int64)
         reference = scalar_lookup_series(tables[0], keys, sizes)
-        batch = tables[1].lookup_batch(keys, packet_sizes=sizes)
+        batch = batch_lookup(tables[1], keys, sizes)
         for row, result in enumerate(reference):
             assert batch.actions[batch.action_code[row]] == result.action
             expected_id = result.entry_id if result.entry_id is not None else -1
@@ -294,24 +300,26 @@ class TestEdgeCases:
         assert_tables_equal(tables[0], tables[1])
 
     def test_mutation_invalidates_batch_index(self):
-        """add/remove between batch lookups must not serve stale indexes."""
+        """add/remove between batch lookups must not serve stale programs."""
         table = ExactTable("t", 1)
+        program = CompiledClassifier()
         first = table.add((7,), "drop")
         keys = np.array([[7], [8]], dtype=np.uint8)
-        assert list(table.lookup_batch(keys).hit) == [True, False]
+        assert list(program.lookup_batch(table, keys).hit) == [True, False]
         table.add((8,), "allow")
-        assert list(table.lookup_batch(keys).hit) == [True, True]
+        assert list(program.lookup_batch(table, keys).hit) == [True, True]
         table.remove(first)
-        assert list(table.lookup_batch(keys).hit) == [False, True]
+        assert list(program.lookup_batch(table, keys).hit) == [False, True]
 
     def test_default_action_change_visible_to_batch(self):
         """The controller mutates default_action in place; no stale cache."""
         table = TernaryTable("t", 1)
+        program = CompiledClassifier()
         table.add((1,), (255,), "drop")
         keys = np.array([[2]], dtype=np.uint8)
-        assert table.lookup_batch(keys).actions[0] == "allow"
+        assert program.lookup_batch(table, keys).actions[0] == "allow"
         table.default_action = "quarantine"
-        assert table.lookup_batch(keys).actions[0] == "quarantine"
+        assert program.lookup_batch(table, keys).actions[0] == "quarantine"
 
     def test_byte_counters_parity_across_paths(self):
         """All byte counters (received/dropped/quarantined) match exactly.

@@ -69,10 +69,9 @@ def test_bench_appends_schema_valid_records(tmp_path):
     assert record["metrics"]["detector_fit"]["seconds"] > 0
     compiled = record["metrics"]["compiled_switch"]
     assert compiled["entries"] > 0 and compiled["bitmask_words"] >= 1
+    assert compiled["lut_bytes"] == 6 * 256 * compiled["bitmask_words"] * 8
     assert compiled["compile_seconds"] >= 0
-    # Smoke bound only (quick mode, shared runners); the perf-marked
-    # ≥5x guard lives in tests/test_compiled_differential.py.
-    assert compiled["speedup"] > 1.0
+    assert compiled["pkts_per_sec"] > 0
     serve = record["metrics"]["serve"]
     assert serve["soak_vs_offline"] > 0
     assert 0.0 <= serve["overload_shed_fraction"] <= 1.0

@@ -327,7 +327,6 @@ def _parity_fixture(executor: str):
         queue_capacity=256,
         service_rate=20_000.0,  # tight enough that batching/shedding engage
         record_verdicts=True,
-        compiled=False,
         executor=executor,
     )
     fleet_recorder = FlightRecorder(100_000, sample_rate=1.0)
@@ -423,7 +422,7 @@ class TestFleetShedding:
         packets = _tenant_stream(400, [(10, 1), (10, 2), (192, 168)], seed=34)
         config = ServeConfig(
             max_batch=64, max_latency=0.002, record_verdicts=True,
-            compiled=False, policy=policy,
+            policy=policy,
         )
         recorder = FlightRecorder(10_000, sample_rate=1.0)
         fleet = FleetGateway(specs, config, recorder=recorder)
@@ -464,7 +463,6 @@ class TestTenantLifecycle:
         packets = _tenant_stream(400, [(10, 1), (10, 2)], seed=43)
         config = ServeConfig(
             max_batch=64, max_latency=0.002, record_verdicts=True,
-            compiled=False,
         )
 
         def hook(name, result):
@@ -485,7 +483,6 @@ class TestTenantLifecycle:
         packets = _tenant_stream(200, [(10, 1)], seed=45)
         config = ServeConfig(
             max_batch=64, max_latency=0.002, record_verdicts=True,
-            compiled=False,
         )
         fleet = FleetGateway([spec], config, capacity=10_000)
         first = fleet.run(packets)
@@ -562,7 +559,7 @@ class TestPreFleetCompatibility:
         packets = _tenant_stream(50, [(10, 1)], seed=61)
         result = StreamingGateway(
             _rules(seed=62),
-            ServeConfig(record_verdicts=True, compiled=False),
+            ServeConfig(record_verdicts=True),
         ).run(packets)
         assert all(v.tenant is None for v in result.verdicts)
 

@@ -227,7 +227,6 @@ class TestDifferentialEquality:
             max_latency=0.002,
             queue_capacity=512,
             service_rate=30_000.0,
-            compiled=True,
             executor=executor,
         )
         kwargs.update(overrides)
@@ -495,7 +494,9 @@ class TestParallelPerformance:
         reason="needs >= 4 usable cores for the 4-worker speedup gate",
     )
     def test_four_workers_beat_inline_by_2_5x(self, rng):
-        rules = synthetic_firewall_ruleset(n_rules=64, fields_per_rule=2)
+        # Classification-bound: ~20k ternary entries, so the compiled
+        # classifier's per-packet work dwarfs the ring hop.
+        rules = synthetic_firewall_ruleset(n_rules=1024, fields_per_rule=2)
         packets = _random_packets(rng, 60_000, rate=2_000_000.0)
 
         def run(executor, n_shards):
@@ -504,7 +505,7 @@ class TestParallelPerformance:
                 max_batch=512,
                 queue_capacity=4096,
                 record_verdicts=False,
-                compiled=False,  # uncompiled: classification-bound
+                table_capacity=32_768,
                 executor=executor,
             )
             gateway = StreamingGateway(rules, config)

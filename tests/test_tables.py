@@ -121,11 +121,10 @@ class TestTernaryTieBreak:
     Equal-priority overlapping entries resolve by **insertion order**
     (earliest ``add`` wins, the P4Runtime convention) — and the
     tie-break tracks the add *sequence*, so removing and re-installing
-    an entry demotes it to the back of its priority band.  All three
-    implementations — scalar scan, vectorised ``lookup_batch``, and the
-    compiled LUT program — must resolve ties identically; a compiler
-    that ordered entries by id or by specificity instead would silently
-    change verdicts here.
+    an entry demotes it to the back of its priority band.  The scalar
+    scan and the compiled LUT program must resolve ties identically; a
+    compiler that ordered entries by id or by specificity instead would
+    silently change verdicts here.
     """
 
     @staticmethod
@@ -136,22 +135,16 @@ class TestTernaryTieBreak:
         from repro.dataplane.compiled import CompiledClassifier
 
         scalar = table.lookup((7,))
-        batch = table.lookup_batch(np.array([[7]], dtype=np.uint8))
-        program = CompiledClassifier()
-        program.compile([table])
-        compiled = program.lookup_batch(table, np.array([[7]], dtype=np.uint8))
+        compiled = CompiledClassifier().lookup_batch(
+            table, np.array([[7]], dtype=np.uint8)
+        )
         results = {
             "scalar": (scalar.action, scalar.entry_id),
-            "batch": (
-                batch.actions[batch.action_code[0]],
-                int(batch.entry_id[0]) if batch.hit[0] else None,
-            ),
             "compiled": (
                 compiled.actions[compiled.action_code[0]],
                 int(compiled.entry_id[0]) if compiled.hit[0] else None,
             ),
         }
-        assert results["batch"] == results["scalar"]
         assert results["compiled"] == results["scalar"]
         return results["scalar"]
 

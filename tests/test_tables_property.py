@@ -1,9 +1,9 @@
 """Property-based semantics tests for the match-action tables.
 
-Where ``test_batch_differential.py`` holds ``lookup_batch`` equal to the
-scalar ``lookup``, this suite pins down what both are *supposed* to
-compute — the P4 semantics themselves, checked against brute-force
-oracles over the entry lists:
+Where ``test_batch_differential.py`` holds the compiled batch lookup
+equal to the scalar ``lookup``, this suite pins down what both are
+*supposed* to compute — the P4 semantics themselves, checked against
+brute-force oracles over the entry lists:
 
 * ternary: the highest-priority matching entry wins, insertion order
   breaking ties (the P4Runtime convention);
@@ -14,13 +14,12 @@ Each property is asserted on the scalar path and then on the batch path
 with the scalar result as the oracle, so a bug in shared semantics cannot
 hide behind path agreement.
 
-The ``TestCompiled*`` classes extend the lock to the compiled LUT-bitmap
-path (:mod:`repro.dataplane.compiled`): strategies deliberately generate
-the rule-set shapes most likely to break a per-byte bitmap compiler —
-wildcard and nibble masks, adjacent/overlapping LPM prefixes, degenerate
-(single-value and full-byte) ranges, and >64 entries so the winning bit
-crosses the uint64 bitmask word boundary — and assert compiled == scalar
-on random packet key batches, counters included.
+The ``TestCompiled*`` classes aim the strategies at the rule-set shapes
+most likely to break a per-byte bitmap compiler — wildcard and nibble
+masks, adjacent/overlapping LPM prefixes, degenerate (single-value and
+full-byte) ranges, and >64 entries so the winning bit crosses the
+uint64 bitmask word boundary — and assert compiled == scalar on random
+packet key batches, counters included.
 """
 
 import numpy as np
@@ -37,9 +36,14 @@ def key_bytes(width):
     return st.lists(key_byte, min_size=width, max_size=width).map(tuple)
 
 
+def batch_lookup(table, keys, sizes=None):
+    """One compiled batch lookup of ``table``."""
+    return CompiledClassifier().lookup_batch(table, keys, packet_sizes=sizes)
+
+
 def batch_action(table, key):
     """Single-key action via the batch path (fresh result, no oracle reuse)."""
-    result = table.lookup_batch(np.array([key], dtype=np.uint8))
+    result = batch_lookup(table, np.array([key], dtype=np.uint8))
     return result.actions[result.action_code[0]], (
         int(result.entry_id[0]) if result.hit[0] else None
     )
@@ -180,7 +184,7 @@ class TestRangeBoundaryInclusivity:
             data.draw(st.lists(key_bytes(width), min_size=1, max_size=16)),
             dtype=np.uint8,
         )
-        batch = table.lookup_batch(keys.copy())
+        batch = batch_lookup(table, keys.copy())
         for row, key in enumerate(keys):
             result = table.lookup(tuple(int(b) for b in key))
             assert batch.actions[batch.action_code[row]] == result.action
@@ -188,7 +192,7 @@ class TestRangeBoundaryInclusivity:
             assert int(batch.entry_id[row]) == expected
 
 
-# -- compiled LUT path vs the scalar oracle ---------------------------------
+# -- adversarial shapes for the compiled LUT path ---------------------------
 
 #: Masks weighted toward the adversarial shapes: full wildcard, exact,
 #: and the nibble/partial masks a per-byte LUT must honour bit-wise.
@@ -209,10 +213,8 @@ def _assert_compiled_matches_scalar(oracle, compiled_instance, keys):
     ``oracle`` and ``compiled_instance`` are two identically built
     tables, so direct counters must end up identical too.
     """
-    program = CompiledClassifier()
-    program.compile([compiled_instance])
     sizes = np.arange(len(keys), dtype=np.int64) + 1
-    batch = program.lookup_batch(compiled_instance, keys, packet_sizes=sizes)
+    batch = batch_lookup(compiled_instance, keys, sizes)
     for row, key in enumerate(keys):
         result = oracle.lookup(
             tuple(int(b) for b in key), packet_size=int(sizes[row])
