@@ -18,7 +18,7 @@ from repro.dataplane.controller import DeploymentReport, GatewayController, Upda
 from repro.dataplane.p4gen import generate_p4_program
 from repro.dataplane.queueing import EgressQueue, QueueResult, simulate_queue
 from repro.dataplane.stateful import RateLimitStage, StatefulGateway
-from repro.dataplane.switch import Switch, SwitchConfig, Verdict
+from repro.dataplane.switch import Switch, SwitchConfig, Verdict, VerdictBatch
 from repro.dataplane.tables import (
     BatchMatchResult,
     ExactTable,
@@ -32,6 +32,7 @@ __all__ = [
     "Switch",
     "SwitchConfig",
     "Verdict",
+    "VerdictBatch",
     "BatchMatchResult",
     "ExactTable",
     "TernaryTable",

@@ -24,11 +24,17 @@ The compiled programs are derived state: entry churn bumps a table's
 Verdicts, counters, and decision records are bit-identical to the
 scalar path (``tests/test_batch_differential.py``,
 ``tests/test_compiled_differential.py``).
+
+The batch path's verdicts are columnar: a :class:`VerdictBatch` holds
+action codes, table indices and entry ids as arrays and builds
+:class:`Verdict` objects only when someone iterates it.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import operator
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -53,13 +59,32 @@ from repro.dataplane.tables import (
     TernaryTable,
 )
 
-__all__ = ["SwitchConfig", "Switch", "Verdict", "Register"]
+__all__ = [
+    "ACTION_CODES",
+    "CODE_ACTIONS",
+    "SwitchConfig",
+    "Switch",
+    "Verdict",
+    "VerdictBatch",
+    "ClassifiedArrays",
+    "Register",
+]
 
 AnyTable = Union[ExactTable, TernaryTable, RangeTable, LpmTable]
 
 #: Actions with pipeline-terminating semantics.  ``quarantine`` forwards to
 #: a dedicated inspection port instead of the normal egress.
 TERMINAL_ACTIONS = ("drop", "allow", "quarantine")
+
+#: Verdict action <-> uint8 code, the columnar verdict currency (and the
+#: process backend's wire format).
+CODE_ACTIONS: Tuple[str, ...] = ("allow", "drop", "quarantine")
+ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
+_DROP, _QUARANTINE = ACTION_CODES["drop"], ACTION_CODES["quarantine"]
+#: Code of a table action that does not end the pipeline.
+_NOT_TERMINAL = 255
+_DATA = operator.attrgetter("data")
+_TIMESTAMP = operator.attrgetter("timestamp")
 
 
 @dataclasses.dataclass
@@ -99,6 +124,146 @@ class Verdict:
     @property
     def dropped(self) -> bool:
         return self.action == "drop"
+
+
+class VerdictBatch(collections.abc.Sequence):
+    """The verdicts of one batch, as arrays.
+
+    A read-only ``Sequence[Verdict]``: iterating or indexing builds one
+    :class:`Verdict` per distinct outcome on first use and shares it
+    across every packet with that outcome, so callers that want objects
+    get them, and callers that count or store verdicts use the arrays.
+
+    Attributes:
+        codes: ``(n,)`` uint8 action codes in :data:`CODE_ACTIONS` order.
+        table_idx: ``(n,)`` int16 pipeline index of the deciding table,
+            ``-1`` when no table decided (default ``allow``).
+        entries: ``(n,)`` int64 matched entry id, ``-1`` for none.
+        table_names: the pipeline's table names, indexed by ``table_idx``.
+        tenant: stamped on every built :class:`Verdict` (fleet serving).
+    """
+
+    __slots__ = ("codes", "table_idx", "entries", "table_names", "tenant", "_objects")
+
+    def __init__(
+        self,
+        codes: np.ndarray,
+        table_idx: np.ndarray,
+        entries: np.ndarray,
+        table_names: Sequence[str],
+        tenant: Optional[str] = None,
+    ):
+        self.codes = codes
+        self.table_idx = table_idx
+        self.entries = entries
+        self.table_names = tuple(table_names)
+        self.tenant = tenant
+        self._objects: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls, table_names: Sequence[str] = ()) -> "VerdictBatch":
+        return cls(
+            np.zeros(0, dtype=np.uint8),
+            np.zeros(0, dtype=np.int16),
+            np.zeros(0, dtype=np.int64),
+            table_names,
+        )
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def objects(self) -> np.ndarray:
+        """The verdicts as an object array, one shared object per outcome."""
+        if self._objects is None:
+            names = self.table_names
+            # One int64 key per outcome: entry ids are >= -1 and there
+            # are few tables and codes, so the packing cannot collide.
+            stride = 3 * (len(names) + 1)
+            key = (self.entries + 1) * stride + (
+                (self.table_idx.astype(np.int64) + 1) * 3 + self.codes
+            )
+            outcomes, first, inverse = np.unique(
+                key, return_index=True, return_inverse=True
+            )
+            shared = np.empty(len(outcomes), dtype=object)
+            for slot, row in enumerate(first.tolist()):
+                table = int(self.table_idx[row])
+                entry = int(self.entries[row])
+                shared[slot] = Verdict(
+                    CODE_ACTIONS[self.codes[row]],
+                    table=names[table] if table >= 0 else None,
+                    entry_id=entry if entry >= 0 else None,
+                    tenant=self.tenant,
+                )
+            self._objects = shared[inverse.reshape(-1)]
+        return self._objects
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.objects()[index].tolist()
+        return self.objects()[index]
+
+    def __iter__(self):
+        return iter(self.objects().tolist())
+
+    def with_tenant(self, tenant: Optional[str]) -> "VerdictBatch":
+        """The same arrays, building verdicts stamped with ``tenant``."""
+        return VerdictBatch(
+            self.codes, self.table_idx, self.entries, self.table_names, tenant
+        )
+
+    def counts(self) -> np.ndarray:
+        """Packets per action code, ``(len(CODE_ACTIONS),)`` int64."""
+        return np.bincount(self.codes, minlength=len(CODE_ACTIONS))
+
+
+class ClassifiedArrays(collections.abc.Sequence):
+    """``(action, table, entry_id)``, as :meth:`Switch.classify_arrays` returns.
+
+    Unpacks to three arrays: action names and deciding-table names
+    (object; ``None`` for no table) and entry ids (int64; ``-1`` for
+    none).  They are built from :attr:`verdicts`, the columnar batch,
+    only when a caller reads them; the serve path reads ``verdicts``.
+    """
+
+    __slots__ = ("verdicts", "_arrays")
+
+    def __init__(self, verdicts: VerdictBatch):
+        self.verdicts = verdicts
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def __len__(self) -> int:
+        return 3
+
+    def __getitem__(self, index):
+        if self._arrays is None:
+            v = self.verdicts
+            actions = np.array(CODE_ACTIONS, dtype=object)[v.codes]
+            tables = np.array(v.table_names + (None,), dtype=object)[v.table_idx]
+            self._arrays = (actions, tables, v.entries)
+        return self._arrays[index]
+
+
+def verdicts_of(result, table_names: Sequence[str]) -> VerdictBatch:
+    """The :class:`VerdictBatch` behind a ``classify_arrays`` result.
+
+    A plain ``(action, table, entry_id)`` triple — what a stand-in
+    ``classify_arrays`` (a test double, a wrapper) may return — is
+    converted back to codes.
+    """
+    if isinstance(result, ClassifiedArrays):
+        return result.verdicts
+    actions, tables, entries = result
+    n = len(entries)
+    codes = np.zeros(n, dtype=np.uint8)
+    codes[actions == "drop"] = _DROP
+    codes[actions == "quarantine"] = _QUARANTINE
+    table_idx = np.full(n, -1, dtype=np.int16)
+    for position, name in enumerate(table_names):
+        table_idx[tables == name] = position
+    return VerdictBatch(
+        codes, table_idx, np.asarray(entries, dtype=np.int64), table_names
+    )
 
 
 class Register:
@@ -169,7 +334,7 @@ class SwitchStats:
 
 
 class _PacketStamps:
-    """``stamps[row]`` reads ``packets[row].timestamp`` on demand.
+    """``stamps.take(rows)`` reads those packets' timestamps on demand.
 
     Decision records are kept for a few percent of a batch, so the
     batch path reads just those packets' timestamps.
@@ -180,8 +345,36 @@ class _PacketStamps:
     def __init__(self, packets: Sequence[Packet]):
         self._packets = packets
 
-    def __getitem__(self, row: int) -> float:
-        return self._packets[row].timestamp
+    def take(self, rows: List[int]) -> List[float]:
+        return list(map(_TIMESTAMP, map(self._packets.__getitem__, rows)))
+
+
+class _DecisionRows:
+    """Builds the :class:`DecisionRecord` of one row a batch recorded.
+
+    A row is ``(seq, timestamp, code, table_idx, entry_id, key values)``;
+    ``context`` is the batch's ``(shard, tenant, table names)``.
+    """
+
+    __slots__ = ("context", "table_of", "consulted", "offsets")
+
+    def __init__(self, context: tuple, offsets: Tuple[int, ...]):
+        self.context = context
+        names = context[2]
+        # Indexed by table_idx; index -1 (no table decided) reads the
+        # last slot: no table name, the whole pipeline consulted.
+        self.table_of = names + (None,)
+        self.consulted = [names[: i + 1] for i in range(len(names))] + [names]
+        self.offsets = offsets
+
+    def __call__(self, row) -> DecisionRecord:
+        seq, stamp, code, table, entry, values = row
+        shard, tenant, __ = self.context
+        return DecisionRecord(
+            KIND_DECISION, seq, stamp, CODE_ACTIONS[code], shard, tenant,
+            self.table_of[table], entry if entry >= 0 else None,
+            self.consulted[table], self.offsets, tuple(values),
+        )
 
 
 class Switch:
@@ -200,7 +393,7 @@ class Switch:
         self.recorder_tenant: Optional[str] = None
         self._seq = 0
         self._names_cache: Optional[Tuple[str, ...]] = None
-        self._prefix_cache: Optional[Dict[Optional[str], Tuple[str, ...]]] = None
+        self._decision_rows: Optional[_DecisionRows] = None
         #: LUT-bitmap programs of the pipeline tables (see
         #: :mod:`repro.dataplane.compiled`), rebuilt per stale table.
         self._compiled = CompiledClassifier()
@@ -275,26 +468,11 @@ class Switch:
             )
         self._pipeline.append(table)
         self._names_cache = None
-        self._prefix_cache = None
 
     def _pipeline_names(self) -> Tuple[str, ...]:
         if self._names_cache is None:
             self._names_cache = tuple(t.name for t in self._pipeline)
         return self._names_cache
-
-    def _table_prefixes(self) -> Dict[Optional[str], Tuple[str, ...]]:
-        """``table name -> names of tables consulted up to and including it``.
-
-        ``None`` (no table decided the packet) maps to the full pipeline.
-        """
-        if self._prefix_cache is None:
-            names = self._pipeline_names()
-            prefixes: Dict[Optional[str], Tuple[str, ...]] = {
-                name: names[: i + 1] for i, name in enumerate(names)
-            }
-            prefixes[None] = names
-            self._prefix_cache = prefixes
-        return self._prefix_cache
 
     def table(self, name: str) -> AnyTable:
         """Look up a pipeline table by name."""
@@ -405,7 +583,7 @@ class Switch:
         packets: Sequence[Packet],
         *,
         seqs: Optional[Sequence[int]] = None,
-    ) -> List[Verdict]:
+    ) -> VerdictBatch:
         """Batch :meth:`process` over a whole batch of packets.
 
         Extracts all match keys as one ``(n, key_width)`` uint8 matrix,
@@ -413,7 +591,8 @@ class Switch:
         undecided when that table is reached (first-table-wins, like
         the scalar loop), and updates statistics and table counters in
         aggregate.  Verdicts, stats, counters, and decision records are
-        identical to running :meth:`process` packet by packet.
+        identical to running :meth:`process` packet by packet; the
+        verdicts come back columnar, as a :class:`VerdictBatch`.
 
         Args:
             seqs: per-packet sequence numbers for decision records
@@ -422,32 +601,16 @@ class Switch:
         self._sync_obs()
         n = len(packets)
         if n == 0:
-            return []
-        sizes = np.fromiter(
-            (len(p.data) for p in packets), dtype=np.int64, count=n
-        )
+            return VerdictBatch.empty(self._pipeline_names())
+        sizes = np.fromiter(map(len, map(_DATA, packets)), dtype=np.int64, count=n)
         keys = Packet.batch_keys(packets, self.config.key_offsets)
         timestamps = None
         if self.recorder is not None:
             timestamps = _PacketStamps(packets)
-        final_action, final_table, final_entry = self.classify_arrays(
-            keys, sizes, timestamps=timestamps, seqs=seqs
+        return verdicts_of(
+            self.classify_arrays(keys, sizes, timestamps=timestamps, seqs=seqs),
+            self._pipeline_names(),
         )
-        # A batch resolves to few distinct outcomes; share one frozen
-        # Verdict per outcome instead of allocating one per packet.
-        shared: Dict[tuple, Verdict] = {}
-        verdicts = []
-        for outcome in zip(
-            final_action.tolist(), final_table.tolist(), final_entry.tolist()
-        ):
-            verdict = shared.get(outcome)
-            if verdict is None:
-                action, table, entry = outcome
-                verdict = shared[outcome] = Verdict(
-                    action, table=table, entry_id=entry if entry >= 0 else None
-                )
-            verdicts.append(verdict)
-        return verdicts
 
     def classify_arrays(
         self,
@@ -456,7 +619,7 @@ class Switch:
         *,
         timestamps: Optional[Sequence[float]] = None,
         seqs: Optional[Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> "ClassifiedArrays":
         """Classify a pre-extracted ``(n, key_width)`` key matrix.
 
         The array core of :meth:`process_batch`, shared with the
@@ -464,8 +627,9 @@ class Switch:
         matrices over shared memory, never Packet objects).  Updates
         stats, observability counters, and — when a recorder is
         attached — decision records exactly as :meth:`process_batch`
-        does.  Returns ``(action, table, entry_id)`` arrays (object,
-        object, int64; no-table/no-entry encoded as ``None``/``-1``).
+        does.  Returns ``(action, table, entry_id)`` (see
+        :class:`ClassifiedArrays`); its ``verdicts`` is the columnar
+        :class:`VerdictBatch` the serve path uses.
 
         Args:
             timestamps: per-packet stream timestamps indexed by row,
@@ -477,106 +641,121 @@ class Switch:
         self._sync_obs()
         n = keys.shape[0]
         start_time = time.perf_counter() if self._obs_on else 0.0
+        bytes_in = int(sizes.sum())
         self.stats.received += n
-        self.stats.bytes_received += int(sizes.sum())
+        self.stats.bytes_received += bytes_in
 
         classifier = self._compiled
         classifier.refresh(self._pipeline)
-        final_action = np.full(n, "allow", dtype=object)
-        final_table = np.full(n, None, dtype=object)
-        final_entry = np.full(n, -1, dtype=np.int64)
+        codes = np.zeros(n, dtype=np.uint8)
+        table_idx = np.full(n, -1, dtype=np.int16)
+        entries = np.full(n, -1, dtype=np.int64)
         pending = np.arange(n)
-        for table in self._pipeline:
+        for position, table in enumerate(self._pipeline):
             if not pending.size:
                 break
             result = classifier.lookup_batch(
                 table, keys[pending], packet_sizes=sizes[pending]
             )
-            # Resolve names per distinct action code, not per entry:
-            # a batch hits a few codes of a possibly huge table.
-            codes, inverse = np.unique(result.action_code, return_inverse=True)
-            names = np.array(
-                [result.actions[code] for code in codes.tolist()], dtype=object
-            )
-            terminal = np.isin(names, TERMINAL_ACTIONS)[inverse]
+            # Resolve codes per distinct table action, not per entry:
+            # a batch hits a few actions of a possibly huge table.
+            actions, inverse = np.unique(result.action_code, return_inverse=True)
+            verdict_codes = np.array(
+                [
+                    ACTION_CODES.get(result.actions[code], _NOT_TERMINAL)
+                    for code in actions.tolist()
+                ],
+                dtype=np.uint8,
+            )[inverse]
+            terminal = verdict_codes != _NOT_TERMINAL
             decided = pending[terminal]
-            final_action[decided] = names[inverse[terminal]]
-            final_table[decided] = table.name
-            final_entry[decided] = result.entry_id[terminal]
+            codes[decided] = verdict_codes[terminal]
+            table_idx[decided] = position
+            entries[decided] = result.entry_id[terminal]
             pending = pending[~terminal]
 
-        dropped = final_action == "drop"
-        quarantined = final_action == "quarantine"
-        self.stats.dropped += int(dropped.sum())
-        self.stats.quarantined += int(quarantined.sum())
-        self.stats.allowed += int(n - dropped.sum() - quarantined.sum())
-        self.stats.bytes_dropped += int(sizes[dropped].sum())
-        self.stats.bytes_quarantined += int(sizes[quarantined].sum())
+        dropped = codes == _DROP
+        quarantined = codes == _QUARANTINE
+        n_drop = int(np.count_nonzero(dropped))
+        n_quar = int(np.count_nonzero(quarantined))
+        bytes_drop = int(sizes[dropped].sum())
+        bytes_quar = int(sizes[quarantined].sum())
+        self.stats.dropped += n_drop
+        self.stats.quarantined += n_quar
+        self.stats.allowed += n - n_drop - n_quar
+        self.stats.bytes_dropped += bytes_drop
+        self.stats.bytes_quarantined += bytes_quar
         if self._obs_on:
-            n_drop = int(dropped.sum())
-            n_quar = int(quarantined.sum())
             self._obs_received.inc(n)
-            self._obs_bytes_received.inc(int(sizes.sum()))
+            self._obs_bytes_received.inc(bytes_in)
             self._obs_verdicts["drop"].inc(n_drop)
             self._obs_verdicts["quarantine"].inc(n_quar)
             self._obs_verdicts["allow"].inc(n - n_drop - n_quar)
-            self._obs_bytes["drop"].inc(int(sizes[dropped].sum()))
-            self._obs_bytes["quarantine"].inc(int(sizes[quarantined].sum()))
-            self._obs_bytes["allow"].inc(
-                int(sizes.sum() - sizes[dropped].sum() - sizes[quarantined].sum())
-            )
+            self._obs_bytes["drop"].inc(bytes_drop)
+            self._obs_bytes["quarantine"].inc(bytes_quar)
+            self._obs_bytes["allow"].inc(bytes_in - bytes_drop - bytes_quar)
             self._obs_batch_seconds.observe(time.perf_counter() - start_time)
+        verdicts = VerdictBatch(codes, table_idx, entries, self._pipeline_names())
         if self.recorder is not None:
-            if seqs is None:
-                seq_array = np.arange(self._seq, self._seq + n, dtype=np.int64)
-                self._seq += n
-            else:
-                seq_array = np.asarray(seqs, dtype=np.int64)
             if timestamps is None:
                 raise ValueError(
                     "classify_arrays needs timestamps when a recorder is attached"
                 )
-            self._record_batch(
-                timestamps, keys, final_action, final_table, final_entry,
-                dropped | quarantined, seq_array,
-            )
-        return final_action, final_table, final_entry
+            if seqs is None:
+                start, self._seq = self._seq, self._seq + n
+                seq_array = np.arange(start, start + n, dtype=np.int64)
+                admitted = self.recorder.admit_permit_range(start, n)
+            else:
+                seq_array = (
+                    np.asarray(seqs, dtype=np.int64)
+                    if isinstance(seqs, np.ndarray)
+                    else np.fromiter(seqs, dtype=np.int64, count=len(seqs))
+                )
+                admitted = self.recorder.admit_permit_mask(seq_array)
+            self._record_batch(timestamps, keys, verdicts, seq_array, admitted)
+        return ClassifiedArrays(verdicts)
 
-    def _record_batch(
-        self, timestamps, keys, final_action, final_table, final_entry,
-        critical, seq_array,
-    ) -> None:
+    def _record_batch(self, timestamps, keys, verdicts, seq_array, admitted) -> None:
         """Batch-path decision capture, record-equal to the scalar path.
 
         Admission is a pure hash of ``(recorder.seed, seq)``, so the
-        vectorised mask here selects exactly the permits the scalar
-        path's :meth:`~repro.obs.FlightRecorder.admit_permit` would.
+        vectorised ``admitted`` mask selects exactly the permits the
+        scalar path's :meth:`~repro.obs.FlightRecorder.admit_permit`
+        would.
+        The recorder gets one compact row per kept record, with the
+        batch's codes as criticality, and builds each
+        :class:`DecisionRecord` only when its ring is read.
         """
         recorder = self.recorder
-        selected = np.flatnonzero(critical | recorder.admit_permit_mask(seq_array))
-        recorder.note_sampled_out(len(seq_array) - len(selected))
+        codes = verdicts.codes
+        # Every non-allow (non-zero) code is critical and always kept.
+        selected = (codes | admitted).nonzero()[0]
+        recorder.note_sampled_out(len(codes) - len(selected))
         if not selected.size:
             return
-        prefixes = self._table_prefixes()
-        offsets = tuple(self.config.key_offsets)
-        shard, tenant, add = self.recorder_shard, self.recorder_tenant, recorder.add
-        # Python scalars for the selected rows only, in one pass each.
-        for seq, timestamp, action, table, entry, values in zip(
-            seq_array[selected].tolist(),
-            [float(timestamps[i]) for i in selected.tolist()],
-            final_action[selected].tolist(),
-            final_table[selected].tolist(),
-            final_entry[selected].tolist(),
-            keys[selected].tolist(),
-        ):
-            # Positional in field order (kind, seq, timestamp, verdict,
-            # shard, tenant, table, entry_id, tables, offsets, values):
-            # keyword construction costs twice as much per record.
-            add(DecisionRecord(
-                KIND_DECISION, seq, timestamp, action, shard, tenant, table,
-                entry if entry >= 0 else None, prefixes[table], offsets,
-                tuple(values),
-            ))
+        if isinstance(timestamps, _PacketStamps):
+            stamps = timestamps.take(selected.tolist())
+        else:
+            stamps = np.asarray(timestamps, dtype=np.float64)[selected].tolist()
+        codes = codes[selected].tolist()
+        build = self._decision_rows
+        context = (self.recorder_shard, self.recorder_tenant, self._pipeline_names())
+        if build is None or build.context != context:
+            build = self._decision_rows = _DecisionRows(
+                context, tuple(self.config.key_offsets)
+            )
+        recorder.extend_lazy(
+            (
+                seq_array[selected].tolist(),
+                stamps,
+                codes,
+                verdicts.table_idx[selected].tolist(),
+                verdicts.entries[selected].tolist(),
+                keys.take(selected, axis=0).tolist(),
+            ),
+            build,
+            critical=list(map(bool, codes)),
+        )
 
     def process_trace(
         self, packets: Sequence[Packet], *, batch_size: Optional[int] = None

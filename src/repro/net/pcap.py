@@ -19,6 +19,7 @@ from typing import BinaryIO, Iterable, Iterator, List, Union
 from repro.net.packet import Packet
 
 __all__ = [
+    "MAX_RECORD_BYTES",
     "PcapError",
     "write_pcap",
     "read_pcap",
@@ -42,6 +43,10 @@ _RECORD_HEADER = struct.Struct("<IIII")
 
 #: The two-byte gzip member header (RFC 1952).
 GZIP_MAGIC = b"\x1f\x8b"
+
+#: Longest record either reader accepts when the file's snaplen is 0 or
+#: larger (libpcap's maximum snapshot length).
+MAX_RECORD_BYTES = 262_144
 
 
 class PcapError(ValueError):
@@ -95,6 +100,19 @@ def write_pcap(
         return _write_stream(handle, packets, linktype=linktype, snaplen=snaplen)
 
 
+def _record_limit(snaplen: int) -> int:
+    """Longest record a file with this header snaplen may hold."""
+    return snaplen if 0 < snaplen <= MAX_RECORD_BYTES else MAX_RECORD_BYTES
+
+
+def _too_long(captured_len: int, limit: int) -> PcapError:
+    # Raised before reading: a corrupt length would otherwise make the
+    # reader buffer the rest of the stream looking for the record's end.
+    return PcapError(
+        f"pcap record of {captured_len} bytes exceeds the {limit}-byte snaplen"
+    )
+
+
 def _read_exact(handle: BinaryIO, size: int) -> bytes:
     data = handle.read(size)
     if len(data) != size:
@@ -116,7 +134,8 @@ def _iter_stream(handle: BinaryIO) -> Iterator[Packet]:
     nanos = magic == MAGIC_NANOS
     header = struct.Struct(endian + "HHiIII")
     record = struct.Struct(endian + "IIII")
-    header.unpack(_read_exact(handle, header.size))  # version/zone/snaplen/linktype
+    # version, zone, sigfigs, snaplen, linktype
+    max_record = _record_limit(header.unpack(_read_exact(handle, header.size))[4])
     divisor = 1e9 if nanos else 1e6
     while True:
         raw = handle.read(record.size)
@@ -125,6 +144,8 @@ def _iter_stream(handle: BinaryIO) -> Iterator[Packet]:
         if len(raw) != record.size:
             raise PcapError("truncated pcap record header")
         seconds, fraction, captured_len, __ = record.unpack(raw)
+        if captured_len > max_record:
+            raise _too_long(captured_len, max_record)
         data = _read_exact(handle, captured_len)
         yield Packet(data=data, timestamp=seconds + fraction / divisor)
 
@@ -236,6 +257,8 @@ def iter_pcap_buffered(
     is bounded by ``block_size`` plus one record; the 64 KB default
     keeps the parse buffer resident in cache alongside the consumer's
     working set (bigger blocks measurably slow the serving pipeline).
+    Both readers reject a record longer than the header's snaplen (or
+    :data:`MAX_RECORD_BYTES`) with :class:`PcapError` before reading it.
     """
     stream = open_pcap_stream(handle)
     read = stream.read
@@ -249,6 +272,7 @@ def iter_pcap_buffered(
     else:
         raise PcapError(f"bad pcap magic {buffer[:4]!r}")
     divisor = 1e9 if magic == MAGIC_NANOS else 1e6
+    max_record = _record_limit(struct.unpack_from(endian + "I", buffer, 16)[0])
     unpack_record = struct.Struct(endian + "IIII").unpack_from
     packet_new, setattr_, packet_cls = _PACKET_NEW, _SETATTR, Packet
     label = _DEFAULT_LABEL
@@ -264,6 +288,8 @@ def iter_pcap_buffered(
             if limit < 16:
                 raise PcapError("truncated pcap record header")
         seconds, fraction, captured_len, __ = unpack_record(buffer, pos)
+        if captured_len > max_record:
+            raise _too_long(captured_len, max_record)
         pos += 16
         end = pos + captured_len
         while end > limit:

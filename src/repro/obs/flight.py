@@ -19,12 +19,19 @@ Sampling is a pure function of ``(seed, seq)`` — no RNG state — so the
 scalar and batch switch paths admit exactly the same permits, a fixed
 seed reproduces the same dump, and the batch path can compute the
 admission mask for a whole batch in one vectorised call.
+
+The batch path records dozens of decisions per batch, so it hands the
+ring columns of compact rows and a builder
+(:meth:`FlightRecorder.extend_lazy`); each event is built only when the
+ring is read.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Deque, List, Optional, Tuple, Union
+import itertools
+import operator
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +44,8 @@ _MASK32 = 0xFFFFFFFF
 _MIX_A = 0x9E3779B1
 _MIX_B = 0x85EBCA6B
 _MIX_C = 0xC2B2AE35
+#: Sequence numbers per cached admission block (see admit_permit_mask).
+_BLOCK_BITS = 16
 
 
 class FlightRecorder:
@@ -62,13 +71,16 @@ class FlightRecorder:
         self.seed = int(seed) & _MASK32
         # 32-bit threshold so scalar and vector admits compare integers.
         self._threshold = int(sample_rate * (_MASK32 + 1))
-        self._permits: Deque[Tuple[int, Event]] = collections.deque()
-        self._critical: Deque[Tuple[int, Event]] = collections.deque()
+        self._permits: Deque[tuple] = collections.deque()
+        self._critical: Deque[tuple] = collections.deque()
         self._arrival = 0
         self.recorded = 0        # events accepted into the ring
         self.evicted = 0         # events pushed out by capacity pressure
         self.rejected_permits = 0  # permits refused (ring all-critical)
         self.sampled_out = 0     # permits skipped by head sampling
+        # The admission mask of one aligned block of 2**_BLOCK_BITS
+        # sequence numbers: (block index, bool mask).
+        self._block: Tuple[Optional[int], Optional[np.ndarray]] = (None, None)
 
     # -- sampling ------------------------------------------------------------
 
@@ -99,7 +111,41 @@ class FlightRecorder:
             return np.ones(n, dtype=bool)
         if self.sample_rate <= 0.0:
             return np.zeros(n, dtype=bool)
-        h = np.asarray(seqs).astype(np.uint32, copy=True)
+        seqs = np.asarray(seqs)
+        if n >= 64:
+            # Batches carry runs of nearby seqs (arrival indices, a
+            # switch's counter): read them off a cached block mask.
+            block = int(seqs.min()) >> _BLOCK_BITS
+            if int(seqs.max()) >> _BLOCK_BITS == block:
+                return self._block_mask(block).take(seqs - (block << _BLOCK_BITS))
+        return self._admit_hash(seqs)
+
+    def admit_permit_range(self, start: int, count: int) -> np.ndarray:
+        """:meth:`admit_permit_mask` of ``start, start + 1, ..., start + count - 1``.
+
+        Within one cached block this is a read-only view of the block's
+        mask, not a computation.
+        """
+        if 0.0 < self.sample_rate < 1.0 and count:
+            block = start >> _BLOCK_BITS
+            if (start + count - 1) >> _BLOCK_BITS == block:
+                offset = start - (block << _BLOCK_BITS)
+                return self._block_mask(block)[offset : offset + count]
+        return self.admit_permit_mask(np.arange(start, start + count, dtype=np.int64))
+
+    def _block_mask(self, block: int) -> np.ndarray:
+        """Read-only admission mask of one aligned block of seqs."""
+        if self._block[0] != block:
+            base = block << _BLOCK_BITS
+            mask = self._admit_hash(
+                np.arange(base, base + (1 << _BLOCK_BITS), dtype=np.int64)
+            )
+            mask.flags.writeable = False
+            self._block = (block, mask)
+        return self._block[1]
+
+    def _admit_hash(self, seqs: np.ndarray) -> np.ndarray:
+        h = seqs.astype(np.uint32, copy=True)
         h *= _MIX_A
         h += self.seed
         h ^= h >> np.uint32(16)
@@ -125,10 +171,58 @@ class FlightRecorder:
         arriving while the ring is full of critical records is refused —
         critical records are never evicted for a permit.
         """
-        critical = is_critical(event)
-        if len(self) >= self.capacity:
-            if self._permits:
-                self._permits.popleft()
+        return self._insert((event, None), is_critical(event))
+
+    def extend(self, events) -> int:
+        """Add many events; returns how many are resident afterwards."""
+        events = list(events)
+        return self._extend((events,), None, [is_critical(e) for e in events])
+
+    def extend_lazy(
+        self,
+        columns: Sequence[Sequence],
+        build: Callable[[tuple], Event],
+        critical: Sequence[bool],
+    ) -> int:
+        """Add one event per row of ``columns``, built only when read.
+
+        ``columns`` are equal-length sequences; row ``i`` is the tuple
+        of their ``i``-th items, ``build(row)`` makes its event, and
+        ``critical[i]`` flags it.  Retention is exactly that of
+        :meth:`extend` over the built events, but :meth:`records`
+        builds them: the batch switch path keeps dozens of decisions
+        per batch, and most are evicted unread.
+        """
+        return self._extend(columns, build, critical)
+
+    def _extend(self, columns, build, critical: Sequence[bool]) -> int:
+        # Ring entries are (arrival, *row, build); an eagerly added
+        # event is the one-item row (event,) with build None.
+        count = len(critical)
+        if count > self.capacity - len(self._permits) - len(self._critical):
+            insert = self._insert
+            return sum([
+                insert(row + (build,), flag)
+                for row, flag in zip(zip(*columns), critical)
+            ])
+        # Room for all: nothing is evicted, so each class just appends.
+        start = self._arrival
+        entries = list(zip(
+            range(start, start + count), *columns, itertools.repeat(build)
+        ))
+        self._critical.extend(itertools.compress(entries, critical))
+        self._permits.extend(
+            itertools.compress(entries, map(operator.not_, critical))
+        )
+        self._arrival += count
+        self.recorded += count
+        return count
+
+    def _insert(self, tail: tuple, critical: bool) -> bool:
+        permits = self._permits
+        if len(permits) + len(self._critical) >= self.capacity:
+            if permits:
+                permits.popleft()
                 self.evicted += 1
             elif critical:
                 self._critical.popleft()
@@ -136,22 +230,22 @@ class FlightRecorder:
             else:
                 self.rejected_permits += 1
                 return False
-        entry = (self._arrival, event)
+        (self._critical if critical else permits).append(
+            (self._arrival,) + tail
+        )
         self._arrival += 1
-        (self._critical if critical else self._permits).append(entry)
         self.recorded += 1
         return True
-
-    def extend(self, events) -> int:
-        """Add many events; returns how many are resident afterwards."""
-        return sum(1 for event in events if self.add(event))
 
     def records(self) -> List[Event]:
         """Resident events in arrival order (oldest first)."""
         merged = sorted(
-            list(self._permits) + list(self._critical), key=lambda e: e[0]
+            list(self._permits) + list(self._critical), key=operator.itemgetter(0)
         )
-        return [event for __, event in merged]
+        return [
+            entry[1] if entry[-1] is None else entry[-1](entry[1:-1])
+            for entry in merged
+        ]
 
     def clear(self) -> None:
         """Empty the ring (counters keep their lifetime totals)."""

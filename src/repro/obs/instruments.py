@@ -21,6 +21,8 @@ import bisect
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -134,6 +136,7 @@ class Histogram(_Instrument):
         if not edges or list(edges) != sorted(edges):
             raise ValueError("buckets must be a non-empty ascending sequence")
         self.edges: Tuple[float, ...] = edges
+        self._edge_array = np.asarray(edges, dtype=np.float64)
         self.counts: List[int] = [0] * (len(edges) + 1)
         self.sum = 0.0
         self.count = 0
@@ -143,6 +146,34 @@ class Histogram(_Instrument):
         self.counts[bisect.bisect_left(self.edges, value)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of ``values`` in order, in one call.
+
+        Counts, ``count`` and ``sum`` end up exactly as the per-value
+        loop leaves them; the sum is accumulated left to right from the
+        current total (``np.add.accumulate``, not a pairwise sum), so it
+        is bit-identical too.  ``nan`` lands in the *first* bucket, as
+        :func:`bisect.bisect_left` puts it (every comparison with
+        ``nan`` is false), not at the end where ``np.searchsorted``
+        sorts it; the sum then becomes ``nan``, as it would per value.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not values.size:
+            return
+        slots = np.searchsorted(self._edge_array, values, side="left")
+        slots[np.isnan(values)] = 0
+        for slot, hits in enumerate(
+            np.bincount(slots, minlength=len(self.counts)).tolist()
+        ):
+            if hits:
+                self.counts[slot] += hits
+        # Python float addition overflows to inf and makes nan silently.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.sum = float(
+                np.add.accumulate(np.concatenate(([self.sum], values)))[-1]
+            )
+        self.count += int(values.size)
 
     def time(self) -> "Timer":
         """Context manager observing elapsed seconds into this histogram."""
@@ -234,6 +265,9 @@ class NullInstrument:
         pass
 
     def observe(self, value) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
     def time(self) -> "NullInstrument":

@@ -20,6 +20,9 @@ a rate it does not control.  This package supplies that missing layer:
   tying those together with backpressure (explicit drop accounting,
   fail-open vs. fail-closed), graceful drain, and full :mod:`repro.obs`
   wiring;
+* :mod:`repro.serve.workers` — the executors that classify serviced
+  batches behind one submit/poll/wait interface: inline, or one worker
+  process per shard over shared-memory rings;
 * :mod:`repro.serve.hooks` — the drift→retrain→atomic-rule-swap hook
   that connects :class:`repro.core.online.OnlineGateway` to the live
   loop.
@@ -43,7 +46,7 @@ from repro.serve.gateway import (
 )
 from repro.serve.hooks import DriftRetrainHook
 from repro.serve.shard import BoundedQueue, Shard, ShardSet, flow_shard
-from repro.serve.workers import ProcessExecutor, WorkerDiedError
+from repro.serve.workers import InlineExecutor, ProcessExecutor, WorkerDiedError
 from repro.serve.sources import (
     IterableSource,
     PcapSource,
@@ -58,6 +61,7 @@ __all__ = [
     "DriftRetrainHook",
     "FAIL_CLOSED",
     "FAIL_OPEN",
+    "InlineExecutor",
     "IterableSource",
     "PcapSource",
     "ProcessExecutor",

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.packet import Packet
 
@@ -44,19 +46,30 @@ class Batch:
             gateway (used to place verdicts back in arrival order).
         flush_time: stream time at which the batch left the batcher.
         reason: ``"full"``, ``"deadline"`` or ``"drain"``.
+        timestamps: float64 arrival stamps of ``packets`` (read from
+            the packets when not given).
     """
 
     packets: List[Packet]
     indices: List[int]
     flush_time: float
     reason: str
+    timestamps: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.timestamps is None:
+            self.timestamps = np.fromiter(
+                (p.timestamp for p in self.packets),
+                dtype=np.float64,
+                count=len(self.packets),
+            )
 
     def __len__(self) -> int:
         return len(self.packets)
 
-    def waits(self) -> List[float]:
+    def waits(self) -> np.ndarray:
         """Per-packet batcher wait (flush time − arrival), seconds."""
-        return [self.flush_time - p.timestamp for p in self.packets]
+        return self.flush_time - self.timestamps
 
 
 class AdaptiveBatcher:
@@ -75,8 +88,11 @@ class AdaptiveBatcher:
             raise ValueError("max_latency must be positive")
         self.max_batch = max_batch
         self.max_latency = max_latency
+        # Never rebound: a flush copies and clears them, so the bound
+        # appends :meth:`lanes` hands out stay valid for good.
         self._packets: List[Packet] = []
         self._indices: List[int] = []
+        self._stamps: List[float] = []
 
     def __len__(self) -> int:
         return len(self._packets)
@@ -84,21 +100,41 @@ class AdaptiveBatcher:
     @property
     def deadline(self) -> float:
         """Stream time at which the pending batch must flush (inf if empty)."""
-        if not self._packets:
+        if not self._stamps:
             return math.inf
-        return self._packets[0].timestamp + self.max_latency
+        return self._stamps[0] + self.max_latency
 
     def due(self, now: float) -> bool:
         """Whether the deadline trigger has fired by stream time ``now``."""
         return now >= self.deadline
 
+    def lanes(self) -> Tuple[List[Packet], Callable, Callable, Callable]:
+        """``(pending, add_packet, add_index, add_stamp)`` for a hot loop.
+
+        The gateway's per-packet loop appends a packet, its index and
+        its timestamp through these bound methods, reads ``len(pending)``
+        itself, and calls :meth:`flush_full` at ``max_batch`` — exactly
+        what :meth:`add` does, without a method call per packet.
+        """
+        return (
+            self._packets,
+            self._packets.append,
+            self._indices.append,
+            self._stamps.append,
+        )
+
     def add(self, packet: Packet, index: int) -> Optional[Batch]:
         """Queue one packet; returns the flushed batch on the size trigger."""
         self._packets.append(packet)
         self._indices.append(index)
+        self._stamps.append(packet.timestamp)
         if len(self._packets) >= self.max_batch:
-            return self._flush(packet.timestamp, FLUSH_FULL)
+            return self.flush_full()
         return None
+
+    def flush_full(self) -> Batch:
+        """Size-trigger flush, stamped at the last arrival."""
+        return self._flush(self._stamps[-1], FLUSH_FULL)
 
     def flush_due(self, now: float) -> Optional[Batch]:
         """Flush at the deadline if it has passed (at the *deadline* time,
@@ -117,10 +153,17 @@ class AdaptiveBatcher:
         """
         if not self._packets:
             return None
-        return self._flush(min(self.deadline, max(now, self._packets[-1].timestamp)), FLUSH_DRAIN)
+        return self._flush(min(self.deadline, max(now, self._stamps[-1])), FLUSH_DRAIN)
 
     def _flush(self, flush_time: float, reason: str) -> Batch:
-        batch = Batch(self._packets, self._indices, flush_time, reason)
-        self._packets = []
-        self._indices = []
+        batch = Batch(
+            self._packets.copy(),
+            self._indices.copy(),
+            flush_time,
+            reason,
+            np.fromiter(self._stamps, dtype=np.float64, count=len(self._stamps)),
+        )
+        self._packets.clear()
+        self._indices.clear()
+        self._stamps.clear()
         return batch

@@ -10,11 +10,17 @@ directly comparable to ``replay_gateway`` — while queueing, deadlines,
 backpressure and shedding are exact, deterministic functions of the
 offered arrival process (no sleeping, no flaky timers).
 
-Per packet: hash to a shard (consistent flow hash — stateful tables stay
-per-flow correct), append to that shard's adaptive batcher; on a size or
-deadline trigger the batch moves to the shard's bounded queue, and the
-shard worker services queued batches at its configured ``service_rate``
-(``None`` = unconstrained, the pure-throughput soak mode).  When a
+Per packet, and only this: check the deadline and alert clocks, hash to
+a shard (consistent flow hash — stateful tables stay per-flow correct),
+and append the packet, its sequence number and its stamp to that
+shard's adaptive batcher.  Everything else happens once per batch, on
+arrays: on a size or deadline trigger the batch moves to the shard's
+bounded queue, and the shard worker services queued batches at its
+configured ``service_rate`` (``None`` = unconstrained, the
+pure-throughput soak mode) by submitting them to an executor — inline
+or process-parallel, one interface (:mod:`repro.serve.workers`) — whose
+results one completion routine applies: latencies, verdict counts,
+recording, the retrain hook, and observability.  When a
 queue is full the overflow is *shed* with explicit accounting — counted,
 given a policy verdict (``fail-open`` ⇒ allowed uninspected,
 ``fail-closed`` ⇒ dropped), never silently lost.  A retrain hook runs
@@ -30,7 +36,7 @@ import collections
 import dataclasses
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,13 +48,13 @@ import sys
 _obs_state = sys.modules["repro.obs.registry"]
 from repro.obs.events import KIND_SHED, DecisionRecord, event_from_dict
 from repro.core.rules import RuleSet
-from repro.dataplane.switch import SwitchStats, Verdict
+from repro.dataplane.switch import CODE_ACTIONS, SwitchStats, Verdict, VerdictBatch
 from repro.net.packet import Packet
 from repro.serve.batcher import Batch
 from repro.serve.shard import Shard, ShardSet, flow_shard
 from repro.serve.workers import (
-    CODE_ACTIONS,
     BatchResult,
+    InlineExecutor,
     ProcessExecutor,
     WorkerDiedError,
 )
@@ -66,8 +72,9 @@ FAIL_OPEN = "fail-open"      # shed traffic passes uninspected (availability)
 FAIL_CLOSED = "fail-closed"  # shed traffic is dropped (security)
 
 #: Retrain hook signature: (batch packets, their verdicts) → optional new
-#: rule set to install atomically across all shards.
-RetrainHook = Callable[[List[Packet], List[Verdict]], Optional[RuleSet]]
+#: rule set to install atomically across all shards.  The verdicts are a
+#: :class:`~repro.dataplane.switch.VerdictBatch` (a ``Sequence[Verdict]``).
+RetrainHook = Callable[[List[Packet], VerdictBatch], Optional[RuleSet]]
 
 
 @dataclasses.dataclass
@@ -302,7 +309,8 @@ class StreamingGateway:
             max_latency=self.config.max_latency,
             queue_capacity=self.config.queue_capacity,
         )
-        self._executor: Optional[ProcessExecutor] = None
+        self._executor = None     # the run's Inline/ProcessExecutor
+        self._remote = False
         self.retrain_hook = retrain_hook
         self.recorder = recorder
         self.alert_engine = alert_engine
@@ -459,9 +467,12 @@ class StreamingGateway:
         # invariant (offered == processed + shed == stats.received + shed)
         # holds per run.
         self.shards.reset()
-        self._verdicts: List[Optional[Verdict]] = []
-        self._latencies: List[float] = []
-        self._waits: List[float] = []
+        # Arrival-order verdict slots, filled once at the end of the run:
+        # (indices, classified batch) and (indices, shed verdict).
+        self._classified: List[Tuple[List[int], VerdictBatch]] = []
+        self._shed_verdicts: List[Tuple[List[int], Verdict]] = []
+        self._latencies: List[np.ndarray] = []
+        self._waits: List[np.ndarray] = []
         self._offered = 0
         self._offered_reported = 0
         self._batches = 0
@@ -473,15 +484,13 @@ class StreamingGateway:
         self._first_t: Optional[float] = None
         self._last_t = 0.0
         self._batch_seconds: List[float] = []
-        # Process-backend state: per-shard FIFOs of submitted-but-unreaped
-        # batches, dead-worker bookkeeping, and the current parser offsets
-        # (cached so submits don't chase the rules object through swaps).
-        self._pending: List[object] = [
-            collections.deque() for _ in self.shards
-        ]
+        # Submitted-but-uncompleted batches, in submit order across all
+        # shards: completions apply in this order on both executors, so
+        # histogram sums and recorder order do not depend on which
+        # worker answered first.
+        self._pending: collections.deque = collections.deque()
         self._dead: set = set()
         self._worker_failures = 0
-        self._offsets = tuple(self.shards.rules.offsets)
         self._lockstep = self.retrain_hook is not None
 
     # -- the event loop ------------------------------------------------------
@@ -491,9 +500,8 @@ class StreamingGateway:
         self._sync_obs()
         self._reset_run_state()
         config = self.config
-        record = config.record_verdicts
-        hash_mode = config.hash_mode
-        if config.executor == "process":
+        self._remote = config.executor == "process"
+        if self._remote:
             self._executor = ProcessExecutor(
                 self.shards.rules,
                 n_shards=config.n_shards,
@@ -506,27 +514,31 @@ class StreamingGateway:
             )
             if self._obs_on:
                 self._obs_parallel_workers.set(config.n_shards)
+        else:
+            self._executor = InlineExecutor(self.shards)
         wall_start = time.perf_counter()
         try:
-            return self._run_stream(source, record, hash_mode, wall_start)
+            return self._run_stream(source, wall_start)
         finally:
-            if self._executor is not None:
-                if self._obs_on:
-                    self._obs_ring_full_waits.inc(self._executor.ring_full_waits)
-                    self._obs_ring_full_wait_seconds.inc(
-                        self._executor.ring_full_wait_seconds
-                    )
-                    self._obs_records_dropped.inc(self._executor.records_dropped)
-                    self._obs_parallel_workers.set(0)
-                self._executor.close()
-                self._executor = None
+            if self._remote and self._obs_on:
+                self._obs_ring_full_waits.inc(self._executor.ring_full_waits)
+                self._obs_ring_full_wait_seconds.inc(
+                    self._executor.ring_full_wait_seconds
+                )
+                self._obs_records_dropped.inc(self._executor.records_dropped)
+                self._obs_parallel_workers.set(0)
+            self._executor.close()
+            self._executor = None
 
-    def _run_stream(
-        self, source: Iterable[Packet], record: bool, hash_mode: str,
-        wall_start: float,
-    ) -> SoakResult:
+    def _run_stream(self, source: Iterable[Packet], wall_start: float) -> SoakResult:
+        hash_mode = self.config.hash_mode
         shards = self.shards.shards
         n_shards = len(shards)
+        # Each shard's batcher columns, appended to without a call per
+        # packet (see AdaptiveBatcher.lanes); all shards share one policy.
+        lanes = [(shard, shard.batcher) + shard.batcher.lanes() for shard in shards]
+        shard, batcher, pending, add_packet, add_index, add_stamp = lanes[0]
+        max_batch, max_latency = batcher.max_batch, batcher.max_latency
         # Per-packet state lives in locals; the attributes are synced
         # before the calls that read them and after the loop.
         offered = self._offered
@@ -548,25 +560,22 @@ class StreamingGateway:
                     self._offered = offered
                     self._evaluate_alerts(t)
                     next_alert_t = t + self.alert_interval
-                if record:
-                    self._verdicts.append(None)
-                shard = shards[
-                    flow_shard(packet, n_shards, mode=hash_mode)
-                    if n_shards > 1
-                    else 0
-                ]
-                batcher = shard.batcher
-                batch = batcher.add(packet, offered)
+                if n_shards > 1:
+                    shard, batcher, pending, add_packet, add_index, add_stamp = lanes[
+                        flow_shard(packet, n_shards, mode=hash_mode)
+                    ]
+                add_packet(packet)
+                add_index(offered)
+                add_stamp(t)
                 offered += 1
-                if batch is not None:
-                    self._dispatch(shard, batch, t)
+                size = len(pending)
+                if size >= max_batch:
+                    self._dispatch(shard, batcher.flush_full(), t)
                     self._recompute_deadline()
                     next_deadline = self._next_deadline
-                elif len(batcher._packets) == 1:
+                elif size == 1 and t + max_latency < next_deadline:
                     # A batch just opened; its deadline may be the next.
-                    # (len() of the list skips a Python-level __len__.)
-                    if batcher.deadline < next_deadline:
-                        next_deadline = self._next_deadline = batcher.deadline
+                    next_deadline = self._next_deadline = t + max_latency
             self._offered = offered
             self._next_alert_t = next_alert_t
             self._last_t = t
@@ -614,8 +623,7 @@ class StreamingGateway:
                     self._dispatch(shard, batch, now)
             for shard in self.shards:
                 self._service(shard, math.inf)
-            if self._executor is not None:
-                self._await_pending()
+            self._reap(block=True)
         self._next_deadline = math.inf
 
     def _dispatch(self, shard: Shard, batch: Batch, now: float) -> None:
@@ -625,12 +633,11 @@ class StreamingGateway:
             self._flush_reasons.get(batch.reason, 0) + 1
         )
         waits = batch.waits()
-        self._waits.extend(waits)
+        self._waits.append(waits)
         if self._obs_on:
             self._obs_batch_size.observe(float(len(batch)))
             self._obs_batches[batch.reason].inc()
-            for wait in waits:
-                self._obs_wait.observe(wait)
+            self._obs_wait.observe_many(waits)
         # Service first: completions up to `now` free queue space before
         # admission is decided, minimising spurious sheds.
         self._service(shard, now)
@@ -650,13 +657,12 @@ class StreamingGateway:
         """
         if action is None:
             action = "allow" if self.config.policy == FAIL_OPEN else "drop"
-        verdict = Verdict(action, table=None, entry_id=None, tenant=self.tenant)
-        record = self.config.record_verdicts
+        if self.config.record_verdicts:
+            verdict = Verdict(action, table=None, entry_id=None, tenant=self.tenant)
+            self._shed_verdicts.append(([index for __, index in refused], verdict))
         recorder = self.recorder
-        for packet, index in refused:
-            if record:
-                self._verdicts[index] = verdict
-            if recorder is not None:
+        if recorder is not None:
+            for packet, index in refused:
                 # Shed records are critical: never sampled, never evicted
                 # before a permit — the dump holds every shed packet.
                 recorder.add(
@@ -674,68 +680,15 @@ class StreamingGateway:
             self._obs_shed[shard.index].inc(len(refused))
 
     def _service(self, shard: Shard, now: float) -> None:
-        """Run the shard worker forward to stream time ``now``."""
-        if self._executor is not None:
-            self._service_process(shard, now)
-        else:
-            self._service_inline(shard, now)
+        """Run the shard worker forward to stream time ``now``.
 
-    def _service_inline(self, shard: Shard, now: float) -> None:
-        config = self.config
-        rate = config.service_rate
-        record = config.record_verdicts
-        queue = shard.queue
-        while queue.depth and shard.busy_until <= now:
-            batch = queue.pop()
-            start = max(shard.busy_until, batch.flush_time)
-            process_start = time.perf_counter()
-            verdicts = shard.switch.process_batch(
-                batch.packets, seqs=batch.indices
-            )
-            elapsed = time.perf_counter() - process_start
-            self._process_seconds += elapsed
-            self._batch_seconds.append(elapsed)
-            if rate is not None:
-                shard.busy_until = start + len(batch) / rate
-                completion = shard.busy_until
-            else:
-                completion = start
-            self._latencies.extend(
-                [completion - p.timestamp for p in batch.packets]
-            )
-            shard.processed += len(batch)
-            shard.count_verdicts(verdicts)
-            if record:
-                out = self._verdicts
-                for index, verdict in zip(batch.indices, verdicts):
-                    out[index] = verdict
-            if self._obs_on:
-                self._obs_shard_pkts[shard.index].inc(len(batch))
-                self._obs_depth[shard.index].set(queue.depth)
-                for latency in (completion - p.timestamp for p in batch.packets):
-                    self._obs_latency.observe(latency)
-            if self.retrain_hook is not None:
-                new_rules = self.retrain_hook(batch.packets, verdicts)
-                if new_rules is not None:
-                    self.shards.install(new_rules)
-                    self._attach_recorder()
-                    if self._obs_on:
-                        self._obs_swaps.inc()
-
-    # -- process backend ---------------------------------------------------
-
-    def _service_process(self, shard: Shard, now: float) -> None:
-        """Process-backend service: ship serviceable batches to the worker.
-
-        Stream-time semantics are identical to :meth:`_service_inline`
-        — the same batches leave the queue at the same stream times and
-        ``busy_until`` advances by the same amounts — only the
-        classification happens remotely.  Verdicts are applied at reap
-        (FIFO per shard), opportunistically here and exhaustively at
-        drain.  With a retrain hook installed the loop runs in
-        lockstep (every submit reaped immediately) so hook calls see
-        each batch's verdicts in the inline order and rule swaps hit a
-        globally empty pipeline.
+        Both executors see the same batches leave the queue at the same
+        stream times, and ``busy_until`` advances by the same amounts;
+        only where classification runs differs.  Results are applied in
+        submit order, opportunistically here and exhaustively at drain.
+        With a retrain hook installed every submit is completed at once
+        (lockstep), so hook calls see each batch's verdicts in order and
+        rule swaps hit a globally empty pipeline.
         """
         if shard.index in self._dead:
             self._drain_dead_shard(shard)
@@ -746,126 +699,60 @@ class StreamingGateway:
         while queue.depth and shard.busy_until <= now:
             batch = queue.pop()
             start = max(shard.busy_until, batch.flush_time)
-            n = len(batch)
-            keys = Packet.batch_keys(batch.packets, self._offsets)
-            sizes = np.fromiter(
-                (len(p.data) for p in batch.packets), dtype=np.int64, count=n
-            )
-            timestamps = np.fromiter(
-                (p.timestamp for p in batch.packets), dtype=np.float64, count=n
-            )
-            seqs = np.asarray(batch.indices, dtype=np.int64)
             if rate is not None:
-                shard.busy_until = start + n / rate
+                shard.busy_until = start + len(batch) / rate
                 completion = shard.busy_until
             else:
                 completion = start
             try:
-                executor.submit(shard.index, keys, sizes, timestamps, seqs)
+                executor.submit_batch(shard.index, batch)
             except WorkerDiedError:
-                self._on_worker_death(shard, extra=(batch, sizes))
+                self._on_worker_death(shard, extra=batch)
                 return
-            self._pending[shard.index].append((batch, sizes, completion))
-            if self._lockstep:
-                try:
-                    result = executor.wait(shard.index)
-                except WorkerDiedError:
-                    self._on_worker_death(shard)
-                    return
-                verdicts = self._complete(shard, result)
-                new_rules = self.retrain_hook(batch.packets, verdicts)
-                if new_rules is not None:
-                    self._install_process(new_rules)
-            else:
-                self._reap()
+            self._pending.append((shard, batch, completion))
+            self._reap(block=self._lockstep)
 
-    def _install_process(self, new_rules: RuleSet) -> None:
-        """Atomic swap, both sides: parent bookkeeping + worker barrier.
+    def _reap(self, *, block: bool) -> None:
+        """Complete submitted batches in submit order.
 
-        The parent :class:`ShardSet` installs first (it owns the rules
-        pointer, swap counter, and — on changed offsets — the retired
-        stats), then the executor fans the swap to every worker and
-        blocks on the acks.  Callers guarantee zero in-flight frames,
-        so no batch anywhere straddles the version boundary.
+        Args:
+            block: wait for every pending batch (drain, lockstep);
+                otherwise stop at the first one not yet classified.
         """
-        self.shards.install(new_rules)
-        self._attach_recorder()
-        self._offsets = tuple(new_rules.offsets)
-        self._executor.install(new_rules)
-        # Fold the worker ack barrier into the recorded swap cost so
-        # ShardSet.swap_seconds means "full install" on both executors.
-        self.shards.swap_seconds[-1] += self._executor.swap_barrier_seconds[-1]
-        if self._obs_on:
-            self._obs_swaps.inc()
-            self._obs_swap_barrier.observe(
-                self._executor.swap_barrier_seconds[-1]
-            )
-
-    def _reap(self) -> None:
-        """Apply every already-completed batch (non-blocking)."""
+        pending = self._pending
         executor = self._executor
-        for shard in self.shards:
-            if shard.index in self._dead:
-                continue
-            while True:
-                result = executor.poll(shard.index)
-                if result is None:
-                    break
-                self._complete(shard, result)
-
-    def _await_pending(self) -> None:
-        """Block until every submitted batch is reaped (drain barrier)."""
-        executor = self._executor
-        for shard in self.shards:
-            if shard.index in self._dead:
-                continue
-            while self._pending[shard.index]:
-                try:
+        while pending:
+            shard, batch, completion = pending[0]
+            try:
+                if block:
                     result = executor.wait(shard.index)
-                except WorkerDiedError:
-                    self._on_worker_death(shard)
-                    break
-                self._complete(shard, result)
+                else:
+                    result = executor.poll(shard.index)
+                    if result is None:
+                        return
+            except WorkerDiedError:
+                self._on_worker_death(shard)
+                continue
+            pending.popleft()
+            self._complete(shard, batch, completion, result)
 
-    def _complete(self, shard: Shard, result: BatchResult) -> Optional[List[Verdict]]:
-        """Apply one reaped worker result — the deferred half of service."""
-        batch, sizes, completion = self._pending[shard.index].popleft()
+    def _complete(
+        self, shard: Shard, batch: Batch, completion: float, result: BatchResult
+    ) -> None:
+        """Apply one classified batch — the same routine for both executors."""
+        verdicts = result.outcome
         n = len(batch)
-        codes = result.codes
-        record = self.config.record_verdicts
         self._process_seconds += result.process_seconds
         self._batch_seconds.append(result.process_seconds)
-        self._latencies.extend(completion - p.timestamp for p in batch.packets)
+        latencies = completion - batch.timestamps
+        self._latencies.append(latencies)
         shard.processed += n
-        # Parent-side stats accumulation: exactly the increments the
-        # worker's switch made, derived from the verdict codes — so
-        # ``ShardSet.stats()`` aggregates identically to inline (and
-        # survives worker death, unlike collecting stats at exit).
-        dropped = codes == 1
-        quarantined = codes == 2
-        n_drop = int(dropped.sum())
-        n_quar = int(quarantined.sum())
-        stats = shard.switch.stats
-        stats.received += n
-        stats.bytes_received += int(sizes.sum())
-        stats.dropped += n_drop
-        stats.quarantined += n_quar
-        stats.allowed += n - n_drop - n_quar
-        stats.bytes_dropped += int(sizes[dropped].sum())
-        stats.bytes_quarantined += int(sizes[quarantined].sum())
-        for code, count in zip(*np.unique(codes, return_counts=True)):
-            action = CODE_ACTIONS[int(code)]
-            shard.verdict_counts[action] = (
-                shard.verdict_counts.get(action, 0) + int(count)
-            )
-        verdicts: Optional[List[Verdict]] = None
-        if record or self._lockstep:
-            verdicts = result.verdicts(self._executor.table_names)
-        if record:
-            out = self._verdicts
-            for index, verdict in zip(batch.indices, verdicts):
-                out[index] = verdict
-        if self.recorder is not None:
+        shard.count_verdicts(verdicts)
+        if self.config.record_verdicts:
+            self._classified.append((batch.indices, verdicts))
+        if self._remote:
+            self._mirror_worker(shard, result)
+        if result.records or result.sampled_out:
             # Workers don't know their tenant; stamp identity parent-side
             # so process-backend records match inline bit for bit.
             tenant = self.tenant
@@ -873,28 +760,75 @@ class StreamingGateway:
                 if tenant is not None:
                     data["tenant"] = tenant
                 self.recorder.add(event_from_dict(data))
-            if result.sampled_out:
-                self.recorder.note_sampled_out(result.sampled_out)
+            self.recorder.note_sampled_out(result.sampled_out)
         if self._obs_on:
             self._obs_shard_pkts[shard.index].inc(n)
             self._obs_depth[shard.index].set(shard.queue.depth)
-            for latency in (completion - p.timestamp for p in batch.packets):
-                self._obs_latency.observe(latency)
+            self._obs_latency.observe_many(latencies)
+        if self.retrain_hook is not None:
+            new_rules = self.retrain_hook(batch.packets, verdicts)
+            if new_rules is not None:
+                self._install(new_rules)
+
+    def _mirror_worker(self, shard: Shard, result: BatchResult) -> None:
+        """Parent-side switch stats and ``switch_*`` series for a worker batch.
+
+        Exactly the increments the worker's switch made, derived from
+        the verdict codes — so ``ShardSet.stats()`` aggregates
+        identically to inline (and survives worker death, unlike
+        collecting stats at exit).
+        """
+        codes = result.outcome.codes
+        sizes = result.sizes
+        n = len(codes)
+        counts = result.outcome.counts().tolist()
+        n_drop, n_quar = counts[1], counts[2]
+        bytes_in = int(sizes.sum())
+        bytes_drop = int(sizes[codes == 1].sum())
+        bytes_quar = int(sizes[codes == 2].sum())
+        stats = shard.switch.stats
+        stats.received += n
+        stats.bytes_received += bytes_in
+        stats.dropped += n_drop
+        stats.quarantined += n_quar
+        stats.allowed += n - n_drop - n_quar
+        stats.bytes_dropped += bytes_drop
+        stats.bytes_quarantined += bytes_quar
+        if self._obs_on:
             self._obs_worker_batches[shard.index].inc()
             self._obs_worker_batch_seconds.observe(result.process_seconds)
             self._obs_sw_received.inc(n)
-            self._obs_sw_bytes_received.inc(int(sizes.sum()))
+            self._obs_sw_bytes_received.inc(bytes_in)
             self._obs_sw_verdicts["drop"].inc(n_drop)
             self._obs_sw_verdicts["quarantine"].inc(n_quar)
             self._obs_sw_verdicts["allow"].inc(n - n_drop - n_quar)
-            self._obs_sw_bytes["drop"].inc(int(sizes[dropped].sum()))
-            self._obs_sw_bytes["quarantine"].inc(int(sizes[quarantined].sum()))
-            self._obs_sw_bytes["allow"].inc(
-                int(sizes.sum() - sizes[dropped].sum() - sizes[quarantined].sum())
-            )
-        return verdicts
+            self._obs_sw_bytes["drop"].inc(bytes_drop)
+            self._obs_sw_bytes["quarantine"].inc(bytes_quar)
+            self._obs_sw_bytes["allow"].inc(bytes_in - bytes_drop - bytes_quar)
 
-    def _on_worker_death(self, shard: Shard, *, extra=None) -> None:
+    def _install(self, new_rules: RuleSet) -> None:
+        """Atomic swap on every shard, between batches.
+
+        The parent :class:`ShardSet` installs first (it owns the rules
+        pointer, swap counter, and — on changed offsets — the retired
+        stats); the process executor then fans the swap to every worker
+        and blocks on the acks.  Lockstep guarantees zero in-flight
+        frames, so no batch anywhere straddles the version boundary.
+        """
+        self.shards.install(new_rules)
+        self._attach_recorder()
+        self._executor.install(new_rules)
+        if self._remote:
+            # Fold the worker ack barrier into the recorded swap cost so
+            # ShardSet.swap_seconds means "full install" on both executors.
+            barrier = self._executor.swap_barrier_seconds[-1]
+            self.shards.swap_seconds[-1] += barrier
+            if self._obs_on:
+                self._obs_swap_barrier.observe(barrier)
+        if self._obs_on:
+            self._obs_swaps.inc()
+
+    def _on_worker_death(self, shard: Shard, *, extra: Optional[Batch] = None) -> None:
         """Fail a dead worker's shard closed and keep the run going.
 
         Everything the shard still owed a verdict — the batch being
@@ -906,18 +840,23 @@ class StreamingGateway:
         """
         self._dead.add(shard.index)
         self._worker_failures += 1
-        refused = []
-        if extra is not None:
-            batch, _ = extra
-            refused.extend(zip(batch.packets, batch.indices))
-        for batch, _, _ in self._pending[shard.index]:
-            refused.extend(zip(batch.packets, batch.indices))
-        self._pending[shard.index].clear()
+        owed = [extra] if extra is not None else []
+        survivors = []
+        for entry in self._pending:
+            if entry[0] is shard:
+                owed.append(entry[1])
+            else:
+                survivors.append(entry)
+        self._pending.clear()
+        self._pending.extend(survivors)
         queue = shard.queue
         while queue.depth:
-            batch = queue.pop()
-            refused.extend(zip(batch.packets, batch.indices))
-        self._shed(shard, refused, action="drop")
+            owed.append(queue.pop())
+        self._shed(
+            shard,
+            [pair for batch in owed for pair in zip(batch.packets, batch.indices)],
+            action="drop",
+        )
         if self._obs_on:
             self._obs_worker_failures.inc()
             self._obs_parallel_workers.set(
@@ -937,17 +876,34 @@ class StreamingGateway:
 
     # -- results -------------------------------------------------------------
 
+    def _arrival_order_verdicts(self) -> List[Verdict]:
+        """Every packet's verdict in arrival order (``record_verdicts``)."""
+        slots = np.empty(self._offered, dtype=object)
+        for indices, verdicts in self._classified:
+            if self.tenant is not None:
+                # Fleet mode: tag pipeline verdicts with the serving
+                # tenant (shed verdicts were stamped at creation).
+                verdicts = verdicts.with_tenant(self.tenant)
+            slots[indices] = verdicts.objects()
+        for indices, verdict in self._shed_verdicts:
+            for index in indices:
+                slots[index] = verdict
+        out = slots.tolist()
+        assert None not in out, "packet lost without a verdict — accounting bug"
+        return out
+
     def _result(self, wall: float) -> SoakResult:
         if self._obs_on:
             self._obs_offered.inc(self._offered - self._offered_reported)
             self._offered_reported = self._offered
-        # Sorted before aggregating so the mean is independent of batch
-        # completion order (the process backend reaps shards in a
-        # different interleaving than inline services them).
+        # Sorted before aggregating so the mean does not depend on the
+        # order batches completed in.
         latencies = (
-            np.sort(self._latencies) if self._latencies else np.zeros(1)
+            np.sort(np.concatenate(self._latencies))
+            if self._latencies
+            else np.zeros(1)
         )
-        waits = np.asarray(self._waits) if self._waits else np.zeros(1)
+        waits = np.concatenate(self._waits) if self._waits else np.zeros(1)
         processed = sum(s.processed for s in self.shards)
         shed = sum(s.shed for s in self.shards)
         duration = (
@@ -963,20 +919,6 @@ class StreamingGateway:
             }
             for shard in self.shards
         ]
-        verdicts: Optional[List[Verdict]] = None
-        if self.config.record_verdicts:
-            assert all(v is not None for v in self._verdicts), (
-                "packet lost without a verdict — accounting bug"
-            )
-            verdicts = list(self._verdicts)
-            if self.tenant is not None:
-                # Fleet mode: tag pipeline verdicts with the serving
-                # tenant (shed verdicts were stamped at creation).
-                verdicts = [
-                    v if v.tenant == self.tenant
-                    else dataclasses.replace(v, tenant=self.tenant)
-                    for v in verdicts
-                ]
         return SoakResult(
             offered=self._offered,
             processed=processed,
@@ -993,7 +935,11 @@ class StreamingGateway:
             rule_swaps=self.shards.rule_swaps,
             stats=self.shards.stats(),
             per_shard=per_shard,
-            verdicts=verdicts,
+            verdicts=(
+                self._arrival_order_verdicts()
+                if self.config.record_verdicts
+                else None
+            ),
             alerts=list(self._alerts),
             batch_seconds_p99=(
                 float(np.percentile(np.asarray(self._batch_seconds), 99))

@@ -29,7 +29,6 @@ matched against a half-installed table).
 
 from __future__ import annotations
 
-import operator
 import time
 import zlib
 from typing import Deque, Dict, List, Optional, Tuple
@@ -38,7 +37,7 @@ import collections
 
 from repro.core.rules import RuleSet
 from repro.dataplane.controller import GatewayController
-from repro.dataplane.switch import SwitchStats
+from repro.dataplane.switch import CODE_ACTIONS, SwitchStats, VerdictBatch
 from repro.net.packet import Packet
 from repro.serve.batcher import AdaptiveBatcher, Batch
 
@@ -112,6 +111,7 @@ class BoundedQueue:
                 batch.indices[:space],
                 batch.flush_time,
                 batch.reason,
+                batch.timestamps[:space],
             )
             shed = len(batch) - space
             self.dropped += shed
@@ -171,12 +171,12 @@ class Shard:
     def switch(self):
         return self.controller.switch
 
-    def count_verdicts(self, verdicts) -> None:
+    def count_verdicts(self, verdicts: VerdictBatch) -> None:
+        """Add one batch's per-action packet counts."""
         counts = self.verdict_counts
-        for action, count in collections.Counter(
-            map(operator.attrgetter("action"), verdicts)
-        ).items():
-            counts[action] = counts.get(action, 0) + count
+        for action, count in zip(CODE_ACTIONS, verdicts.counts().tolist()):
+            if count:
+                counts[action] = counts.get(action, 0) + count
 
 
 class ShardSet:

@@ -1,6 +1,16 @@
-"""Process-parallel shard workers over shared-memory frame rings.
+"""Shard executors: inline, and process-parallel over shared-memory rings.
 
-The multiprocessing execution backend behind
+An executor classifies the batches the gateway's service loop hands it,
+behind one interface: :meth:`~ProcessExecutor.submit_batch`, then
+:meth:`~ProcessExecutor.poll` / :meth:`~ProcessExecutor.wait` for the
+:class:`BatchResult`\\ s in submit order per shard, and
+:meth:`~ProcessExecutor.install` between batches.  The gateway applies
+every result through one completion routine, whichever executor ran it.
+
+:class:`InlineExecutor` (``ServeConfig(executor="inline")``) classifies
+in the event-loop process, on the shard's own switch, at submit time.
+
+:class:`ProcessExecutor` is the multiprocessing backend behind
 ``ServeConfig(executor="process")``.  Topology: one OS process per
 shard, each fed by its own pair of :class:`~repro.serve.ipc.ShmRing`
 rings — a *frame* ring (parent → worker: packed key-byte matrices,
@@ -42,15 +52,18 @@ import collections
 import dataclasses
 import json
 import multiprocessing as mp
+import operator
 import time
 import traceback
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.rules import RuleSet
 from repro.core.serialize import ruleset_from_dict, ruleset_to_dict
 from repro.dataplane.controller import GatewayController
+from repro.dataplane.switch import ACTION_CODES, CODE_ACTIONS, VerdictBatch
+from repro.net.packet import Packet
 from repro.obs.flight import FlightRecorder
 from repro.obs.events import event_to_dict
 from repro.serve.ipc import (
@@ -68,17 +81,16 @@ __all__ = [
     "ACTION_CODES",
     "CODE_ACTIONS",
     "BatchResult",
+    "InlineExecutor",
     "ProcessExecutor",
     "WorkerDiedError",
 ]
 
-#: Verdict action <-> uint8 wire code (result blocks).
-CODE_ACTIONS: Tuple[str, ...] = ("allow", "drop", "quarantine")
-ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
-
 #: Poll interval for ring spin-waits, seconds.  Rings hand off through
 #: shared memory, so waits are pure back-off, not wake-ups.
 _POLL = 0.0002
+
+_DATA = operator.attrgetter("data")
 
 #: Minimum key-matrix width a frame slot is sized for, so rule swaps
 #: that widen the parser (more offsets) still fit without re-ringing.
@@ -100,13 +112,14 @@ class WorkerDiedError(RuntimeError):
 class _RecorderSink:
     """FlightRecorder stand-in for worker switches.
 
-    Implements just the recorder surface ``Switch`` touches
+    Implements just the recorder surface a worker's switch touches
     (``admit_permit`` / ``admit_permit_mask`` / ``note_sampled_out`` /
-    ``add``) with the *same* pure ``(seed, seq)`` admission hash as the
-    parent's recorder — so the worker samples exactly the records the
-    inline backend would — but buffers them per batch instead of
-    keeping a ring.  Ring retention/eviction happens once, in the
-    parent's real recorder, when the shipped records are re-added.
+    ``add`` / ``extend_lazy``; frames always carry seqs) with the *same*
+    pure ``(seed, seq)`` admission hash as the parent's recorder — so
+    the worker samples exactly the records the inline backend would —
+    but buffers them per batch instead of keeping a ring.  Ring
+    retention/eviction happens once, in the parent's real recorder,
+    when the shipped records are re-added.
     """
 
     def __init__(self, sample_rate: float, seed: int):
@@ -126,6 +139,10 @@ class _RecorderSink:
     def add(self, event) -> bool:
         self._records.append(event)
         return True
+
+    def extend_lazy(self, columns, build, critical) -> int:
+        self._records.extend(map(build, zip(*columns)))
+        return len(critical)
 
     def drain(self) -> Tuple[List[object], int]:
         records, self._records = self._records, []
@@ -181,21 +198,11 @@ class _ShardWorker:
             self.switch.attach_recorder(self.sink, shard=self.shard)
         self.rules = rules
 
-    def classify(
-        self, keys, sizes, timestamps, seqs
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Classify one frame; returns (codes, table_idx, entries)."""
-        actions, tables, entries = self.switch.classify_arrays(
+    def classify(self, keys, sizes, timestamps, seqs) -> VerdictBatch:
+        """Classify one frame into a columnar verdict batch."""
+        return self.switch.classify_arrays(
             keys, sizes, timestamps=timestamps, seqs=seqs
-        )
-        n = entries.shape[0]
-        codes = np.zeros(n, dtype=np.uint8)
-        codes[actions == "drop"] = ACTION_CODES["drop"]
-        codes[actions == "quarantine"] = ACTION_CODES["quarantine"]
-        table_idx = np.full(n, -1, dtype=np.int16)
-        for idx, name in enumerate(self.table_names):
-            table_idx[tables == name] = idx
-        return codes, table_idx, entries
+        ).verdicts
 
     def drain_records(self) -> Tuple[bytes, int, int]:
         """Serialized sampled records: (blob, dropped_count, sampled_out)."""
@@ -237,9 +244,7 @@ def worker_main(
             if view is not None:
                 start = time.perf_counter()
                 keys, sizes, timestamps, seqs = unpack_frame(view)
-                codes, table_idx, entries = worker.classify(
-                    keys, sizes, timestamps, seqs
-                )
+                verdicts = worker.classify(keys, sizes, timestamps, seqs)
                 frames.commit_read()
                 blob, dropped, sampled_out = worker.drain_records()
                 out = results.try_acquire_write()
@@ -248,9 +253,9 @@ def worker_main(
                     out = results.try_acquire_write()
                 pack_result(
                     out,
-                    codes,
-                    table_idx,
-                    entries,
+                    verdicts.codes,
+                    verdicts.table_idx,
+                    verdicts.entries,
                     process_seconds=time.perf_counter() - start,
                     sampled_out=sampled_out,
                     blob=blob,
@@ -285,31 +290,70 @@ def worker_main(
 
 @dataclasses.dataclass
 class BatchResult:
-    """One reaped batch of worker verdicts + telemetry."""
+    """One classified batch, as an executor hands it back.
 
-    codes: np.ndarray        # uint8 verdict codes
-    table_idx: np.ndarray    # int16 pipeline index, -1 = none
-    entries: np.ndarray      # int64 entry ids, -1 = none
+    Attributes:
+        outcome: the batch's columnar verdicts.
+        process_seconds: wall-clock seconds the classification took.
+        sizes: packet sizes the batch was submitted with (process
+            backend: the parent re-derives switch stats from them).
+        sampled_out / records / records_dropped: decision-record
+            traffic a worker shipped back (process backend; inline
+            switches feed the recorder directly).
+    """
+
+    outcome: VerdictBatch
     process_seconds: float
-    sampled_out: int
-    records: List[Dict]      # sampled DecisionRecords as event dicts
-    records_dropped: int
+    sizes: Optional[np.ndarray] = None
+    sampled_out: int = 0
+    records: List[Dict] = dataclasses.field(default_factory=list)
+    records_dropped: int = 0
 
     def __len__(self) -> int:
-        return self.codes.shape[0]
+        return len(self.outcome)
 
-    def verdicts(self, table_names: Sequence[str]) -> List:
-        """Materialise :class:`~repro.dataplane.switch.Verdict` objects."""
-        from repro.dataplane.switch import Verdict
 
-        return [
-            Verdict(
-                CODE_ACTIONS[code],
-                table=table_names[t] if t >= 0 else None,
-                entry_id=int(e) if e >= 0 else None,
-            )
-            for code, t, e in zip(self.codes, self.table_idx, self.entries)
+class InlineExecutor:
+    """Classify in the event-loop process, with the executor interface.
+
+    :meth:`submit_batch` runs the shard switch's
+    :meth:`~repro.dataplane.switch.Switch.process_batch` on the spot
+    (once per batch, ``seqs`` as the batch's index list), so the result
+    is ready the moment submit returns.  Rule swaps need nothing here:
+    the executor reads each shard's live switch from the gateway's
+    :class:`~repro.serve.shard.ShardSet`, which installs them.
+    """
+
+    def __init__(self, shards):
+        self.shards = shards
+        self._done: List[Deque[BatchResult]] = [
+            collections.deque() for _ in range(len(shards))
         ]
+
+    def submit_batch(self, shard: int, batch) -> None:
+        start = time.perf_counter()
+        verdicts = self.shards[shard].switch.process_batch(
+            batch.packets, seqs=batch.indices
+        )
+        self._done[shard].append(
+            BatchResult(verdicts, time.perf_counter() - start)
+        )
+
+    def poll(self, shard: int) -> Optional[BatchResult]:
+        done = self._done[shard]
+        return done.popleft() if done else None
+
+    def wait(self, shard: int) -> BatchResult:
+        result = self.poll(shard)
+        if result is None:
+            raise RuntimeError(f"shard {shard} has no batch in flight")
+        return result
+
+    def install(self, rules: RuleSet) -> None:
+        """Nothing to fan out: the shard switches are the ShardSet's."""
+
+    def close(self) -> None:
+        pass
 
 
 class ProcessExecutor:
@@ -320,8 +364,10 @@ class ProcessExecutor:
     even when the parent dies mid-run), the worker processes, and the
     control pipes.  The API the gateway drives:
 
-    * :meth:`submit` — pack one batch into the shard's frame ring
-      (blocking with result-draining back-off when the ring is full);
+    * :meth:`submit_batch` / :meth:`submit` — pack one batch (a serve
+      :class:`~repro.serve.batcher.Batch`, or its key matrix, sizes,
+      stamps and seqs) into the shard's frame ring (blocking with
+      result-draining back-off when the ring is full);
     * :meth:`poll` / :meth:`wait` — reap :class:`BatchResult`\\ s, in
       submit order per shard;
     * :meth:`install` — the swap barrier: requires zero frames in
@@ -357,6 +403,8 @@ class ProcessExecutor:
         self.max_batch = max_batch
         self.timeout = timeout
         self.key_width_cap = max(len(rules.offsets), _MIN_KEY_WIDTH)
+        #: Parser offsets of the installed rule set (key extraction).
+        self.offsets = tuple(rules.offsets)
         self.version = 1
         self._closed = False
         # Telemetry the gateway folds into its registry.
@@ -392,6 +440,10 @@ class ProcessExecutor:
         self._procs: List = []
         self._inflight = [0] * n_shards
         self._done: List[Deque[BatchResult]] = [
+            collections.deque() for _ in range(n_shards)
+        ]
+        # Sizes of each in-flight frame, handed back with its result.
+        self._sizes: List[Deque[np.ndarray]] = [
             collections.deque() for _ in range(n_shards)
         ]
         self.table_names: List[str] = []
@@ -499,6 +551,20 @@ class ProcessExecutor:
         pack_frame(view, keys, sizes, timestamps, seqs)
         ring.commit_write()
         self._inflight[shard] += 1
+        self._sizes[shard].append(sizes)
+
+    def submit_batch(self, shard: int, batch) -> None:
+        """Ship one serve :class:`~repro.serve.batcher.Batch` to its worker."""
+        packets = batch.packets
+        self.submit(
+            shard,
+            Packet.batch_keys(packets, self.offsets),
+            np.fromiter(
+                map(len, map(_DATA, packets)), dtype=np.int64, count=len(packets)
+            ),
+            batch.timestamps,
+            np.asarray(batch.indices, dtype=np.int64),
+        )
 
     def _drain_results(self) -> None:
         """Move every completed result, on any shard, into its done queue."""
@@ -518,10 +584,14 @@ class ProcessExecutor:
                 self.records_dropped += raw["records_dropped"]
                 self._done[shard].append(
                     BatchResult(
-                        codes=raw["codes"],
-                        table_idx=raw["table_idx"],
-                        entries=raw["entries"],
+                        outcome=VerdictBatch(
+                            raw["codes"],
+                            raw["table_idx"],
+                            raw["entries"],
+                            self.table_names,
+                        ),
                         process_seconds=raw["process_seconds"],
+                        sizes=self._sizes[shard].popleft(),
                         sampled_out=raw["sampled_out"],
                         records=records,
                         records_dropped=raw["records_dropped"],
@@ -593,6 +663,7 @@ class ProcessExecutor:
             if shard == 0:
                 self.table_names = list(message[2])
         self.version = version
+        self.offsets = tuple(rules.offsets)
         self.swap_barrier_seconds.append(time.perf_counter() - start)
 
     # -- lifecycle ---------------------------------------------------------

@@ -228,7 +228,7 @@ class TestPipelineDifferential:
         reference = [switch_scalar.process(packet) for packet in packets]
         batch = switch_batch.process_batch(packets)
 
-        assert batch == reference
+        assert list(batch) == reference
         assert_switches_equal(switch_scalar, switch_batch)
 
     @settings(max_examples=100, deadline=None)
@@ -262,7 +262,7 @@ class TestEdgeCases:
 
     def test_empty_batch_is_noop(self):
         switch = Switch(SwitchConfig(key_offsets=(0,)))
-        assert switch.process_batch([]) == []
+        assert list(switch.process_batch([])) == []
         assert switch.stats.received == 0
 
     @pytest.mark.parametrize("kind", TABLE_KINDS)
@@ -370,5 +370,5 @@ class TestEdgeCases:
         packets = [Packet(b"\x01"), Packet(b"\x01" + b"\x00" * 49 + b"\x02")]
         reference = [switch_scalar.process(p) for p in packets]
         batch = switch_batch.process_batch(packets)
-        assert batch == reference
+        assert list(batch) == reference
         assert batch[0].dropped and not batch[1].dropped

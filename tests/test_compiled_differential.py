@@ -329,8 +329,8 @@ class TestPipelineCompiledDifferential:
         lazy = switch_lazy.process_batch(packets)
         eager = switch_eager.process_batch(packets)
 
-        assert lazy == reference
-        assert eager == reference
+        assert list(lazy) == reference
+        assert list(eager) == reference
         assert_switches_equal(switch_scalar, switch_lazy)
         assert_switches_equal(switch_scalar, switch_eager)
 
@@ -444,7 +444,7 @@ class TestDeterministicEdges:
         packets = [Packet(bytes([b])) for b in (0, 63, 64, 65, 127, 128, 129, 200)]
         scalar, compiled = build(), build()
         reference = [scalar.process(p) for p in packets]
-        assert compiled.process_batch(packets) == reference
+        assert list(compiled.process_batch(packets)) == reference
         assert_switches_equal(scalar, compiled)
 
     def test_overlapping_ternary_priorities(self):
@@ -462,7 +462,7 @@ class TestDeterministicEdges:
         scalar, compiled = build(), build()
         reference = [scalar.process(p) for p in packets]
         got = compiled.process_batch(packets)
-        assert got == reference
+        assert list(got) == reference
         assert [v.action for v in got] == ["drop", "quarantine", "allow", "allow"]
         assert_switches_equal(scalar, compiled)
 
@@ -470,18 +470,18 @@ class TestDeterministicEdges:
         switch = _firewall_switch(compile=True)
         packets = _mixed_packets(64)
         oracle = _firewall_switch()
-        assert switch.process_batch(packets) == [oracle.process(p) for p in packets]
+        assert list(switch.process_batch(packets)) == [oracle.process(p) for p in packets]
         generation = switch.compiled_generation
 
         entry = switch.table("fw").add((2, 2, 2), (255, 255, 255), "drop",
                                        priority=9)
         oracle.table("fw").add((2, 2, 2), (255, 255, 255), "drop", priority=9)
-        assert switch.process_batch(packets) == [oracle.process(p) for p in packets]
+        assert list(switch.process_batch(packets)) == [oracle.process(p) for p in packets]
         assert switch.compiled_generation == generation + 1
 
         switch.table("fw").remove(entry)
         oracle.table("fw").remove(entry)
-        assert switch.process_batch(packets) == [oracle.process(p) for p in packets]
+        assert list(switch.process_batch(packets)) == [oracle.process(p) for p in packets]
         assert switch.compiled_generation == generation + 2
 
     def test_only_changed_tables_rebuild(self):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.events import (
     EVENT_KINDS,
@@ -147,6 +149,39 @@ class TestRecorderInvariants:
             recorder.add(_decision(seq, verdict=verdict))
         assert [e.seq for e in recorder.records()] == order
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        kinds=st.lists(st.sampled_from(["allow", "drop", "shed", "alert"]), max_size=60),
+        cuts=st.lists(st.integers(0, 60), max_size=5),
+    )
+    def test_extend_retains_exactly_like_add(self, capacity, kinds, cuts):
+        """Bulk ``extend`` and ``extend_lazy`` (with or without room for
+        the whole chunk) leave the ring exactly as ``add`` does."""
+        make = {
+            "allow": lambda i: _decision(i),
+            "drop": lambda i: _decision(i, verdict="drop"),
+            "shed": _shed,
+            "alert": lambda i: _alert(f"a{i}"),
+        }
+        events = [make[kind](i) for i, kind in enumerate(kinds)]
+        one, bulk, rows = (FlightRecorder(capacity) for __ in range(3))
+        for event in events:
+            one.add(event)
+        bounds = [0] + sorted(cuts) + [len(events)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = events[lo:hi]
+            critical = [is_critical(e) for e in chunk]
+            bulk.extend(chunk)
+            indices = range(lo, min(hi, len(events)))
+            rows.extend_lazy(
+                (indices, [kinds[i] for i in indices]),
+                lambda row: make[row[1]](row[0]),
+                critical,
+            )
+        assert bulk.records() == rows.records() == one.records()
+        assert bulk.stats() == rows.stats() == one.stats()
+
     def test_clear_keeps_lifetime_counters(self):
         recorder = FlightRecorder(4, sample_rate=1.0)
         for seq in range(6):
@@ -187,6 +222,28 @@ class TestDeterministicSampling:
         mask = recorder.admit_permit_mask(seqs)
         scalar = np.array([recorder.admit_permit(int(s)) for s in seqs])
         np.testing.assert_array_equal(mask, scalar)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.integers(-(2**40), 2**40),
+        offsets=st.lists(st.integers(0, 3 * 2**16), min_size=1, max_size=300),
+    )
+    def test_mask_agrees_for_any_seqs(self, start, offsets):
+        """Runs inside one cached block, across blocks, and negative seqs."""
+        recorder = FlightRecorder(8, sample_rate=0.3, seed=5)
+        seqs = np.asarray(offsets, dtype=np.int64) + start
+        narrow = np.resize(np.asarray(offsets) % 5000 + start, 200)
+        for chunk in (seqs, np.sort(seqs), narrow, np.sort(narrow)):
+            mask = recorder.admit_permit_mask(chunk)
+            scalar = [recorder.admit_permit(int(s)) for s in chunk]
+            assert mask.tolist() == scalar
+        # Contiguous runs, inside one block and across a block edge.
+        for first in (start, start + offsets[0], (start >> 16 << 16) - 7):
+            count = len(offsets)
+            run = recorder.admit_permit_range(first, count)
+            assert run.tolist() == [
+                recorder.admit_permit(s) for s in range(first, first + count)
+            ]
 
     @pytest.mark.parametrize("rate,expect", [(0.0, False), (1.0, True)])
     def test_rate_extremes(self, rate, expect):

@@ -13,8 +13,12 @@ import json
 import re
 import threading
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.dataplane.compiled import CompiledClassifier
@@ -74,12 +78,62 @@ class TestInstruments:
         with pytest.raises(ValueError):
             obs.Histogram("h", buckets=[])
 
+    def test_observe_many_bins_nan_like_observe(self):
+        one, many = obs.Histogram("a", buckets=[1.0, 2.0]), obs.Histogram("b", buckets=[1.0, 2.0])
+        one.observe(float("nan"))
+        many.observe_many([float("nan")])
+        assert many.counts == one.counts == [1, 0, 0]
+        assert math.isnan(many.sum) and math.isnan(one.sum)
+
     def test_timer_records_elapsed(self, registry):
         hist = registry.histogram("t_seconds", buckets=[10.0])
         with hist.time():
             pass
         assert hist.count == 1
         assert 0.0 <= hist.sum < 10.0
+
+
+_EDGES = (1e-6, 1e-3, 0.5, 1.0, 2.0, 10.0, 1e3)
+#: Finite floats, +-inf, and every bucket edge exactly (``le`` boundaries).
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from(_EDGES + (float("inf"), float("-inf"), 0.0, -0.0)),
+)
+
+
+class TestObserveMany:
+    """``observe_many(values)`` is ``observe`` on each value, in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunks=st.lists(st.lists(_VALUES, max_size=40), max_size=6),
+        start=st.floats(-1e3, 1e3),
+    )
+    def test_equals_per_value_observe(self, chunks, start):
+        one = obs.Histogram("one", buckets=_EDGES)
+        many = obs.Histogram("many", buckets=_EDGES)
+        # A non-zero running sum first, so accumulation order matters.
+        one.observe(start)
+        many.observe(start)
+        for chunk in chunks:     # split calls, empty chunks included
+            for value in chunk:
+                one.observe(value)
+            many.observe_many(np.asarray(chunk, dtype=np.float64))
+        assert many.counts == one.counts
+        assert many.count == one.count
+        if math.isnan(one.sum):  # inf + -inf
+            assert math.isnan(many.sum)
+        else:
+            assert math.copysign(1.0, many.sum) == math.copysign(1.0, one.sum)
+            assert many.sum == one.sum  # bit-identical, not approx
+
+    def test_empty_array_is_a_no_op(self):
+        hist = obs.Histogram("h", buckets=_EDGES)
+        hist.observe_many(np.array([], dtype=np.float64))
+        assert hist.count == 0 and hist.sum == 0.0 and not any(hist.counts)
+
+    def test_disabled_registry_histogram_accepts_arrays(self):
+        obs.Registry(enabled=False).histogram("h").observe_many(np.ones(3))
 
 
 class TestSpans:

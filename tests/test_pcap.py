@@ -10,8 +10,10 @@ from repro.net.packet import Packet
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_USER0,
+    MAX_RECORD_BYTES,
     PcapError,
     iter_pcap,
+    iter_pcap_buffered,
     read_pcap,
     write_pcap,
 )
@@ -222,3 +224,70 @@ class TestGzipStreams:
         loaded = list(iter_pcap(io.BytesIO(raw.getvalue())))
         assert loaded[0].data == b"hh"
         assert loaded[0].timestamp == pytest.approx(3.5)
+
+
+class TestCorruptRecordLength:
+    """A record longer than the snaplen is rejected before it is read."""
+
+    class _CountingReader:
+        """Read-only stream that counts the bytes handed out."""
+
+        def __init__(self, data: bytes):
+            import io
+
+            self._stream = io.BytesIO(data)
+            self.served = 0
+
+        def read(self, size=-1):
+            chunk = self._stream.read(size)
+            self.served += len(chunk)
+            return chunk
+
+    @staticmethod
+    def _corrupt(snaplen: int, bad_len: int, tail: int) -> bytes:
+        """One good record, one whose length field says ``bad_len``,
+        then ``tail`` bytes of trailing data."""
+        header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, snaplen, 1)
+        good = struct.pack("<IIII", 1, 0, 4, 4) + b"good"
+        bad = struct.pack("<IIII", 2, 0, bad_len, bad_len) + b"\x00" * tail
+        return header + good + bad
+
+    @staticmethod
+    def _gzip(data: bytes) -> bytes:
+        import gzip
+
+        return gzip.compress(data)
+
+    READERS = {
+        "iter_pcap": lambda stream: iter_pcap(stream),
+        "buffered": lambda stream: iter_pcap_buffered(stream, block_size=4096),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_length_over_snaplen_raises_before_reading(self, reader, compressed):
+        data = self._corrupt(snaplen=1500, bad_len=1501, tail=1 << 20)
+        if compressed:
+            data = self._gzip(data)
+        stream = self._CountingReader(data)
+        packets = self.READERS[reader](stream)
+        assert next(packets).data == b"good"
+        with pytest.raises(PcapError, match="snaplen"):
+            next(packets)
+        # Nowhere near the 1 MiB of trailing data was pulled in.
+        assert stream.served < 64 * 1024
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_zero_snaplen_uses_the_fixed_cap(self, reader):
+        data = self._corrupt(snaplen=0, bad_len=MAX_RECORD_BYTES + 1, tail=0)
+        with pytest.raises(PcapError, match="snaplen"):
+            list(self.READERS[reader](self._CountingReader(data)))
+        at_cap = self._corrupt(snaplen=0, bad_len=MAX_RECORD_BYTES, tail=MAX_RECORD_BYTES)
+        packets = list(self.READERS[reader](self._CountingReader(at_cap)))
+        assert len(packets[1].data) == MAX_RECORD_BYTES
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_record_at_snaplen_is_accepted(self, reader):
+        data = self._corrupt(snaplen=1500, bad_len=1500, tail=1500)
+        packets = list(self.READERS[reader](self._CountingReader(data)))
+        assert [len(p.data) for p in packets] == [4, 1500]

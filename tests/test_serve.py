@@ -85,6 +85,28 @@ class TestAdaptiveBatcher:
         assert max(batch.waits()) <= 0.005 + 1e-12
         assert batcher.drain(2.0) is None  # now empty
 
+    def test_lanes_fill_the_same_batch_as_add(self):
+        via_add = AdaptiveBatcher(max_batch=3, max_latency=1.0)
+        via_lanes = AdaptiveBatcher(max_batch=3, max_latency=1.0)
+        pending, add_packet, add_index, add_stamp = via_lanes.lanes()
+        packets = [_packet(0.5), _packet(0.2), _packet(0.9)]  # reordered stamps
+        for index, packet in enumerate(packets):
+            expected = via_add.add(packet, index)
+            add_packet(packet)
+            add_index(index)
+            add_stamp(packet.timestamp)
+            assert via_lanes.deadline == 1.5
+        got = via_lanes.flush_full()
+        assert (got.packets, got.indices, got.flush_time, got.reason) == (
+            expected.packets, expected.indices, expected.flush_time, expected.reason
+        )
+        assert got.timestamps.tolist() == [0.5, 0.2, 0.9]
+        assert got.waits().tolist() == expected.waits().tolist()
+        # The lanes stay bound to the (cleared) batcher after a flush.
+        assert len(via_lanes) == 0 and pending == []
+        add_packet(packets[0])
+        assert len(via_lanes) == 1
+
     def test_empty_deadline_is_inf(self):
         batcher = AdaptiveBatcher()
         assert batcher.deadline == float("inf")

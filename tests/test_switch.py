@@ -1,8 +1,17 @@
 """Tests for repro.dataplane.switch."""
 
+import numpy as np
 import pytest
 
-from repro.dataplane.switch import Register, Switch, SwitchConfig
+from repro.dataplane.switch import (
+    ClassifiedArrays,
+    Register,
+    Switch,
+    SwitchConfig,
+    Verdict,
+    VerdictBatch,
+    verdicts_of,
+)
 from repro.dataplane.tables import ExactTable, TernaryTable
 from repro.net.packet import Packet
 
@@ -156,6 +165,80 @@ class TestStats:
         switch = make_switch((0,))
         with pytest.raises(ValueError):
             switch.process_trace([Packet(b"\x00")], batch_size=0)
+
+
+class TestVerdictBatch:
+    """The columnar batch-path verdicts, read as a ``Sequence[Verdict]``."""
+
+    def _switch(self):
+        switch = make_switch((0,))
+        first = ExactTable("first", 1)
+        first.add((1,), "drop")
+        first.add((2,), "noop")  # non-terminal: falls through
+        second = TernaryTable("second", 1)
+        second.add((2,), (255,), "quarantine")
+        # Non-terminal defaults: a miss in both tables leaves the
+        # pipeline undecided, so no table decides byte 3.
+        first.default_action = second.default_action = "noop"
+        switch.add_table(first)
+        switch.add_table(second)
+        return switch
+
+    def _packets(self):
+        return [Packet(bytes((b,))) for b in (1, 2, 3, 1, 2)]
+
+    def test_reads_like_the_scalar_verdict_list(self):
+        scalar, batch = self._switch(), self._switch()
+        reference = [scalar.process(p) for p in self._packets()]
+        verdicts = batch.process_batch(self._packets())
+        assert isinstance(verdicts, VerdictBatch)
+        assert len(verdicts) == 5
+        assert list(verdicts) == reference
+        assert verdicts[0] == reference[0] and verdicts[-1] == reference[-1]
+        assert verdicts[1:3] == reference[1:3]
+        assert verdicts.codes.tolist() == [1, 2, 0, 1, 2]
+        assert verdicts.table_idx.tolist() == [0, 1, -1, 0, 1]
+        assert verdicts.counts().tolist() == [1, 2, 2]
+
+    def test_one_verdict_object_per_distinct_outcome(self):
+        verdicts = list(self._switch().process_batch(self._packets()))
+        assert verdicts[0] is verdicts[3] and verdicts[1] is verdicts[4]
+
+    def test_with_tenant_stamps_built_verdicts(self):
+        verdicts = self._switch().process_batch(self._packets())
+        stamped = verdicts.with_tenant("cams")
+        assert [v.tenant for v in stamped] == ["cams"] * 5
+        assert [v.tenant for v in verdicts] == [None] * 5
+
+    def test_empty_batch(self):
+        verdicts = self._switch().process_batch([])
+        assert len(verdicts) == 0 and list(verdicts) == []
+        assert verdicts.table_names == ("first", "second")
+
+    def test_classify_arrays_unpacks_to_name_arrays(self):
+        switch = self._switch()
+        packets = self._packets()
+        keys = Packet.batch_keys(packets, (0,))
+        sizes = np.ones(len(packets), dtype=np.int64)
+        result = switch.classify_arrays(keys, sizes)
+        assert isinstance(result, ClassifiedArrays)
+        actions, tables, entries = result
+        assert actions.tolist() == ["drop", "quarantine", "allow", "drop", "quarantine"]
+        assert tables.tolist() == ["first", "second", None, "first", "second"]
+        assert entries.tolist() == result.verdicts.entries.tolist()
+
+    def test_plain_triple_converts_back_to_codes(self):
+        """What a stand-in classify_arrays returns still yields verdicts."""
+        switch = self._switch()
+        packets = self._packets()
+        keys = Packet.batch_keys(packets, (0,))
+        result = switch.classify_arrays(keys, np.ones(len(packets), dtype=np.int64))
+        plain = tuple(a.copy() for a in result)
+        plain[0][2] = "drop"
+        converted = verdicts_of(plain, ("first", "second"))
+        expected = list(result.verdicts)
+        expected[2] = Verdict("drop")
+        assert list(converted) == expected
 
 
 class TestRegister:
