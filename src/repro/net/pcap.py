@@ -234,16 +234,6 @@ _PACKET_NEW = Packet.__new__
 _SETATTR = object.__setattr__
 
 
-def _fast_packet(data: bytes, timestamp: float) -> Packet:
-    """Packet(data, timestamp) without the per-field default factories."""
-    packet = _PACKET_NEW(Packet)
-    _SETATTR(packet, "data", data)
-    _SETATTR(packet, "timestamp", timestamp)
-    _SETATTR(packet, "label", _DEFAULT_LABEL)
-    _SETATTR(packet, "meta", {})
-    return packet
-
-
 def iter_pcap_buffered(
     handle: BinaryIO, *, block_size: int = 1 << 16
 ) -> Iterator[Packet]:

@@ -70,6 +70,7 @@ from repro.obs.instruments import (
 from repro.obs.registry import (
     ENV_VAR,
     Registry,
+    Series,
     enabled,
     env_enabled,
     registry,
@@ -90,6 +91,7 @@ __all__ = [
     "Histogram",
     "NullInstrument",
     "Registry",
+    "Series",
     "Span",
     "Timer",
     "default_buckets",

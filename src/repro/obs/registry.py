@@ -15,14 +15,19 @@ un-taxed by default) or explicitly via ``Registry(enabled=True)``.  The
 module-level default registry can be swapped (:func:`set_registry`) or
 scoped (:func:`use_registry`) so tests and the ``repro stats`` CLI get
 isolated, enabled registries without touching the environment.
+
+A count some object already keeps is not pushed a second time: the
+object registers a record with :meth:`Registry.track`, and snapshots
+read its :class:`Series` (the Prometheus collector pattern).
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import weakref
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.instruments import (
     NULL_COUNTER,
@@ -38,6 +43,7 @@ from repro.obs.instruments import (
 
 __all__ = [
     "Registry",
+    "Series",
     "registry",
     "set_registry",
     "use_registry",
@@ -63,6 +69,21 @@ def _freeze_labels(labels: Optional[Dict[str, str]]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+class Series:
+    """A counter whose value is ``read(record)`` at snapshot time."""
+
+    def __init__(self, name: str, read: Callable, labels=None, *, unit="", help=""):
+        self.name, self.read, self.unit, self.help = name, read, unit, help
+        self.key = (name, _freeze_labels(labels))
+
+
+def _add_counts(values: Dict, tracked: tuple) -> None:
+    """Add a tracked record's counts since its baseline into ``values``."""
+    record, series, __, baseline = tracked
+    for s, base in zip(series, baseline):
+        values[s.key] = values.get(s.key, 0) + s.read(record) - base
+
+
 class Registry:
     """A namespace of typed instruments plus the span stack.
 
@@ -74,10 +95,24 @@ class Registry:
         self.enabled = env_enabled() if enabled is None else bool(enabled)
         self._instruments: Dict[Tuple[str, Labels], object] = {}
         self._meta: Dict[str, Dict[str, str]] = {}  # name -> kind/unit/help
+        #: ``id(record) -> (record, series, owner weakref, baseline)``.
+        self._tracked: Dict[int, tuple] = {}
+        #: Counts of retired records, by series key.
+        self._totals: Dict[Tuple[str, Labels], float] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
 
     # -- instrument factories ----------------------------------------------
+
+    def _declare(self, kind: str, name: str, unit: str, help: str) -> None:
+        meta = self._meta.setdefault(
+            name, {"kind": kind, "unit": unit, "help": help}
+        )
+        if meta["kind"] != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as "
+                f"{meta['kind']}, not {kind}"
+            )
 
     def _get(self, kind: str, name: str, labels, unit: str, help: str, factory):
         key = (name, _freeze_labels(labels))
@@ -86,14 +121,7 @@ class Registry:
             with self._lock:
                 instrument = self._instruments.get(key)
                 if instrument is None:
-                    meta = self._meta.setdefault(
-                        name, {"kind": kind, "unit": unit, "help": help}
-                    )
-                    if meta["kind"] != kind:
-                        raise ValueError(
-                            f"metric {name!r} already registered as "
-                            f"{meta['kind']}, not {kind}"
-                        )
+                    self._declare(kind, name, unit, help)
                     instrument = self._instruments[key] = factory(key[1])
         if instrument.kind != kind:
             raise ValueError(
@@ -170,6 +198,39 @@ class Registry:
             return NULL_SPAN
         return Span(self, name)
 
+    # -- collected counters -------------------------------------------------
+
+    def track(self, record, series: Sequence[Series], *, owner=None) -> None:
+        """Read ``series`` off ``record`` at every snapshot until retired.
+
+        Counts start from the record's values now; tracking it again
+        changes nothing.  ``record`` is retired once ``owner`` (held by
+        weak reference) is garbage collected.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            self._retire_orphans()
+            if id(record) not in self._tracked:
+                for s in series:
+                    self._declare("counter", s.name, s.unit, s.help)
+                self._tracked[id(record)] = (
+                    record, series, owner if owner is None else weakref.ref(owner),
+                    [s.read(record) for s in series],
+                )
+
+    def retire(self, record) -> None:
+        """Stop reading ``record``; the snapshot keeps its counts so far."""
+        with self._lock:
+            tracked = self._tracked.pop(id(record), None)
+            if tracked is not None:
+                _add_counts(self._totals, tracked)
+
+    def _retire_orphans(self) -> None:
+        for key, (__, __, owner, __) in list(self._tracked.items()):
+            if owner is not None and owner() is None:
+                _add_counts(self._totals, self._tracked.pop(key))
+
     # -- span support -------------------------------------------------------
 
     def _span_stack(self) -> List[str]:
@@ -185,10 +246,21 @@ class Registry:
     # -- introspection ------------------------------------------------------
 
     def instruments(self) -> List[object]:
-        """Live instruments, sorted by (name, labels) for stable output."""
-        return [
-            self._instruments[key] for key in sorted(self._instruments)
-        ]
+        """Every instrument, sorted by (name, labels) for stable output.
+
+        Collected series appear as :class:`Counter` objects holding
+        their current values.
+        """
+        with self._lock:
+            self._retire_orphans()
+            collected = dict(self._totals)
+            for tracked in self._tracked.values():
+                _add_counts(collected, tracked)
+        merged = dict(self._instruments)
+        for key, value in collected.items():
+            counter = merged[key] = Counter(*key)
+            counter.value = value
+        return [merged[key] for key in sorted(merged)]
 
     def snapshot(self) -> Dict[str, object]:
         """Serialisable view of every instrument (see obs/export.py)."""
@@ -213,20 +285,32 @@ class Registry:
         return {"metrics": metrics}
 
     def reset(self) -> None:
-        """Drop every instrument (fresh counts; test isolation helper)."""
+        """Zero every count (test isolation helper).
+
+        Tracked records count on from their current values; objects
+        caching instrument handles re-capture them on their next call.
+        """
+        global _generation
         with self._lock:
             self._instruments.clear()
             self._meta.clear()
+            self._totals.clear()
+            for record, series, __, baseline in self._tracked.values():
+                for s in series:
+                    self._declare("counter", s.name, s.unit, s.help)
+                baseline[:] = [s.read(record) for s in series]
+        with _default_lock:
+            _generation += 1
 
 
 _default: Optional[Registry] = None
 _default_lock = threading.Lock()
 
-#: Bumped on every :func:`set_registry`.  Long-lived instrumented objects
-#: (tables, switches) cache their instrument handles and compare this
-#: integer at hot-path entry points — an unchanged generation means the
-#: cached handles still belong to the active default registry, so the
-#: steady-state cost of lazy resolution is one int compare per call.
+#: Bumped on every :func:`set_registry` and :meth:`Registry.reset`.
+#: Long-lived instrumented objects (tables, switches) cache their
+#: instrument handles and compare this integer at hot-path entry points —
+#: an unchanged generation means the cached handles are still current,
+#: so the steady-state cost of lazy resolution is one int compare per call.
 _generation = 0
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import operator
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,7 +49,7 @@ import sys
 _obs_state = sys.modules["repro.obs.registry"]
 from repro.obs.events import KIND_SHED, DecisionRecord, event_from_dict
 from repro.core.rules import RuleSet
-from repro.dataplane.switch import CODE_ACTIONS, SwitchStats, Verdict, VerdictBatch
+from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
 from repro.net.packet import Packet
 from repro.serve.batcher import Batch
 from repro.serve.shard import Shard, ShardSet, flow_shard
@@ -316,19 +317,9 @@ class StreamingGateway:
         self.alert_engine = alert_engine
         self.alert_interval = alert_interval
         self._attach_recorder()
+        self._run_series = self._series()
         self._capture_obs()
         self._reset_run_state()
-
-    def _capture_obs(self) -> None:
-        self._registry = obs.registry()
-        self._obs_gen = _obs_state.generation()
-        self._obs_on = self._registry.enabled
-        self._init_instruments()
-
-    def _sync_obs(self) -> None:
-        # One int compare per run; see registry._generation.
-        if _obs_state._generation != self._obs_gen:
-            self._capture_obs()
 
     def _attach_recorder(self) -> None:
         """(Re)attach the flight recorder on every shard switch.
@@ -344,24 +335,16 @@ class StreamingGateway:
                 self.recorder, shard=shard.index, tenant=self.tenant
             )
 
-    def _init_instruments(self) -> None:
-        registry = self._registry
-        self._obs_offered = registry.counter(
-            "serve_offered_packets_total",
-            help="packets offered to the gateway by the source",
-        )
+    def _capture_obs(self) -> None:
+        """(Re)resolve the active default registry and cache instruments."""
+        registry = self._registry = obs.registry()
+        self._obs_gen = _obs_state.generation()
+        self._obs_on = registry.enabled
         self._obs_batch_size = registry.histogram(
             "serve_batch_size",
             buckets=[float(2 ** i) for i in range(13)],
             help="packets per flushed batch",
         )
-        self._obs_batches = {
-            reason: registry.counter(
-                "serve_batches_total", {"reason": reason},
-                help="flushed batches by trigger",
-            )
-            for reason in ("full", "deadline", "drain")
-        }
         self._obs_wait = registry.histogram(
             "serve_batcher_wait_seconds", unit="s",
             help="stream-time wait from packet arrival to batch flush",
@@ -370,39 +353,16 @@ class StreamingGateway:
             "serve_e2e_latency_seconds", unit="s",
             help="stream-time latency from arrival to verdict",
         )
-        self._obs_swaps = registry.counter(
-            "serve_rule_swaps_total",
-            help="atomic rule-set swaps installed across all shards",
-        )
-        self._obs_depth = {}
-        self._obs_shed = {}
-        self._obs_shard_pkts = {}
-        for shard in self.shards:
-            label = {"shard": str(shard.index)}
-            self._obs_depth[shard.index] = registry.gauge(
-                "serve_queue_depth", label,
+        self._obs_depth = {
+            shard.index: registry.gauge(
+                "serve_queue_depth", {"shard": str(shard.index)},
                 help="packets queued per shard awaiting service",
             )
-            self._obs_shed[shard.index] = registry.counter(
-                "serve_shed_packets_total",
-                {**label, "policy": self.config.policy},
-                help="packets shed by the backpressure policy",
-            )
-            self._obs_shard_pkts[shard.index] = registry.counter(
-                "serve_shard_packets_total", label,
-                help="packets classified per shard",
-            )
-        if self.config.executor == "process":
-            self._init_parallel_instruments(registry)
-
-    def _init_parallel_instruments(self, registry) -> None:
-        """Process-backend instruments + parent-side switch mirrors.
-
-        Worker processes bump their own (invisible) registries, so the
-        parent re-emits the documented ``switch_*`` series from reaped
-        verdict arrays — ``repro stats`` and alert rules see the same
-        counters either backend.
-        """
+            for shard in self.shards
+        }
+        if self.config.executor != "process":
+            return
+        # Process backend: the parent records what its workers measured.
         self._obs_parallel_workers = registry.gauge(
             "parallel_workers",
             help="live shard worker processes (process backend)",
@@ -418,48 +378,64 @@ class StreamingGateway:
             "worker_batch_seconds", unit="s",
             help="wall-clock seconds per worker-classified batch",
         )
-        self._obs_worker_failures = registry.counter(
-            "worker_failures_total",
-            help="shard workers that died mid-run (traffic failed closed)",
-        )
-        self._obs_ring_full_waits = registry.counter(
-            "parallel_ring_full_waits_total",
-            help="submits that blocked on a full frame ring",
-        )
-        self._obs_ring_full_wait_seconds = registry.counter(
-            "parallel_ring_full_wait_seconds", unit="s",
-            help="wall-clock seconds spent blocked on full frame rings",
-        )
         self._obs_swap_barrier = registry.histogram(
             "parallel_swap_barrier_seconds", unit="s",
             help="wall-clock seconds per cross-worker rule-swap barrier",
         )
-        self._obs_records_dropped = registry.counter(
-            "worker_records_dropped_total",
-            help="decision records dropped by the result-ring budget",
-        )
-        self._obs_sw_verdicts = {
-            action: registry.counter(
-                "switch_packets_total", {"verdict": action},
-                help="packets by final pipeline verdict",
+
+    def _series(self) -> List[obs.Series]:
+        """The run's counters, read off the gateway while :meth:`run` lasts."""
+        Series, field = obs.Series, operator.attrgetter
+        series = [
+            Series(
+                "serve_offered_packets_total", field("_offered"),
+                help="packets offered to the gateway by the source",
+            ),
+            Series(
+                "serve_rule_swaps_total", field("shards.rule_swaps"),
+                help="atomic rule-set swaps installed across all shards",
+            ),
+        ]
+        series += [
+            Series(
+                "serve_batches_total", lambda g, r=reason: g._flush_reasons.get(r, 0),
+                {"reason": reason}, help="flushed batches by trigger",
             )
-            for action in CODE_ACTIONS
-        }
-        self._obs_sw_bytes = {
-            action: registry.counter(
-                "switch_bytes_total", {"verdict": action}, unit="bytes",
-                help="payload bytes by final pipeline verdict",
-            )
-            for action in CODE_ACTIONS
-        }
-        self._obs_sw_received = registry.counter(
-            "switch_packets_received_total",
-            help="packets entering the pipeline",
-        )
-        self._obs_sw_bytes_received = registry.counter(
-            "switch_bytes_received_total", unit="bytes",
-            help="payload bytes entering the pipeline",
-        )
+            for reason in ("full", "deadline", "drain")
+        ]
+        for i in range(len(self.shards)):
+            series += [
+                Series(
+                    "serve_shed_packets_total", lambda g, i=i: g.shards[i].shed,
+                    {"shard": str(i), "policy": self.config.policy},
+                    help="packets shed by the backpressure policy",
+                ),
+                Series(
+                    "serve_shard_packets_total", lambda g, i=i: g.shards[i].processed,
+                    {"shard": str(i)}, help="packets classified per shard",
+                ),
+            ]
+        if self.config.executor == "process":
+            series += [
+                Series(
+                    "worker_failures_total", lambda g: len(g._dead),
+                    help="shard workers that died mid-run (traffic failed closed)",
+                ),
+                Series(
+                    "parallel_ring_full_waits_total", field("_executor.ring_full_waits"),
+                    help="submits that blocked on a full frame ring",
+                ),
+                Series(
+                    "parallel_ring_full_wait_seconds",
+                    field("_executor.ring_full_wait_seconds"), unit="s",
+                    help="wall-clock seconds spent blocked on full frame rings",
+                ),
+                Series(
+                    "worker_records_dropped_total", field("_executor.records_dropped"),
+                    help="decision records dropped by the result-ring budget",
+                ),
+            ]
+        return series
 
     def _reset_run_state(self) -> None:
         # A SoakResult describes exactly one run: shard counters, switch
@@ -474,10 +450,7 @@ class StreamingGateway:
         self._latencies: List[np.ndarray] = []
         self._waits: List[np.ndarray] = []
         self._offered = 0
-        self._offered_reported = 0
-        self._batches = 0
         self._flush_reasons: Dict[str, int] = {}
-        self._process_seconds = 0.0
         self._next_deadline = math.inf
         self._next_alert_t = math.inf
         self._alerts: List[object] = []
@@ -489,15 +462,15 @@ class StreamingGateway:
         # histogram sums and recorder order do not depend on which
         # worker answered first.
         self._pending: collections.deque = collections.deque()
-        self._dead: set = set()
-        self._worker_failures = 0
+        self._dead: set = set()  # shards whose worker died
         self._lockstep = self.retrain_hook is not None
 
     # -- the event loop ------------------------------------------------------
 
     def run(self, source: Iterable[Packet]) -> SoakResult:
         """Consume a source to exhaustion, then drain; returns the result."""
-        self._sync_obs()
+        if _obs_state._generation != self._obs_gen:  # see registry._generation
+            self._capture_obs()
         self._reset_run_state()
         config = self.config
         self._remote = config.executor == "process"
@@ -512,20 +485,16 @@ class StreamingGateway:
                 start_method=config.start_method,
                 timeout=config.worker_timeout,
             )
-            if self._obs_on:
-                self._obs_parallel_workers.set(config.n_shards)
+            self._obs_parallel_workers.set(config.n_shards)
         else:
             self._executor = InlineExecutor(self.shards)
+        self._registry.track(self, self._run_series)  # until run() ends
         wall_start = time.perf_counter()
         try:
             return self._run_stream(source, wall_start)
         finally:
-            if self._remote and self._obs_on:
-                self._obs_ring_full_waits.inc(self._executor.ring_full_waits)
-                self._obs_ring_full_wait_seconds.inc(
-                    self._executor.ring_full_wait_seconds
-                )
-                self._obs_records_dropped.inc(self._executor.records_dropped)
+            self._registry.retire(self)
+            if self._remote:
                 self._obs_parallel_workers.set(0)
             self._executor.close()
             self._executor = None
@@ -557,8 +526,8 @@ class StreamingGateway:
                     self._flush_due(t)
                     next_deadline = self._next_deadline
                 if t >= next_alert_t:
-                    self._offered = offered
-                    self._evaluate_alerts(t)
+                    self._offered = offered  # the shed-rate denominator
+                    self._alerts.extend(self.alert_engine.evaluate(t))
                     next_alert_t = t + self.alert_interval
                 if n_shards > 1:
                     shard, batcher, pending, add_packet, add_index, add_stamp = lanes[
@@ -581,24 +550,10 @@ class StreamingGateway:
             self._last_t = t
             self._drain(t)
             if self.alert_engine is not None:
-                self._evaluate_alerts(self._last_t)
+                self._alerts.extend(self.alert_engine.evaluate(t))
                 self.alert_engine.finalize()
         wall = time.perf_counter() - wall_start
         return self._result(wall)
-
-    def _evaluate_alerts(self, now: float) -> None:
-        """One stream-time alert evaluation against current counters.
-
-        Ratio rules (shed rate) need the offered denominator current
-        *mid-run*, so the offered counter is synced incrementally here
-        rather than only at run end.
-        """
-        if self._obs_on:
-            delta = self._offered - self._offered_reported
-            if delta:
-                self._obs_offered.inc(delta)
-                self._offered_reported = self._offered
-        self._alerts.extend(self.alert_engine.evaluate(now))
 
     def _flush_due(self, now: float) -> None:
         for shard in self.shards:
@@ -628,7 +583,6 @@ class StreamingGateway:
 
     def _dispatch(self, shard: Shard, batch: Batch, now: float) -> None:
         """Move a flushed batch into the shard queue, shedding overflow."""
-        self._batches += 1
         self._flush_reasons[batch.reason] = (
             self._flush_reasons.get(batch.reason, 0) + 1
         )
@@ -636,7 +590,6 @@ class StreamingGateway:
         self._waits.append(waits)
         if self._obs_on:
             self._obs_batch_size.observe(float(len(batch)))
-            self._obs_batches[batch.reason].inc()
             self._obs_wait.observe_many(waits)
         # Service first: completions up to `now` free queue space before
         # admission is decided, minimising spurious sheds.
@@ -676,8 +629,6 @@ class StreamingGateway:
                     )
                 )
         shard.shed += len(refused)
-        if self._obs_on:
-            self._obs_shed[shard.index].inc(len(refused))
 
     def _service(self, shard: Shard, now: float) -> None:
         """Run the shard worker forward to stream time ``now``.
@@ -742,7 +693,6 @@ class StreamingGateway:
         """Apply one classified batch — the same routine for both executors."""
         verdicts = result.outcome
         n = len(batch)
-        self._process_seconds += result.process_seconds
         self._batch_seconds.append(result.process_seconds)
         latencies = completion - batch.timestamps
         self._latencies.append(latencies)
@@ -751,7 +701,12 @@ class StreamingGateway:
         if self.config.record_verdicts:
             self._classified.append((batch.indices, verdicts))
         if self._remote:
-            self._mirror_worker(shard, result)
+            # The worker's switch is in another process: count the batch
+            # on the parent's, which ShardSet.stats() and switch_* read.
+            shard.switch.stats.count_batch(verdicts.codes, result.sizes)
+            if self._obs_on:
+                self._obs_worker_batches[shard.index].inc()
+                self._obs_worker_batch_seconds.observe(result.process_seconds)
         if result.records or result.sampled_out:
             # Workers don't know their tenant; stamp identity parent-side
             # so process-backend records match inline bit for bit.
@@ -762,49 +717,12 @@ class StreamingGateway:
                 self.recorder.add(event_from_dict(data))
             self.recorder.note_sampled_out(result.sampled_out)
         if self._obs_on:
-            self._obs_shard_pkts[shard.index].inc(n)
             self._obs_depth[shard.index].set(shard.queue.depth)
             self._obs_latency.observe_many(latencies)
         if self.retrain_hook is not None:
             new_rules = self.retrain_hook(batch.packets, verdicts)
             if new_rules is not None:
                 self._install(new_rules)
-
-    def _mirror_worker(self, shard: Shard, result: BatchResult) -> None:
-        """Parent-side switch stats and ``switch_*`` series for a worker batch.
-
-        Exactly the increments the worker's switch made, derived from
-        the verdict codes — so ``ShardSet.stats()`` aggregates
-        identically to inline (and survives worker death, unlike
-        collecting stats at exit).
-        """
-        codes = result.outcome.codes
-        sizes = result.sizes
-        n = len(codes)
-        counts = result.outcome.counts().tolist()
-        n_drop, n_quar = counts[1], counts[2]
-        bytes_in = int(sizes.sum())
-        bytes_drop = int(sizes[codes == 1].sum())
-        bytes_quar = int(sizes[codes == 2].sum())
-        stats = shard.switch.stats
-        stats.received += n
-        stats.bytes_received += bytes_in
-        stats.dropped += n_drop
-        stats.quarantined += n_quar
-        stats.allowed += n - n_drop - n_quar
-        stats.bytes_dropped += bytes_drop
-        stats.bytes_quarantined += bytes_quar
-        if self._obs_on:
-            self._obs_worker_batches[shard.index].inc()
-            self._obs_worker_batch_seconds.observe(result.process_seconds)
-            self._obs_sw_received.inc(n)
-            self._obs_sw_bytes_received.inc(bytes_in)
-            self._obs_sw_verdicts["drop"].inc(n_drop)
-            self._obs_sw_verdicts["quarantine"].inc(n_quar)
-            self._obs_sw_verdicts["allow"].inc(n - n_drop - n_quar)
-            self._obs_sw_bytes["drop"].inc(bytes_drop)
-            self._obs_sw_bytes["quarantine"].inc(bytes_quar)
-            self._obs_sw_bytes["allow"].inc(bytes_in - bytes_drop - bytes_quar)
 
     def _install(self, new_rules: RuleSet) -> None:
         """Atomic swap on every shard, between batches.
@@ -825,8 +743,6 @@ class StreamingGateway:
             self.shards.swap_seconds[-1] += barrier
             if self._obs_on:
                 self._obs_swap_barrier.observe(barrier)
-        if self._obs_on:
-            self._obs_swaps.inc()
 
     def _on_worker_death(self, shard: Shard, *, extra: Optional[Batch] = None) -> None:
         """Fail a dead worker's shard closed and keep the run going.
@@ -839,7 +755,6 @@ class StreamingGateway:
         immediately; surviving shards are untouched.
         """
         self._dead.add(shard.index)
-        self._worker_failures += 1
         owed = [extra] if extra is not None else []
         survivors = []
         for entry in self._pending:
@@ -857,12 +772,8 @@ class StreamingGateway:
             [pair for batch in owed for pair in zip(batch.packets, batch.indices)],
             action="drop",
         )
-        if self._obs_on:
-            self._obs_worker_failures.inc()
-            self._obs_parallel_workers.set(
-                len(self.shards) - len(self._dead)
-            )
-            self._obs_depth[shard.index].set(0)
+        self._obs_parallel_workers.set(len(self.shards) - len(self._dead))
+        self._obs_depth[shard.index].set(0)
 
     def _drain_dead_shard(self, shard: Shard) -> None:
         """Shed (fail-closed) anything queued on a shard whose worker died."""
@@ -893,9 +804,6 @@ class StreamingGateway:
         return out
 
     def _result(self, wall: float) -> SoakResult:
-        if self._obs_on:
-            self._obs_offered.inc(self._offered - self._offered_reported)
-            self._offered_reported = self._offered
         # Sorted before aggregating so the mean does not depend on the
         # order batches completed in.
         latencies = (
@@ -924,9 +832,9 @@ class StreamingGateway:
             processed=processed,
             shed=shed,
             wall_seconds=wall,
-            process_seconds=self._process_seconds,
+            process_seconds=sum(self._batch_seconds),
             duration=duration,
-            batches=self._batches,
+            batches=sum(self._flush_reasons.values()),
             flush_reasons=dict(self._flush_reasons),
             latency_p50=float(np.percentile(latencies, 50)),
             latency_p99=float(np.percentile(latencies, 99)),
@@ -946,5 +854,5 @@ class StreamingGateway:
                 if self._batch_seconds
                 else 0.0
             ),
-            worker_failures=self._worker_failures,
+            worker_failures=len(self._dead),
         )

@@ -296,10 +296,10 @@ class BatchResult:
         outcome: the batch's columnar verdicts.
         process_seconds: wall-clock seconds the classification took.
         sizes: packet sizes the batch was submitted with (process
-            backend: the parent re-derives switch stats from them).
-        sampled_out / records / records_dropped: decision-record
-            traffic a worker shipped back (process backend; inline
-            switches feed the recorder directly).
+            backend: the parent counts the batch on its switch's stats).
+        sampled_out / records: decision-record traffic a worker
+            shipped back (process backend; inline switches feed the
+            recorder directly; the executor totals records dropped).
     """
 
     outcome: VerdictBatch
@@ -307,7 +307,6 @@ class BatchResult:
     sizes: Optional[np.ndarray] = None
     sampled_out: int = 0
     records: List[Dict] = dataclasses.field(default_factory=list)
-    records_dropped: int = 0
 
     def __len__(self) -> int:
         return len(self.outcome)
@@ -594,7 +593,6 @@ class ProcessExecutor:
                         sizes=self._sizes[shard].popleft(),
                         sampled_out=raw["sampled_out"],
                         records=records,
-                        records_dropped=raw["records_dropped"],
                     )
                 )
                 self._inflight[shard] -= 1

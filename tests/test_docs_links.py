@@ -1,25 +1,26 @@
 """Documentation health checks, run as part of tier-1.
 
-Three guarantees:
+Three guarantees, all checked by ``tools/docs_check.py`` (the same
+script ``make docs-check`` runs), whose scanners these tests call:
 
-* every intra-repo Markdown link resolves (``tools/docs_check.py`` —
-  the same check ``make docs-check`` runs, which also covers the
-  event-kind and alert-name catalogues),
-* every metric and span name registered anywhere in the source appears
-  in ``docs/OBSERVABILITY.md``, so the instrument catalogue cannot
-  silently drift from the code, and
+* every intra-repo Markdown link resolves,
+* every metric and span name registered anywhere in the source —
+  collected series included — appears in ``docs/OBSERVABILITY.md``, so
+  the instrument catalogue cannot silently drift from the code, and
 * every event kind (``repro/obs/events.py``) and alert rule name
-  (``repro/obs/alerts.py``) appears there too.
+  appears there too.
 """
 
 from __future__ import annotations
 
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "tools"))
+
+import docs_check  # noqa: E402
 
 
 def test_docs_check_passes():
@@ -35,74 +36,39 @@ def test_docs_check_passes():
     )
 
 
-# Literal first-argument names of instrument registrations.  The obs
-# package itself is excluded (its docstrings use placeholder names);
-# its one real metric, span_seconds, is covered via the span scan.
-_METRIC_CALL = re.compile(
-    r"\.(?:counter|gauge|histogram|timer)\(\s*[\"']([a-z0-9_]+)[\"']"
-)
-_SPAN_CALL = re.compile(r"\.span\(\s*[\"']([a-z0-9_./]+)[\"']")
-
-
-def _instrumented_sources():
-    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
-        if "obs" in path.parts:
-            continue
-        yield path
-    yield REPO_ROOT / "tools" / "bench.py"
-
-
 def test_observability_doc_covers_every_registered_name():
-    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    metrics, spans = set(), set()
-    for path in _instrumented_sources():
-        text = path.read_text(encoding="utf-8")
-        metrics.update(_METRIC_CALL.findall(text))
-        spans.update(_SPAN_CALL.findall(text))
+    metrics, spans = docs_check.registered_names()
 
     # The scan must actually see the instrumented code paths.
     assert "switch_packets_total" in metrics
     assert "detector.fit" in spans
-    assert "span_seconds" in doc
+    assert not docs_check.undocumented(["span_seconds"])
 
-    undocumented_metrics = sorted(name for name in metrics if name not in doc)
+    undocumented_metrics = docs_check.undocumented(metrics)
     assert not undocumented_metrics, (
         f"metrics registered in code but missing from "
         f"docs/OBSERVABILITY.md: {undocumented_metrics}"
     )
-    undocumented_spans = sorted(name for name in spans if name not in doc)
+    undocumented_spans = docs_check.undocumented(spans)
     assert not undocumented_spans, (
         f"spans used in code but missing from "
         f"docs/OBSERVABILITY.md: {undocumented_spans}"
     )
 
 
-# ``KIND_X = "x"`` constants and first (name) arguments of AlertRule
-# constructions — the provenance/alerting half of the catalogue.
-_EVENT_KIND = re.compile(r'^KIND_[A-Z_]+\s*=\s*"([a-z_]+)"', re.M)
-_ALERT_NAME = re.compile(r'AlertRule\(\s*"([a-z0-9_]+)"')
-
-
 def test_observability_doc_covers_events_and_alerts():
-    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    obs_dir = REPO_ROOT / "src" / "repro" / "obs"
-    kinds = set(
-        _EVENT_KIND.findall((obs_dir / "events.py").read_text(encoding="utf-8"))
-    )
-    alerts = set()
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-        alerts.update(_ALERT_NAME.findall(path.read_text(encoding="utf-8")))
+    kinds, alerts = docs_check.declared_events_and_alerts()
 
     # The scans must actually see the declarations they guard.
     assert {"decision", "shed", "alert"} <= kinds
     assert "shed_rate_high" in alerts
 
-    undocumented_kinds = sorted(name for name in kinds if name not in doc)
+    undocumented_kinds = docs_check.undocumented(kinds)
     assert not undocumented_kinds, (
         f"event kinds declared in code but missing from "
         f"docs/OBSERVABILITY.md: {undocumented_kinds}"
     )
-    undocumented_alerts = sorted(name for name in alerts if name not in doc)
+    undocumented_alerts = docs_check.undocumented(alerts)
     assert not undocumented_alerts, (
         f"alert rules declared in code but missing from "
         f"docs/OBSERVABILITY.md: {undocumented_alerts}"

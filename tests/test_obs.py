@@ -4,8 +4,8 @@ Covers the instrument semantics (counter monotonicity, histogram
 ``le``-inclusive bucket edges, span nesting), registry behaviour
 (get-or-create identity, kind conflicts, disabled no-op mode, default
 swapping for test isolation), exporter round-trips (JSONL, Prometheus
-text), parity of the registry counters with the legacy ``SwitchStats``
-on both data paths, and the perf guard that keeps disabled
+text), parity of the registry counters with ``SwitchStats`` (they are
+read from it) on both data paths, and the perf guard that keeps disabled
 instrumentation inside the ≤5 % overhead budget on ``process_trace``.
 """
 
@@ -469,6 +469,17 @@ class TestSwitchWiring:
             if m["name"] == "switch_packets_received_total"
         ]
         assert received and received[0]["value"] == 12  # unchanged
+
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_reset_repoints_live_instruments(self, registry, batch_size):
+        """After ``reset()`` live objects count into the registry afresh."""
+        switch = _firewall_switch()
+        switch.process_trace(_trace()[:3], batch_size=batch_size)
+        registry.reset()
+        switch.process_trace(_trace()[:5], batch_size=batch_size)
+        assert switch.stats.received == 8
+        assert _metric(registry, "switch_packets_received_total") == 5
+        assert _metric(registry, "table_lookups_total", table="fw") == 5
 
 
 class TestCacheWiring:

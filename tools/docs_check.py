@@ -11,18 +11,15 @@ plus ``docs/*.md``) and fails on:
   where no heading in the target file slugifies to ``section``
   (GitHub-style slugification: lowercase, spaces → ``-``, punctuation
   stripped, duplicate slugs suffixed ``-1``, ``-2``, ...);
-* **catalogue drift** — every event kind declared in
-  ``src/repro/obs/events.py`` and every alert rule name declared in
-  ``src/repro/obs/alerts.py`` must appear in ``docs/OBSERVABILITY.md``
-  (the metric/span half of the catalogue is enforced by
-  ``tests/test_docs_links.py``, which needs the full source scan);
+* **catalogue drift** — every metric registered or collected and every
+  span entered in the instrumented sources (``src/repro`` outside the
+  obs package, plus ``tools/bench.py``), every event kind declared in
+  ``src/repro/obs/events.py``, and every alert rule name declared under
+  ``src/`` (the fleet alerts included) must appear in
+  ``docs/OBSERVABILITY.md``;
 * **CLI catalogue drift** — every top-level ``repro`` subcommand
   registered in ``src/repro/cli.py`` must appear in the operator guide
-  ``docs/OPERATIONS.md``;
-* **fleet catalogue drift** — every ``fleet_*`` metric, ``fleet.*`` /
-  ``registry.*`` span, and ``fleet_*`` alert name declared under
-  ``src/repro/fleet/`` or ``src/repro/obs/alerts.py`` must appear in
-  ``docs/OBSERVABILITY.md``.
+  ``docs/OPERATIONS.md``.
 
 External links (``http(s)://``, ``mailto:``) are deliberately not
 fetched — this repo is developed offline — and bare inline-code
@@ -34,8 +31,8 @@ Usage::
     python tools/docs_check.py        # exit 0 = clean, 1 = dead links
     make docs-check                   # the same, as a build target
 
-``tests/test_docs_links.py`` runs this in tier-1, so a broken link
-fails the normal test suite too.
+``tests/test_docs_links.py`` runs this in tier-1, so a broken link or
+catalogue drift fails the normal test suite too.
 """
 
 from __future__ import annotations
@@ -141,33 +138,81 @@ def check_file(path: Path, cache: Dict[Path, set]) -> List[Tuple[int, str, str]]
 _EVENT_KIND_RE = re.compile(r'^KIND_[A-Z_]+\s*=\s*"([a-z_]+)"', re.M)
 #: First (positional ``name``) argument of every ``AlertRule(...)``.
 _ALERT_NAME_RE = re.compile(r'AlertRule\(\s*"([a-z0-9_]+)"')
+#: Literal first-argument names of instrument registrations and of
+#: collected-series declarations (``obs.Series("name", ...)``).
+_METRIC_CALL_RE = re.compile(
+    r"(?:\.(?:counter|gauge|histogram|timer)|\bSeries)\(\s*[\"']([a-z0-9_]+)[\"']"
+)
+_SPAN_CALL_RE = re.compile(r"\.span\(\s*[\"']([a-z0-9_./]+)[\"']")
+
+#: Names each scan must see, so a scan that silently matches nothing
+#: fails instead of passing.
+_SCAN_GUARDS = {
+    "event kind": ("decision", "shed", "alert"),
+    "alert name": ("shed_rate_high", "fleet_shed_rate_high"),
+    "metric": ("switch_packets_total", "fleet_tenants", "corpus_replay_packets_total"),
+    "span": ("detector.fit",),
+}
+
+
+def _read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def instrumented_sources() -> List[Path]:
+    """Every source that registers metrics or spans.
+
+    The obs package itself is excluded (its docstrings use placeholder
+    names); its one real metric, ``span_seconds``, is documented with
+    the spans.
+    """
+    sources = [
+        path
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if "obs" not in path.parts
+    ]
+    return sources + [REPO_ROOT / "tools" / "bench.py"]
+
+
+def registered_names() -> Tuple[set, set]:
+    """``(metric names, span names)`` registered or declared in the source."""
+    metrics, spans = set(), set()
+    for path in instrumented_sources():
+        text = _read(path)
+        metrics.update(_METRIC_CALL_RE.findall(text))
+        spans.update(_SPAN_CALL_RE.findall(text))
+    return metrics, spans
+
+
+def declared_events_and_alerts() -> Tuple[set, set]:
+    """``(event kinds, alert rule names)`` declared in the source."""
+    kinds = set(
+        _EVENT_KIND_RE.findall(_read(REPO_ROOT / "src" / "repro" / "obs" / "events.py"))
+    )
+    alerts = set()
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        alerts.update(_ALERT_NAME_RE.findall(_read(path)))
+    return kinds, alerts
+
+
+def undocumented(names) -> List[str]:
+    """The names that ``docs/OBSERVABILITY.md`` never mentions."""
+    doc = _read(REPO_ROOT / "docs" / "OBSERVABILITY.md")
+    return sorted(name for name in names if name not in doc)
 
 
 def catalogue_problems() -> List[str]:
-    """Event kinds / alert names missing from docs/OBSERVABILITY.md."""
-    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    events = _EVENT_KIND_RE.findall(
-        (REPO_ROOT / "src" / "repro" / "obs" / "events.py").read_text(
-            encoding="utf-8"
-        )
-    )
-    alerts = _ALERT_NAME_RE.findall(
-        (REPO_ROOT / "src" / "repro" / "obs" / "alerts.py").read_text(
-            encoding="utf-8"
-        )
-    )
+    """Metrics, spans, event kinds and alert names missing from the doc."""
+    metrics, spans = registered_names()
+    kinds, alerts = declared_events_and_alerts()
+    found = {"event kind": kinds, "alert name": alerts, "metric": metrics, "span": spans}
     problems: List[str] = []
-    # The scans must actually see the declarations they guard.
-    if "decision" not in events:
-        problems.append("event-kind scan found no KIND_* constants")
-    if "shed_rate_high" not in alerts:
-        problems.append("alert-name scan found no AlertRule names")
-    for kind in sorted(set(events)):
-        if kind not in doc:
-            problems.append(f"event kind {kind!r} missing from OBSERVABILITY.md")
-    for name in sorted(set(alerts)):
-        if name not in doc:
-            problems.append(f"alert name {name!r} missing from OBSERVABILITY.md")
+    for what, names in found.items():
+        for name in _SCAN_GUARDS[what]:
+            if name not in names:
+                problems.append(f"{what} scan did not find {name!r}")
+        for name in undocumented(names):
+            problems.append(f"{what} {name!r} missing from OBSERVABILITY.md")
     return problems
 
 
@@ -175,12 +220,6 @@ def catalogue_problems() -> List[str]:
 #: (``rsub.add_parser``) are deliberately not matched — the operator
 #: guide documents them under their parent command.
 _CLI_COMMAND_RE = re.compile(r'\bsub\.add_parser\(\s*"([a-z0-9]+)"')
-#: Instrument registrations / span entries (same shapes as the tier-1
-#: scan in tests/test_docs_links.py).
-_METRIC_CALL_RE = re.compile(
-    r"\.(?:counter|gauge|histogram|timer)\(\s*[\"']([a-z0-9_]+)[\"']"
-)
-_SPAN_CALL_RE = re.compile(r"\.span\(\s*[\"']([a-z0-9_./]+)[\"']")
 
 
 def cli_catalogue_problems() -> List[str]:
@@ -188,10 +227,8 @@ def cli_catalogue_problems() -> List[str]:
     operations = REPO_ROOT / "docs" / "OPERATIONS.md"
     if not operations.exists():
         return ["docs/OPERATIONS.md does not exist"]
-    doc = operations.read_text(encoding="utf-8")
-    commands = _CLI_COMMAND_RE.findall(
-        (REPO_ROOT / "src" / "repro" / "cli.py").read_text(encoding="utf-8")
-    )
+    doc = _read(operations)
+    commands = _CLI_COMMAND_RE.findall(_read(REPO_ROOT / "src" / "repro" / "cli.py"))
     problems: List[str] = []
     if "serve" not in commands:
         problems.append("CLI scan found no sub.add_parser registrations")
@@ -199,62 +236,6 @@ def cli_catalogue_problems() -> List[str]:
         if f"repro {command}" not in doc:
             problems.append(
                 f"CLI subcommand 'repro {command}' missing from OPERATIONS.md"
-            )
-    return problems
-
-
-def fleet_catalogue_problems() -> List[str]:
-    """``fleet_*`` metrics/spans/alerts missing from docs/OBSERVABILITY.md."""
-    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    metrics, spans = set(), set()
-    for path in sorted((REPO_ROOT / "src" / "repro" / "fleet").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        metrics.update(_METRIC_CALL_RE.findall(text))
-        spans.update(_SPAN_CALL_RE.findall(text))
-    alerts = _ALERT_NAME_RE.findall(
-        (REPO_ROOT / "src" / "repro" / "obs" / "alerts.py").read_text(
-            encoding="utf-8"
-        )
-    )
-    problems: List[str] = []
-    if not any(name.startswith("fleet_") for name in metrics):
-        problems.append("fleet scan found no fleet_* metric registrations")
-    for name in sorted(n for n in metrics if n.startswith("fleet_")):
-        if name not in doc:
-            problems.append(
-                f"fleet metric {name!r} missing from OBSERVABILITY.md"
-            )
-    for name in sorted(spans):
-        if name not in doc:
-            problems.append(f"fleet span {name!r} missing from OBSERVABILITY.md")
-    for name in sorted(n for n in set(alerts) if n.startswith("fleet_")):
-        if name not in doc:
-            problems.append(
-                f"fleet alert {name!r} missing from OBSERVABILITY.md"
-            )
-    return problems
-
-
-def corpus_catalogue_problems() -> List[str]:
-    """``corpus_*`` metrics/spans missing from docs/OBSERVABILITY.md."""
-    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
-    metrics, spans = set(), set()
-    for path in sorted((REPO_ROOT / "src" / "repro" / "corpus").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        metrics.update(_METRIC_CALL_RE.findall(text))
-        spans.update(_SPAN_CALL_RE.findall(text))
-    problems: List[str] = []
-    if not any(name.startswith("corpus_") for name in metrics):
-        problems.append("corpus scan found no corpus_* metric registrations")
-    for name in sorted(n for n in metrics if n.startswith("corpus_")):
-        if name not in doc:
-            problems.append(
-                f"corpus metric {name!r} missing from OBSERVABILITY.md"
-            )
-    for name in sorted(spans):
-        if name not in doc:
-            problems.append(
-                f"corpus span {name!r} missing from OBSERVABILITY.md"
             )
     return problems
 
@@ -274,12 +255,6 @@ def main(argv: List[str] | None = None) -> int:
         total += 1
     for problem in cli_catalogue_problems():
         print(f"docs/OPERATIONS.md: catalogue drift: {problem}")
-        total += 1
-    for problem in fleet_catalogue_problems():
-        print(f"docs/OBSERVABILITY.md: catalogue drift: {problem}")
-        total += 1
-    for problem in corpus_catalogue_problems():
-        print(f"docs/OBSERVABILITY.md: catalogue drift: {problem}")
         total += 1
     if total:
         print(f"docs-check: {total} problem(s) across {checked} file(s)")
