@@ -254,21 +254,22 @@ def _payload_word_sums(
 ) -> np.ndarray:
     """Per-payload big-endian 16-bit word sums (odd payloads zero-padded)."""
     n = len(payloads)
+    sums = np.zeros(n, dtype=np.uint64)
     if n == 0 or int(lengths.max(initial=0)) == 0:
-        return np.zeros(n, dtype=np.uint64)
-    padded = (lengths + 1) & ~1
-    ends = np.cumsum(padded)
-    starts = ends - padded
-    buffer = bytearray(int(ends[-1]))
-    for index, payload in enumerate(payloads):
-        if payload:
-            offset = int(starts[index])
-            buffer[offset : offset + len(payload)] = payload
-    words = np.frombuffer(buffer, dtype=">u2").astype(np.uint64)
-    cumulative = np.concatenate(
-        [np.zeros(1, dtype=np.uint64), np.cumsum(words, dtype=np.uint64)]
-    )
-    return cumulative[ends // 2] - cumulative[starts // 2]
+        return sums
+    odd = lengths & 1
+    if odd.any():
+        payloads = [
+            payload + b"\0" if pad else payload
+            for payload, pad in zip(payloads, odd.tolist())
+        ]
+    words = np.frombuffer(b"".join(payloads), dtype=">u2")
+    padded = lengths + odd
+    starts = np.cumsum(padded) - padded
+    # Empty payloads own no words; every other one starts a reduceat run.
+    nonempty = lengths > 0
+    sums[nonempty] = np.add.reduceat(words, starts[nonempty] // 2, dtype=np.uint64)
+    return sums
 
 
 def _write_word(out: np.ndarray, column: int, values: np.ndarray) -> None:

@@ -288,6 +288,32 @@ def test_stamped_payloads_words_and_matrices():
     assert out[1] == b"\x00\x01\xbe\xef\x04\x01\x02\x03\x08\x09"
 
 
+@pytest.mark.parametrize(
+    "payloads",
+    [
+        [],
+        [b"", b""],
+        [b"\x01", b"", b"\x01\x02\x03", b"\xff\xff"],
+        [b"\x12\x34\x56", b"", b""],
+        random_payloads(np.random.default_rng(3), 200, 0, 90),
+    ],
+)
+def test_payload_word_sums_match_per_payload_reference(payloads):
+    """Each payload's sum of big-endian 16-bit words, odd ones zero-padded."""
+    from repro.net.synth import _payload_word_sums
+
+    def reference(payload):
+        padded = payload + b"\0" * (len(payload) & 1)
+        return sum(
+            (padded[i] << 8) | padded[i + 1] for i in range(0, len(padded), 2)
+        )
+
+    lengths = np.array([len(p) for p in payloads], dtype=np.int64)
+    sums = _payload_word_sums(payloads, lengths)
+    assert sums.dtype == np.uint64
+    assert sums.tolist() == [reference(p) for p in payloads]
+
+
 def test_random_payloads_sizes_and_determinism():
     a = random_payloads(np.random.default_rng(2), 50, 5, 20)
     b = random_payloads(np.random.default_rng(2), 50, 5, 20)
