@@ -19,8 +19,10 @@ test-fast:
 test-full:
 	HYPOTHESIS_PROFILE=full $(PYTHON) -m pytest tests/ --durations=10
 
-# Timed perf trajectory: appends one {commit, date, metrics} record to
-# BENCH_perf.json (trace synthesis, detector fit, batch switch).
+# Perf trajectory (~10 min): runs bench/run.py five times over every
+# workload plus once traced (--trace 1), and appends one
+# {commit, date, fingerprint, runs} record to BENCH_perf.json; appends
+# nothing and fails if any run is incorrect.
 bench:
 	$(PYTHON) tools/bench.py
 

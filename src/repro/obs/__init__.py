@@ -23,7 +23,7 @@ Quick start::
 Recording is **off by default** (set ``REPRO_OBS=1`` or install an
 enabled registry) and the disabled mode is near-free: instrumented code
 receives shared no-op instruments, so hot loops pay one empty method
-call.  ``repro stats`` and ``make bench`` enable it for you.
+call.  ``repro stats`` and ``repro serve`` enable it for you.
 
 Beyond aggregates, the package carries the *decision provenance* layer:
 structured per-packet events (:mod:`repro.obs.events`), the bounded

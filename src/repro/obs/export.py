@@ -4,7 +4,7 @@ A *snapshot* is the plain-dict view produced by
 :meth:`repro.obs.registry.Registry.snapshot` —
 ``{"metrics": [{name, type, labels, unit, help, ...}, ...]}`` — and is
 the only thing exporters consume, so a snapshot saved in one process
-(e.g. attached to a ``BENCH_perf.json`` record) renders identically in
+(e.g. by ``repro stats --save``) renders identically in
 another (``repro stats --snapshot``).
 
 Formats:

@@ -264,6 +264,27 @@ class TestReplay:
         assert report.result.rule_swaps == 1
         assert "drift→retrain→swap" in report.summary()
 
+    def test_swap_to_different_rules_keeps_accounting(self, small_corpus):
+        retrained = []
+
+        def retrain():
+            retrained.append(synthetic_firewall_ruleset(seed=5))
+            return retrained[-1]
+
+        report = replay_corpus(
+            small_corpus,
+            synthetic_firewall_ruleset(seed=4),
+            ServeConfig(record_verdicts=False),
+            swap_after=2_000,
+            swap_rules=retrain,
+        )
+        result = report.result
+        assert len(retrained) == 1
+        assert result.rule_swaps == 1
+        assert report.swap_latency_seconds > 0
+        assert report.chunks_verified == len(small_corpus.chunks)
+        assert result.offered == result.processed + result.shed == SMALL["n_packets"]
+
     def test_rss_samples_cover_chunks(self, small_corpus):
         rules = synthetic_firewall_ruleset(seed=4)
         report = replay_corpus(

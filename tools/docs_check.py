@@ -13,7 +13,7 @@ plus ``docs/*.md``) and fails on:
   stripped, duplicate slugs suffixed ``-1``, ``-2``, ...);
 * **catalogue drift** — every metric registered or collected and every
   span entered in the instrumented sources (``src/repro`` outside the
-  obs package, plus ``tools/bench.py``), every event kind declared in
+  obs package), every event kind declared in
   ``src/repro/obs/events.py``, and every alert rule name declared under
   ``src/`` (the fleet alerts included) must appear in
   ``docs/OBSERVABILITY.md``;
@@ -166,12 +166,11 @@ def instrumented_sources() -> List[Path]:
     names); its one real metric, ``span_seconds``, is documented with
     the spans.
     """
-    sources = [
+    return [
         path
         for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
         if "obs" not in path.parts
     ]
-    return sources + [REPO_ROOT / "tools" / "bench.py"]
 
 
 def registered_names() -> Tuple[set, set]:
