@@ -12,7 +12,8 @@ flight.  Four claims are exercised:
 * **shed under overload** — a constrained service rate sheds the excess
   with exact ``offered == processed + shed`` accounting, same as E17;
 * **memory ceiling** — RSS growth over the replay stays far below the
-  corpus size (one record resident at a time, not a chunk);
+  corpus size (a few 64 KB read blocks resident at a time, not a
+  chunk);
 * **drift→retrain→swap** — a mid-replay retrain hook swaps rules while
   traffic flows, on both the inline and process executors, and the
   retrain + install latency is measured, not guessed.

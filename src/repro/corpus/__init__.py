@@ -9,8 +9,9 @@ both sides:
   ``manifest.json`` — chunk index, per-class counts, sha256 content
   digests — streaming one chunk at a time;
 * :class:`CorpusSource` replays a corpus through the serving layer by
-  chaining the record-at-a-time pcap reader across chunks, verifying
-  digests in flight;
+  chaining the pcap block reader across chunks, verifying digests in
+  flight; on its recorded clock it hands the gateway whole frame
+  blocks, with no packet object built per record;
 * :func:`replay_corpus` + :class:`TimedSwapHook` make up the endurance
   harness behind ``repro corpus replay`` and E20 — sustained
   throughput, shed accounting, RSS ceiling, and drift→retrain→swap

@@ -1,14 +1,18 @@
 """Bounded-memory corpus replay: chain chunks, verify digests in flight.
 
 :class:`CorpusSource` is a gateway source (an iterable of packets with
-non-decreasing timestamps) over an on-disk corpus.  It chains the
-block-buffered pcap reader across chunk files, so memory is bounded by
-one read block (64 KB) plus one record regardless of corpus size, and
-— unless told not to — re-computes each chunk's sha256 over the
-uncompressed byte stream *as it reads*, raising
+non-decreasing timestamps) over an on-disk corpus.  It chains the pcap
+block reader (:func:`repro.net.pcap.iter_pcap_blocks`) across chunk
+files, so memory is bounded by one read block (64 KB) plus one record
+regardless of corpus size, and — unless told not to — re-computes each
+chunk's sha256 over the uncompressed byte stream *as it reads*, raising
 :class:`~repro.corpus.build.CorpusError` the moment a chunk disagrees
 with its manifest digest.  Verification is therefore free of a second
 read pass and adds one hash update per block, not per record.
+
+On the recorded clock (no ``rate``) the source also offers its frame
+blocks (:meth:`CorpusSource.frame_blocks`), which the gateway serves
+without building a packet object per record.
 
 Re-stamping to a fresh offered load wraps the whole chained stream in
 :func:`repro.serve.retime`, which is itself a streaming generator — a
@@ -23,8 +27,9 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro import obs
 from repro.corpus.build import ChunkMeta, CorpusError, CorpusManifest, load_manifest
+from repro.net.frames import FrameBlock, block_packets
 from repro.net.packet import Packet
-from repro.net.pcap import iter_pcap_buffered, open_pcap_stream
+from repro.net.pcap import iter_pcap_blocks, open_pcap_stream
 from repro.serve.sources import retime
 
 __all__ = ["CorpusSource"]
@@ -96,18 +101,18 @@ class CorpusSource:
     def __len__(self) -> int:
         return self.manifest.packets * self._loop
 
-    def _stream_chunk(self, meta: ChunkMeta, counters) -> Iterator[Packet]:
+    def _stream_chunk(self, meta: ChunkMeta, counters) -> Iterator[FrameBlock]:
         path = self.manifest.chunk_path(meta)
         with open(path, "rb") as raw:
             if not self._verify:
-                yield from iter_pcap_buffered(raw)
+                yield from iter_pcap_blocks(raw)
                 return
             # hash sits between the gzip layer and the parser, so the
             # digest always covers the *uncompressed* chunk bytes; the
-            # block-buffered parser above it hashes a few large reads
-            # per chunk instead of two tiny ones per record
+            # block reader above it hashes a few large reads per chunk
+            # instead of two tiny ones per record
             reader = _HashingReader(open_pcap_stream(raw))
-            yield from iter_pcap_buffered(reader)
+            yield from iter_pcap_blocks(reader)
             # the parser consumed the stream to EOF, so the digest covers
             # the complete uncompressed chunk content — record headers
             # included, which is why no separate record count is kept
@@ -120,7 +125,7 @@ class CorpusSource:
                 )
             self.chunks_verified += 1
 
-    def _raw(self) -> Iterator[Packet]:
+    def _blocks(self) -> Iterator[FrameBlock]:
         registry = obs.registry()
         counters = {
             "chunks": registry.counter(
@@ -144,6 +149,19 @@ class CorpusSource:
                 counters["packets"].inc(meta.packets)
                 if self._on_chunk is not None:
                     self._on_chunk(index, meta)
+
+    def frame_blocks(self) -> Optional[Iterator[FrameBlock]]:
+        """The corpus as frame blocks, or ``None`` when re-timed.
+
+        Re-timing draws arrival gaps one packet at a time, so only the
+        recorded clock is offered as blocks.
+        """
+        if self._rate is not None:
+            return None
+        return self._blocks()
+
+    def _raw(self) -> Iterator[Packet]:
+        return block_packets(self._blocks())
 
     def __iter__(self) -> Iterator[Packet]:
         if self._rate is None:

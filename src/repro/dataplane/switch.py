@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
-import itertools
 import operator
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -50,6 +49,7 @@ import sys
 # dotted import can't name the module directly.
 _obs_state = sys.modules["repro.obs.registry"]
 from repro.obs.events import KIND_DECISION, DecisionRecord
+from repro.net.frames import FrameRows
 from repro.net.packet import Packet
 from repro.dataplane.compiled import CompiledClassifier, CompileReport
 from repro.dataplane.tables import (
@@ -267,6 +267,21 @@ def verdicts_of(result, table_names: Sequence[str]) -> VerdictBatch:
     )
 
 
+def batch_arrays(
+    packets: Sequence[Packet], offsets: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, sizes)`` of a batch: its ``(n, k)`` uint8 match keys at
+    ``offsets`` and its ``(n,)`` int64 frame lengths.
+
+    A :class:`~repro.net.frames.FrameRows` batch is read straight from
+    its frame buffers, with no packet object built.
+    """
+    if isinstance(packets, FrameRows):
+        return packets.keys(offsets), packets.sizes()
+    sizes = np.fromiter(map(len, map(_DATA, packets)), dtype=np.int64, count=len(packets))
+    return Packet.batch_keys(packets, offsets), sizes
+
+
 class Register:
     """A named integer array, as in P4 ``register<bit<64>>(size)``."""
 
@@ -399,7 +414,9 @@ class _PacketStamps:
         self._packets = packets
 
     def take(self, rows: List[int]) -> List[float]:
-        return list(map(_TIMESTAMP, map(self._packets.__getitem__, rows)))
+        if len(rows) == 1:
+            return [self._packets[rows[0]].timestamp]
+        return list(map(_TIMESTAMP, operator.itemgetter(*rows)(self._packets)))
 
 
 class _RecordedRows:
@@ -651,6 +668,10 @@ class Switch:
         identical to running :meth:`process` packet by packet; the
         verdicts come back columnar, as a :class:`VerdictBatch`.
 
+        ``packets`` may be a :class:`~repro.net.frames.FrameRows`: keys
+        and sizes are then gathered straight from the frame buffers,
+        and no packet object is built.
+
         Args:
             seqs: per-packet sequence numbers for decision records
                 (defaults to the switch's running counter).
@@ -659,11 +680,14 @@ class Switch:
         n = len(packets)
         if n == 0:
             return VerdictBatch.empty(self._pipeline_names())
-        sizes = np.fromiter(map(len, map(_DATA, packets)), dtype=np.int64, count=n)
-        keys = Packet.batch_keys(packets, self.config.key_offsets)
+        keys, sizes = batch_arrays(packets, self.config.key_offsets)
         timestamps = None
         if self.recorder is not None:
-            timestamps = _PacketStamps(packets)
+            timestamps = (
+                packets.stamps()
+                if isinstance(packets, FrameRows)
+                else _PacketStamps(packets)
+            )
         return verdicts_of(
             self.classify_arrays(keys, sizes, timestamps=timestamps, seqs=seqs),
             self._pipeline_names(),
@@ -737,9 +761,10 @@ class Switch:
                     "classify_arrays needs timestamps when a recorder is attached"
                 )
             if seqs is None:
-                start, self._seq = self._seq, self._seq + n
-                seq_array = np.arange(start, start + n, dtype=np.int64)
-                admitted = self.recorder.admit_permit_range(start, n)
+                # Numbered here: a kept row's seq is the first plus its row.
+                first, self._seq = self._seq, self._seq + n
+                admitted = self.recorder.admit_permit_range(first, n)
+                self._record_batch(timestamps, keys, verdicts, first, admitted)
             else:
                 seq_array = (
                     np.asarray(seqs, dtype=np.int64)
@@ -747,20 +772,21 @@ class Switch:
                     else np.fromiter(seqs, dtype=np.int64, count=len(seqs))
                 )
                 admitted = self.recorder.admit_permit_mask(seq_array)
-            self._record_batch(timestamps, keys, verdicts, seq_array, admitted)
+                self._record_batch(timestamps, keys, verdicts, seq_array, admitted)
         return ClassifiedArrays(verdicts)
 
-    def _record_batch(self, timestamps, keys, verdicts, seq_array, admitted) -> None:
+    def _record_batch(self, timestamps, keys, verdicts, seqs, admitted) -> None:
         """Batch-path decision capture, record-equal to the scalar path.
 
         Admission is a pure hash of ``(recorder.seed, seq)``, so the
         vectorised ``admitted`` mask selects exactly the permits the
         scalar path's :meth:`~repro.obs.FlightRecorder.admit_permit`
-        would.
-        The recorder gets one ``(rows, i)`` row per kept record, with
-        the batch's codes as criticality; the kept rows stay numpy
-        arrays, and each :class:`DecisionRecord` is built only when the
-        ring is read.
+        would.  ``seqs`` is the batch's seq array, or the int seq of
+        its first row when the switch numbered the batch itself.
+        The recorder gets the kept rows as one :class:`_RecordedRows`
+        block, with the batch's codes as criticality; the rows stay
+        numpy arrays, and each :class:`DecisionRecord` is built only
+        when the ring is read.
         """
         recorder = self.recorder
         codes = verdicts.codes
@@ -782,18 +808,14 @@ class Switch:
                 context, tuple(self.config.key_offsets)
             )
         rows = _RecordedRows(
-            seq_array[selected],
+            selected + seqs if isinstance(seqs, int) else seqs[selected],
             stamps,
             codes,
             verdicts.table_idx[selected],
             verdicts.entries[selected],
             keys.take(selected, axis=0),
         )
-        recorder.extend_lazy(
-            (itertools.repeat(rows, count), range(count)),
-            build,
-            critical=(codes != 0).tolist(),
-        )
+        recorder.extend_lazy(([rows] * count, range(count)), build, critical=codes)
 
     def process_trace(
         self, packets: Sequence[Packet], *, batch_size: Optional[int] = None

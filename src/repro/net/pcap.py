@@ -16,6 +16,9 @@ import struct
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Union
 
+import numpy as np
+
+from repro.net.frames import FrameBlock, block_packets
 from repro.net.packet import Packet
 
 __all__ = [
@@ -24,6 +27,7 @@ __all__ = [
     "write_pcap",
     "read_pcap",
     "iter_pcap",
+    "iter_pcap_blocks",
     "iter_pcap_buffered",
     "open_pcap_stream",
     "LINKTYPE_ETHERNET",
@@ -113,43 +117,6 @@ def _too_long(captured_len: int, limit: int) -> PcapError:
     )
 
 
-def _read_exact(handle: BinaryIO, size: int) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise PcapError(f"truncated pcap: wanted {size} bytes, got {len(data)}")
-    return data
-
-
-def _iter_stream(handle: BinaryIO) -> Iterator[Packet]:
-    """Stream packets off an open binary pcap stream, one record at a time."""
-    magic_raw = handle.read(4)
-    if len(magic_raw) != 4:
-        raise PcapError("file too short for pcap global header")
-    for endian in ("<", ">"):
-        magic = struct.unpack(endian + "I", magic_raw)[0]
-        if magic in (MAGIC_MICROS, MAGIC_NANOS):
-            break
-    else:
-        raise PcapError(f"bad pcap magic {magic_raw!r}")
-    nanos = magic == MAGIC_NANOS
-    header = struct.Struct(endian + "HHiIII")
-    record = struct.Struct(endian + "IIII")
-    # version, zone, sigfigs, snaplen, linktype
-    max_record = _record_limit(header.unpack(_read_exact(handle, header.size))[4])
-    divisor = 1e9 if nanos else 1e6
-    while True:
-        raw = handle.read(record.size)
-        if not raw:
-            return
-        if len(raw) != record.size:
-            raise PcapError("truncated pcap record header")
-        seconds, fraction, captured_len, __ = record.unpack(raw)
-        if captured_len > max_record:
-            raise _too_long(captured_len, max_record)
-        data = _read_exact(handle, captured_len)
-        yield Packet(data=data, timestamp=seconds + fraction / divisor)
-
-
 class _PrefixStream:
     """A read-only stream that replays sniffed bytes before the handle.
 
@@ -193,66 +160,36 @@ def open_pcap_stream(handle: BinaryIO) -> BinaryIO:
     return stream
 
 
-def iter_pcap(source: Union[str, Path, BinaryIO]) -> Iterator[Packet]:
-    """Stream packets from a pcap file or open binary stream.
+#: Bytes of the first read after the global header.  Small, so a reader
+#: that stops early (or hits a corrupt length) has pulled little of the
+#: stream; later reads take whole blocks.
+_FIRST_READ = 64
 
-    Never materialises the capture: exactly one record is resident at a
-    time, so arbitrarily large files (and non-seekable streams such as
-    pipes — pass the open handle) can feed the serving layer in bounded
-    memory.  Gzip-compressed captures are detected by magic bytes and
-    decompressed on the fly.  A path argument is opened and closed by
-    the iterator; an already-open handle is left open for the caller.
-    Labels are not stored in pcap.
-    """
-    if hasattr(source, "read"):
-        return _iter_stream(open_pcap_stream(source))
-
-    def _from_path() -> Iterator[Packet]:
-        with open(source, "rb") as handle:
-            yield from _iter_stream(open_pcap_stream(handle))
-
-    return _from_path()
+#: Header bytes 0..12 of each record: seconds, fraction, captured length.
+_HEADER_FIELDS = np.arange(12)
 
 
-def read_pcap(source: Union[str, Path, BinaryIO]) -> List[Packet]:
-    """Read an entire pcap file into a list (see :func:`iter_pcap`)."""
-    return list(iter_pcap(source))
-
-
-# Endurance replay streams millions of records through iter_pcap-shaped
-# parsing, where per-record Python overhead (two reads, a dataclass
-# __init__ with field factories) dominates.  The buffered variant below
-# exists for that hot path: it reads fixed-size blocks (so wrappers like
-# digest readers see a handful of large reads per chunk instead of two
-# tiny ones per record) and constructs packets without re-running the
-# default factories.  Memory stays bounded by the block size.
-
-from repro.net.packet import Label as _Label
-
-_DEFAULT_LABEL = _Label()
-_PACKET_NEW = Packet.__new__
-_SETATTR = object.__setattr__
-
-
-def iter_pcap_buffered(
+def iter_pcap_blocks(
     handle: BinaryIO, *, block_size: int = 1 << 16
-) -> Iterator[Packet]:
-    """Stream packets off an open pcap stream, reading block-at-a-time.
+) -> Iterator[FrameBlock]:
+    """Stream an open pcap stream as :class:`~repro.net.frames.FrameBlock`\\ s.
 
-    Semantically :func:`iter_pcap` over an open handle (gzip sniffing
-    included), but reads ``block_size`` bytes per call instead of two
-    small reads per record — the high-throughput path for corpus
-    replay, where a read-through digest wrapper then hashes a few large
-    blocks per chunk rather than millions of 16-byte slivers.  Memory
-    is bounded by ``block_size`` plus one record; the 64 KB default
-    keeps the parse buffer resident in cache alongside the consumer's
-    working set (bigger blocks measurably slow the serving pipeline).
-    Both readers reject a record longer than the header's snaplen (or
-    :data:`MAX_RECORD_BYTES`) with :class:`PcapError` before reading it.
+    The one pcap reader: every other entry point wraps it.  Gzip is
+    sniffed and decompressed (see :func:`open_pcap_stream`).  The reader
+    pulls ``block_size`` bytes per read, after a small first read, and
+    yields the complete records of each read as one block: the read
+    buffer plus record offsets, lengths and stamps, with no
+    :class:`Packet` built.  A wrapper such as a digest reader therefore
+    sees a few large reads per file, not two small ones per record.
+    Memory is bounded by the block size plus one record; the 64 KB
+    default keeps the buffer in cache next to the consumer's working
+    set.  A record longer than the header's snaplen (or
+    :data:`MAX_RECORD_BYTES`) raises :class:`PcapError` before it is
+    read, and a truncated tail raises after the complete records before
+    it were yielded.
     """
-    stream = open_pcap_stream(handle)
-    read = stream.read
-    buffer = read(24 + block_size)
+    read = open_pcap_stream(handle).read
+    buffer = read(24 + _FIRST_READ)
     if len(buffer) < 24:
         raise PcapError("file too short for pcap global header")
     for endian in ("<", ">"):
@@ -263,40 +200,86 @@ def iter_pcap_buffered(
         raise PcapError(f"bad pcap magic {buffer[:4]!r}")
     divisor = 1e9 if magic == MAGIC_NANOS else 1e6
     max_record = _record_limit(struct.unpack_from(endian + "I", buffer, 16)[0])
-    unpack_record = struct.Struct(endian + "IIII").unpack_from
-    packet_new, setattr_, packet_cls = _PACKET_NEW, _SETATTR, Packet
-    label = _DEFAULT_LABEL
+    length_at = struct.Struct(endian + "I").unpack_from
+    fields = np.dtype(endian + "u4")
     pos = 24
-    limit = len(buffer)
     while True:
-        if pos + 16 > limit:
-            buffer = buffer[pos:] + read(block_size)
-            pos = 0
-            limit = len(buffer)
-            if limit == 0:
+        limit = len(buffer)
+        starts: List[int] = []
+        append = starts.append
+        error = None
+        while pos + 16 <= limit:
+            captured_len = length_at(buffer, pos + 8)[0]
+            if captured_len > max_record:
+                error = _too_long(captured_len, max_record)
+                break
+            end = pos + 16 + captured_len
+            if end > limit:
+                break
+            append(pos)
+            pos = end
+        if starts:
+            yield _frame_block(buffer, starts, fields, divisor)
+        if error is not None:
+            raise error
+        missing = 16 if pos + 16 > limit else 16 + captured_len
+        more = read(max(block_size, missing - (limit - pos)))
+        if not more:
+            if pos == limit:
                 return
-            if limit < 16:
+            if limit - pos < 16:
                 raise PcapError("truncated pcap record header")
-        seconds, fraction, captured_len, __ = unpack_record(buffer, pos)
-        if captured_len > max_record:
-            raise _too_long(captured_len, max_record)
-        pos += 16
-        end = pos + captured_len
-        while end > limit:
-            more = read(block_size)
-            if not more:
-                raise PcapError(
-                    f"truncated pcap: wanted {captured_len} bytes, "
-                    f"got {limit - pos}"
-                )
-            buffer = buffer[pos:] + more
-            end -= pos
-            pos = 0
-            limit = len(buffer)
-        packet = packet_new(packet_cls)
-        setattr_(packet, "data", buffer[pos:end])
-        setattr_(packet, "timestamp", seconds + fraction / divisor)
-        setattr_(packet, "label", label)
-        setattr_(packet, "meta", {})
-        yield packet
-        pos = end
+            raise PcapError(
+                f"truncated pcap: wanted {captured_len} bytes, "
+                f"got {limit - pos - 16}"
+            )
+        buffer = buffer[pos:] + more
+        pos = 0
+
+
+def _frame_block(
+    buffer: bytes, starts: List[int], fields: np.dtype, divisor: float
+) -> FrameBlock:
+    """The records at ``starts`` as one block; header fields via numpy."""
+    records = np.array(starts, dtype=np.int64)
+    view = np.frombuffer(buffer, dtype=np.uint8)
+    seconds, fraction, lengths = (
+        view[records[:, None] + _HEADER_FIELDS].view(fields).T
+    )
+    # The same float operations as ``seconds + fraction / divisor``.
+    stamps = seconds.astype(np.float64) + fraction / divisor
+    return FrameBlock(buffer, records + 16, lengths.astype(np.int64), stamps)
+
+
+def iter_pcap(source: Union[str, Path, BinaryIO]) -> Iterator[Packet]:
+    """Stream packets from a pcap file or open binary stream.
+
+    Never materialises the capture: one read block (see
+    :func:`iter_pcap_blocks`) is resident at a time, so arbitrarily
+    large files (and non-seekable streams such as pipes — pass the open
+    handle) can feed the serving layer in bounded memory.
+    Gzip-compressed captures are detected by magic bytes and
+    decompressed on the fly.  A path argument is opened and closed by
+    the iterator; an already-open handle is left open for the caller.
+    Labels are not stored in pcap.
+    """
+    if hasattr(source, "read"):
+        return block_packets(iter_pcap_blocks(source))
+
+    def _from_path() -> Iterator[Packet]:
+        with open(source, "rb") as handle:
+            yield from block_packets(iter_pcap_blocks(handle))
+
+    return _from_path()
+
+
+def read_pcap(source: Union[str, Path, BinaryIO]) -> List[Packet]:
+    """Read an entire pcap file into a list (see :func:`iter_pcap`)."""
+    return list(iter_pcap(source))
+
+
+def iter_pcap_buffered(
+    handle: BinaryIO, *, block_size: int = 1 << 16
+) -> Iterator[Packet]:
+    """:func:`iter_pcap` over an open handle, with a chosen read size."""
+    return block_packets(iter_pcap_blocks(handle, block_size=block_size))

@@ -23,13 +23,16 @@ admission mask for a whole batch in one vectorised call.
 The batch path records dozens of decisions per batch, so it hands the
 ring columns of compact rows and a builder
 (:meth:`FlightRecorder.extend_lazy`); each event is built only when the
-ring is read.
+ring is read.  The ring keeps each call's rows as one run per retention
+class, with an arrival number per row, and evicts by moving a run's
+head; rows added while the ring has room are split into the two
+classes only when an eviction or a read first needs them.  The work per
+batch therefore does not grow with the records it keeps.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import operator
 from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
@@ -71,8 +74,13 @@ class FlightRecorder:
         self.seed = int(seed) & _MASK32
         # 32-bit threshold so scalar and vector admits compare integers.
         self._threshold = int(sample_rate * (_MASK32 + 1))
-        self._permits: Deque[tuple] = collections.deque()
-        self._critical: Deque[tuple] = collections.deque()
+        # Resident records, oldest first, as runs of rows added together.
+        self._permits: Deque[_Run] = collections.deque()
+        self._critical: Deque[_Run] = collections.deque()
+        self._n_permits = self._n_critical = 0
+        # Rows added with room to spare, newest last, not yet split into
+        # the two classes: (first arrival, columns, critical, build).
+        self._unsplit: List[tuple] = []
         self._arrival = 0
         self.recorded = 0        # events accepted into the ring
         self.evicted = 0         # events pushed out by capacity pressure
@@ -162,7 +170,7 @@ class FlightRecorder:
     # -- the ring ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._permits) + len(self._critical)
+        return self._n_permits + self._n_critical
 
     def add(self, event: Event) -> bool:
         """Insert an event, evicting under capacity pressure.
@@ -171,7 +179,29 @@ class FlightRecorder:
         arriving while the ring is full of critical records is refused —
         critical records are never evicted for a permit.
         """
-        return self._insert((event, None), is_critical(event))
+        critical = is_critical(event)
+        self._split()
+        if len(self) >= self.capacity:
+            if self._n_permits:
+                self._evict(self._permits, 1)
+                self._n_permits -= 1
+            elif critical:
+                self._evict(self._critical, 1)
+                self._n_critical -= 1
+            else:
+                self.rejected_permits += 1
+                return False
+            self.evicted += 1
+        run = _Run((self._arrival,), ((event,),), (0,), None)
+        if critical:
+            self._critical.append(run)
+            self._n_critical += 1
+        else:
+            self._permits.append(run)
+            self._n_permits += 1
+        self._arrival += 1
+        self.recorded += 1
+        return True
 
     def extend(self, events) -> int:
         """Add many events; returns how many are resident afterwards."""
@@ -186,78 +216,146 @@ class FlightRecorder:
     ) -> int:
         """Add one event per row of ``columns``, built only when read.
 
-        ``columns`` are equal-length sequences; row ``i`` is the tuple
-        of their ``i``-th items, ``build(row)`` makes its event, and
-        ``critical[i]`` flags it.  Retention is exactly that of
-        :meth:`extend` over the built events, but :meth:`records`
-        builds them: the batch switch path keeps dozens of decisions
-        per batch, and most are evicted unread.
+        ``columns`` are equal-length indexable sequences; row ``i`` is
+        the tuple of their ``i``-th items, ``build(row)`` makes its
+        event, and ``critical[i]`` (any truthy value, e.g. a non-zero
+        verdict code) flags it.
+        Retention is exactly that of :meth:`extend` over the built
+        events, but :meth:`records` builds them: the batch switch path
+        keeps dozens of decisions per batch, and most are evicted
+        unread.
         """
         return self._extend(columns, build, critical)
 
-    def _extend(self, columns, build, critical: Sequence[bool]) -> int:
-        # Ring entries are (arrival, *row, build); an eagerly added
-        # event is the one-item row (event,) with build None.
+    def _extend(self, columns, build, critical) -> int:
         count = len(critical)
-        if count > self.capacity - len(self._permits) - len(self._critical):
-            insert = self._insert
-            return sum([
-                insert(row + (build,), flag)
-                for row, flag in zip(zip(*columns), critical)
-            ])
-        # Room for all: nothing is evicted, so each class just appends.
-        start = self._arrival
-        entries = list(zip(
-            range(start, start + count), *columns, itertools.repeat(build)
-        ))
-        self._critical.extend(itertools.compress(entries, critical))
-        self._permits.extend(
-            itertools.compress(entries, map(operator.not_, critical))
-        )
-        self._arrival += count
-        self.recorded += count
-        return count
+        if not count:
+            return 0
+        if count <= self.capacity - len(self):
+            # Room for all: nothing is evicted, so the rows wait, whole,
+            # until an eviction or a read needs them split by class.
+            n_critical = int(np.count_nonzero(critical))
+            self._unsplit.append((self._arrival, columns, critical, build))
+            self._n_critical += n_critical
+            self._n_permits += count - n_critical
+            self._arrival += count
+            self.recorded += count
+            return count
+        self._split()
+        flags = np.asarray(critical, dtype=bool)
+        kept, evict_permits, evict_critical = self._overflow(flags.tolist())
+        positions = np.flatnonzero(kept)
+        flags = flags[kept]
+        self._append_runs(self._arrival, columns, flags, build, positions)
+        resident = len(flags)
+        n_critical = int(np.count_nonzero(flags))
+        self._n_critical += n_critical
+        self._n_permits += resident - n_critical
+        self._arrival += resident
+        self.recorded += resident
+        self.rejected_permits += count - resident
+        self._evict(self._permits, evict_permits)
+        self._n_permits -= evict_permits
+        self._evict(self._critical, evict_critical)
+        self._n_critical -= evict_critical
+        self.evicted += evict_permits + evict_critical
+        return resident
 
-    def _insert(self, tail: tuple, critical: bool) -> bool:
-        permits = self._permits
-        if len(permits) + len(self._critical) >= self.capacity:
-            if permits:
-                permits.popleft()
-                self.evicted += 1
-            elif critical:
-                self._critical.popleft()
-                self.evicted += 1
+    def _append_runs(self, start, columns, critical, build, positions=None) -> None:
+        """Append rows ``critical`` flags as one run per class.
+
+        Row ``i`` arrived as number ``start + i`` and is row
+        ``positions[i]`` of ``columns`` (row ``i`` without positions).
+        """
+        flags = np.asarray(critical, dtype=bool)
+        for deque, rows in (
+            (self._critical, np.flatnonzero(flags)),
+            (self._permits, np.flatnonzero(~flags)),
+        ):
+            if len(rows):
+                deque.append(
+                    _Run(
+                        start + rows,
+                        columns,
+                        positions[rows] if positions is not None else rows,
+                        build,
+                    )
+                )
+
+    def _split(self) -> None:
+        """Move the unsplit rows into the two class queues."""
+        for start, columns, flags, build in self._unsplit:
+            self._append_runs(start, columns, flags, build)
+        self._unsplit.clear()
+
+    def _overflow(self, flags: List[bool]) -> Tuple[np.ndarray, int, int]:
+        """Insert ``flags`` one at a time into a ring without room for all.
+
+        Each insert into a full ring evicts the oldest permit; with none
+        resident it evicts the oldest critical record for a critical
+        one and refuses a permit.  Returns which rows were kept and how
+        many permits and critical records were evicted: since evictions
+        take the oldest first, they are the oldest of the resident
+        records followed by the kept ones.
+        """
+        permits, critical, capacity = self._n_permits, self._n_critical, self.capacity
+        kept = []
+        evict_permits = evict_critical = 0
+        for flag in flags:
+            if permits + critical >= capacity:
+                if permits:
+                    permits -= 1
+                    evict_permits += 1
+                elif flag:
+                    critical -= 1
+                    evict_critical += 1
+                else:
+                    kept.append(False)
+                    continue
+            if flag:
+                critical += 1
             else:
-                self.rejected_permits += 1
-                return False
-        (self._critical if critical else permits).append(
-            (self._arrival,) + tail
-        )
-        self._arrival += 1
-        self.recorded += 1
-        return True
+                permits += 1
+            kept.append(True)
+        return np.array(kept, dtype=bool), evict_permits, evict_critical
+
+    @staticmethod
+    def _evict(deque: Deque["_Run"], count: int) -> None:
+        while count:
+            run = deque[0]
+            taken = min(count, len(run.arrivals) - run.head)
+            run.head += taken
+            count -= taken
+            if run.head == len(run.arrivals):
+                deque.popleft()
 
     def records(self) -> List[Event]:
         """Resident events in arrival order (oldest first)."""
-        merged = sorted(
-            list(self._permits) + list(self._critical), key=operator.itemgetter(0)
-        )
-        return [
-            entry[1] if entry[-1] is None else entry[-1](entry[1:-1])
-            for entry in merged
+        self._split()
+        entries = [
+            (arrival, run, position)
+            for deque in (self._permits, self._critical)
+            for run in deque
+            for arrival, position in zip(
+                _as_list(run.arrivals[run.head :]), _as_list(run.positions[run.head :])
+            )
         ]
+        entries.sort(key=operator.itemgetter(0))
+        return [run.event(position) for __, run, position in entries]
 
     def clear(self) -> None:
         """Empty the ring (counters keep their lifetime totals)."""
         self._permits.clear()
         self._critical.clear()
+        self._unsplit.clear()
+        self._n_permits = self._n_critical = 0
 
     def stats(self) -> dict:
         """Lifetime accounting: resident/recorded/evicted/sampling counts."""
         return {
             "resident": len(self),
-            "critical": len(self._critical),
-            "permits": len(self._permits),
+            "critical": self._n_critical,
+            "permits": self._n_permits,
             "recorded": self.recorded,
             "evicted": self.evicted,
             "rejected_permits": self.rejected_permits,
@@ -267,3 +365,29 @@ class FlightRecorder:
     def dump(self, path) -> "Optional[Union[str, object]]":
         """Write resident events as JSONL (oldest first); returns the path."""
         return write_events(self.records(), path)
+
+
+def _as_list(values) -> list:
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+class _Run:
+    """Rows of one retention class added by one call, oldest first.
+
+    Row ``k`` is resident from ``head`` on; it arrived as number
+    ``arrivals[k]`` and is row ``positions[k]`` of ``columns``.
+    """
+
+    __slots__ = ("arrivals", "columns", "positions", "build", "head")
+
+    def __init__(self, arrivals, columns, positions, build):
+        self.arrivals = arrivals
+        self.columns = columns
+        self.positions = positions
+        self.build = build
+        self.head = 0
+
+    def event(self, position: int) -> Event:
+        if self.build is None:
+            return self.columns[0][position]
+        return self.build(tuple(column[position] for column in self.columns))

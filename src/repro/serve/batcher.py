@@ -16,16 +16,22 @@ Flush times are computed in stream time (packet timestamps), which
 makes the batcher wait distribution exact and deterministic: a packet's
 wait is bounded by ``max_latency`` by construction, which the p99
 assertion in the serve tests pins down.
+
+A batcher fills either with packets (:meth:`AdaptiveBatcher.add`, or
+its :meth:`~AdaptiveBatcher.lanes`) or with rows of frame blocks
+(:meth:`AdaptiveBatcher.add_rows`); the gateway uses one or the other
+for a whole run, and the triggers are the same.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.net.frames import FrameBlock, FrameRows
 from repro.net.packet import Packet
 
 __all__ = ["AdaptiveBatcher", "Batch"]
@@ -41,17 +47,20 @@ class Batch:
     """One flushed batch: packets plus their stream-time bookkeeping.
 
     Attributes:
-        packets: the batch contents, arrival order preserved.
+        packets: the batch contents, arrival order preserved: a list,
+            or a :class:`~repro.net.frames.FrameRows` whose packets are
+            built only on demand.
         indices: per-packet global sequence numbers assigned by the
-            gateway (used to place verdicts back in arrival order).
+            gateway (used to place verdicts back in arrival order); a
+            list, or an int64 array for frame rows.
         flush_time: stream time at which the batch left the batcher.
         reason: ``"full"``, ``"deadline"`` or ``"drain"``.
         timestamps: float64 arrival stamps of ``packets`` (read from
             the packets when not given).
     """
 
-    packets: List[Packet]
-    indices: List[int]
+    packets: Sequence[Packet]
+    indices: Sequence[int]
     flush_time: float
     reason: str
     timestamps: Optional[np.ndarray] = None
@@ -66,6 +75,11 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.packets)
+
+    def packet_list(self) -> List[Packet]:
+        """The batch's packets as a list (built for frame rows)."""
+        packets = self.packets
+        return packets if isinstance(packets, list) else list(packets)
 
     def waits(self) -> np.ndarray:
         """Per-packet batcher wait (flush time − arrival), seconds."""
@@ -93,16 +107,24 @@ class AdaptiveBatcher:
         self._packets: List[Packet] = []
         self._indices: List[int] = []
         self._stamps: List[float] = []
+        # Frame-block rows: (block, rows, start, stop, sequence number of
+        # block row 0), the pending row count, and the first and last
+        # pending stamps.
+        self._segments: List[Tuple[FrameBlock, np.ndarray, int, int, int]] = []
+        self._rows = 0
+        self._first = self._last = 0.0
 
     def __len__(self) -> int:
-        return len(self._packets)
+        return len(self._packets) + self._rows
 
     @property
     def deadline(self) -> float:
         """Stream time at which the pending batch must flush (inf if empty)."""
-        if not self._stamps:
-            return math.inf
-        return self._stamps[0] + self.max_latency
+        if self._stamps:
+            return self._stamps[0] + self.max_latency
+        if self._rows:
+            return self._first + self.max_latency
+        return math.inf
 
     def due(self, now: float) -> bool:
         """Whether the deadline trigger has fired by stream time ``now``."""
@@ -132,9 +154,36 @@ class AdaptiveBatcher:
             return self.flush_full()
         return None
 
+    def add_rows(
+        self, block: FrameBlock, rows: np.ndarray, start: int, stop: int, base: int
+    ) -> None:
+        """Queue ``rows[start:stop]`` of a frame block, in arrival order.
+
+        Row ``r`` gets sequence number ``base + r``.  A call that goes on
+        where the previous one stopped in the same ``rows`` extends its
+        segment.  Unlike :meth:`add` this never flushes: the caller knows
+        from the row counts where the size trigger falls and calls
+        :meth:`flush_full` there.
+        """
+        stamps = block.stamps
+        if not self._rows:
+            self._first = float(stamps[rows[start]])
+        self._last = float(stamps[rows[stop - 1]])
+        self._rows += stop - start
+        segments = self._segments
+        if segments:
+            last = segments[-1]
+            if last[1] is rows and last[3] == start:
+                segments[-1] = (block, rows, last[2], stop, base)
+                return
+        segments.append((block, rows, start, stop, base))
+
+    def _last_stamp(self) -> float:
+        return self._stamps[-1] if self._stamps else self._last
+
     def flush_full(self) -> Batch:
         """Size-trigger flush, stamped at the last arrival."""
-        return self._flush(self._stamps[-1], FLUSH_FULL)
+        return self._flush(self._last_stamp(), FLUSH_FULL)
 
     def flush_due(self, now: float) -> Optional[Batch]:
         """Flush at the deadline if it has passed (at the *deadline* time,
@@ -151,11 +200,13 @@ class AdaptiveBatcher:
         whose deadline already passed flushes at that deadline so the
         latency bound still holds.
         """
-        if not self._packets:
+        if not len(self):
             return None
-        return self._flush(min(self.deadline, max(now, self._stamps[-1])), FLUSH_DRAIN)
+        return self._flush(min(self.deadline, max(now, self._last_stamp())), FLUSH_DRAIN)
 
     def _flush(self, flush_time: float, reason: str) -> Batch:
+        if self._rows:
+            return self._flush_rows(flush_time, reason)
         batch = Batch(
             self._packets.copy(),
             self._indices.copy(),
@@ -166,4 +217,20 @@ class AdaptiveBatcher:
         self._packets.clear()
         self._indices.clear()
         self._stamps.clear()
+        return batch
+
+    def _flush_rows(self, flush_time: float, reason: str) -> Batch:
+        segments = [
+            (block, rows[start:stop], base)
+            for block, rows, start, stop, base in self._segments
+        ]
+        batch = Batch(
+            FrameRows([(block, rows) for block, rows, __ in segments]),
+            np.concatenate([rows + base for __, rows, base in segments]),
+            flush_time,
+            reason,
+            np.concatenate([block.stamps[rows] for block, rows, __ in segments]),
+        )
+        self._segments = []
+        self._rows = 0
         return batch

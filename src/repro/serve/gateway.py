@@ -10,17 +10,24 @@ directly comparable to ``replay_gateway`` — while queueing, deadlines,
 backpressure and shedding are exact, deterministic functions of the
 offered arrival process (no sleeping, no flaky timers).
 
-Per packet, and only this: check the deadline and alert clocks, hash to
-a shard (consistent flow hash — stateful tables stay per-flow correct),
-and append the packet, its sequence number and its stamp to that
-shard's adaptive batcher.  Everything else happens once per batch, on
-arrays: on a size or deadline trigger the batch moves to the shard's
-bounded queue, and the shard worker services queued batches at its
-configured ``service_rate`` (``None`` = unconstrained, the
-pure-throughput soak mode) by submitting them to an executor — inline
-or process-parallel, one interface (:mod:`repro.serve.workers`) — whose
-results one completion routine applies: latencies, verdict counts,
-recording, the retrain hook, and observability.  When a
+The loop takes one of two forms.  A source that offers frame blocks
+(``source.frame_blocks()``, e.g. a pcap or corpus replayed on its
+recorded clock) is served a block at a time: one vectorised flow hash
+per block, and the deadline, alert and size triggers found by array
+search over the block's stamps, so no packet object is built for the
+fast path.  Any other source is served per packet: check the deadline
+and alert clocks, hash to a shard (consistent flow hash — stateful
+tables stay per-flow correct), and append the packet, its sequence
+number and its stamp to that shard's adaptive batcher.  Both forms
+reproduce the same events in the same order.  Everything else happens
+once per batch, on arrays: on a size or deadline trigger the batch
+moves to the shard's bounded queue, and the shard worker services
+queued batches at its configured ``service_rate`` (``None`` =
+unconstrained, the pure-throughput soak mode) by submitting them to an
+executor — inline or process-parallel, one interface
+(:mod:`repro.serve.workers`) — whose results one completion routine
+applies: latencies, verdict counts, recording, the retrain hook, and
+observability.  When a
 queue is full the overflow is *shed* with explicit accounting — counted,
 given a policy verdict (``fail-open`` ⇒ allowed uninspected,
 ``fail-closed`` ⇒ dropped), never silently lost.  A retrain hook runs
@@ -52,7 +59,7 @@ from repro.core.rules import RuleSet
 from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
 from repro.net.packet import Packet
 from repro.serve.batcher import Batch
-from repro.serve.shard import Shard, ShardSet, flow_shard
+from repro.serve.shard import Shard, ShardSet, flow_shard, flow_shards
 from repro.serve.workers import (
     BatchResult,
     InlineExecutor,
@@ -490,7 +497,11 @@ class StreamingGateway:
             self._executor = InlineExecutor(self.shards)
         self._registry.track(self, self._run_series)  # until run() ends
         wall_start = time.perf_counter()
+        frame_blocks = getattr(source, "frame_blocks", None)
+        blocks = frame_blocks() if frame_blocks is not None else None
         try:
+            if blocks is not None:
+                return self._run_blocks(blocks, wall_start)
             return self._run_stream(source, wall_start)
         finally:
             self._registry.retire(self)
@@ -547,13 +558,100 @@ class StreamingGateway:
                     next_deadline = self._next_deadline = t + max_latency
             self._offered = offered
             self._next_alert_t = next_alert_t
-            self._last_t = t
-            self._drain(t)
-            if self.alert_engine is not None:
-                self._alerts.extend(self.alert_engine.evaluate(t))
-                self.alert_engine.finalize()
+            self._finish(t)
         wall = time.perf_counter() - wall_start
         return self._result(wall)
+
+    def _run_blocks(self, blocks, wall_start: float) -> SoakResult:
+        """The per-packet loop of :meth:`_run_stream`, a block at a time.
+
+        Within a block, rows are appended to their shards' batchers in
+        runs, cut at the next row where the per-packet loop would do
+        something else: a deadline or alert clock firing before the
+        row is appended, or the row filling a batch (size trigger) or
+        opening one (a new, possibly earlier, deadline).  A clock fires
+        at the first row whose stamp reaches it, which is the first row
+        where the running maximum of the stamps reaches it — so a
+        search over that running maximum finds it on any stamp order.
+        """
+        hash_mode = self.config.hash_mode
+        shards = self.shards.shards
+        n_shards = len(shards)
+        batchers = [shard.batcher for shard in shards]
+        max_batch, max_latency = batchers[0].max_batch, batchers[0].max_latency
+        engine = self.alert_engine
+        offered = self._offered
+        next_alert_t = self._next_alert_t
+        t = self._last_t
+        with self._registry.span("serve.soak"):
+            for block in blocks:
+                m = len(block)
+                if not m:
+                    continue
+                stamps = block.stamps
+                if self._first_t is None:
+                    self._first_t = float(stamps[0])
+                    if engine is not None:
+                        next_alert_t = self._first_t + self.alert_interval
+                if n_shards > 1:
+                    owner = flow_shards(block, n_shards, mode=hash_mode)
+                    rows = [np.flatnonzero(owner == i) for i in range(n_shards)]
+                else:
+                    rows = [np.arange(m)]
+                cursor = [0] * n_shards   # next row of rows[i] to append
+                peak = np.maximum.accumulate(stamps)
+                p = 0
+                while p < m:
+                    clock = min(self._next_deadline, next_alert_t)
+                    j = _first_reaching(stamps, peak, p, clock)
+                    # First row whose append fills or opens a batch.
+                    k = m
+                    for i in range(n_shards):
+                        pending = len(batchers[i])
+                        at = cursor[i] + (max_batch - pending if pending else 1) - 1
+                        if at < len(rows[i]) and rows[i][at] < k:
+                            k, k_shard = int(rows[i][at]), i
+                    end = j if j <= k else k + 1
+                    for i in range(n_shards):
+                        new = int(rows[i].searchsorted(end))
+                        if new > cursor[i]:
+                            batchers[i].add_rows(block, rows[i], cursor[i], new, offered)
+                            cursor[i] = new
+                    if j <= k:
+                        if j == m:
+                            break
+                        t = float(stamps[j])
+                        if t >= self._next_deadline:
+                            self._flush_due(t)
+                        if t >= next_alert_t:
+                            self._offered = offered + j  # the shed-rate denominator
+                            self._alerts.extend(engine.evaluate(t))
+                            next_alert_t = t + self.alert_interval
+                        p = j
+                        continue
+                    t = float(stamps[k])
+                    batcher = batchers[k_shard]
+                    if len(batcher) >= max_batch:
+                        self._dispatch(shards[k_shard], batcher.flush_full(), t)
+                        self._recompute_deadline()
+                    elif t + max_latency < self._next_deadline:
+                        self._next_deadline = t + max_latency
+                    p = k + 1
+                offered += m
+                t = float(stamps[-1])
+            self._offered = offered
+            self._next_alert_t = next_alert_t
+            self._finish(t)
+        wall = time.perf_counter() - wall_start
+        return self._result(wall)
+
+    def _finish(self, t: float) -> None:
+        """End of input at stream time ``t``: drain, last alert pass."""
+        self._last_t = t
+        self._drain(t)
+        if self.alert_engine is not None:
+            self._alerts.extend(self.alert_engine.evaluate(t))
+            self.alert_engine.finalize()
 
     def _flush_due(self, now: float) -> None:
         for shard in self.shards:
@@ -621,7 +719,7 @@ class StreamingGateway:
                 recorder.add(
                     DecisionRecord(
                         kind=KIND_SHED,
-                        seq=index,
+                        seq=int(index),
                         timestamp=packet.timestamp,
                         verdict=action,
                         shard=shard.index,
@@ -720,7 +818,7 @@ class StreamingGateway:
             self._obs_depth[shard.index].set(shard.queue.depth)
             self._obs_latency.observe_many(latencies)
         if self.retrain_hook is not None:
-            new_rules = self.retrain_hook(batch.packets, verdicts)
+            new_rules = self.retrain_hook(batch.packet_list(), verdicts)
             if new_rules is not None:
                 self._install(new_rules)
 
@@ -856,3 +954,18 @@ class StreamingGateway:
             ),
             worker_failures=len(self._dead),
         )
+
+
+def _first_reaching(stamps: np.ndarray, peak: np.ndarray, p: int, clock: float) -> int:
+    """First row ``>= p`` whose stamp is ``>= clock`` (``len(stamps)`` if none).
+
+    ``peak`` is the running maximum of ``stamps``.  When no row before
+    ``p`` reached the clock, the answer is where ``peak[p:]`` first
+    does; otherwise (reordered stamps) scan the rows themselves.
+    """
+    if clock == math.inf:
+        return len(stamps)
+    if p == 0 or peak[p - 1] < clock:
+        return p + int(peak[p:].searchsorted(clock))
+    hits = np.flatnonzero(stamps[p:] >= clock)
+    return p + int(hits[0]) if hits.size else len(stamps)

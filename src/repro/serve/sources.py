@@ -12,9 +12,16 @@ the serving scenarios:
   :func:`repro.datasets.generator.generate_trace`, re-timed to a
   configurable rate with tunable burstiness;
 * :class:`PcapSource` — a *streaming* pcap reader over
-  :func:`repro.net.pcap.iter_pcap`; the capture is never materialised,
-  so arbitrarily large files (or loops of a small one) feed the
-  gateway in bounded memory.
+  :func:`repro.net.pcap.iter_pcap_blocks`; the capture is never
+  materialised, so arbitrarily large files (or loops of a small one)
+  feed the gateway in bounded memory.
+
+A source may also offer ``frame_blocks()``: an iterator of
+:class:`~repro.net.frames.FrameBlock`\\ s carrying the same records and
+stamps, or ``None``.  :class:`PcapSource` (and
+:class:`~repro.corpus.CorpusSource`) offer blocks when they replay the
+recorded clock; the gateway then serves whole blocks without a
+``Packet`` per record.  Anything live or re-timed stays per packet.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.net.frames import FrameBlock, block_packets
 from repro.net.packet import Packet
 
 __all__ = ["IterableSource", "PcapSource", "SyntheticSource", "retime"]
@@ -184,11 +192,21 @@ class PcapSource:
         self._burstiness = burstiness
         self._seed = seed
 
-    def _raw(self) -> Iterator[Packet]:
-        from repro.net.pcap import iter_pcap
+    def _blocks(self) -> Iterator[FrameBlock]:
+        from repro.net.pcap import iter_pcap_blocks
 
         for __ in range(self._loop):
-            yield from iter_pcap(self.path)
+            with open(self.path, "rb") as handle:
+                yield from iter_pcap_blocks(handle)
+
+    def frame_blocks(self) -> Optional[Iterator[FrameBlock]]:
+        """The capture as frame blocks, or ``None`` when re-timed."""
+        if self._rate is not None:
+            return None
+        return self._blocks()
+
+    def _raw(self) -> Iterator[Packet]:
+        return block_packets(self._blocks())
 
     def __iter__(self) -> Iterator[Packet]:
         if self._rate is None:

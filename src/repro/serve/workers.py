@@ -52,7 +52,6 @@ import collections
 import dataclasses
 import json
 import multiprocessing as mp
-import operator
 import time
 import traceback
 from typing import Deque, Dict, List, Optional, Tuple
@@ -62,8 +61,12 @@ import numpy as np
 from repro.core.rules import RuleSet
 from repro.core.serialize import ruleset_from_dict, ruleset_to_dict
 from repro.dataplane.controller import GatewayController
-from repro.dataplane.switch import ACTION_CODES, CODE_ACTIONS, VerdictBatch
-from repro.net.packet import Packet
+from repro.dataplane.switch import (
+    ACTION_CODES,
+    CODE_ACTIONS,
+    VerdictBatch,
+    batch_arrays,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.events import event_to_dict
 from repro.serve.ipc import (
@@ -89,8 +92,6 @@ __all__ = [
 #: Poll interval for ring spin-waits, seconds.  Rings hand off through
 #: shared memory, so waits are pure back-off, not wake-ups.
 _POLL = 0.0002
-
-_DATA = operator.attrgetter("data")
 
 #: Minimum key-matrix width a frame slot is sized for, so rule swaps
 #: that widen the parser (more offsets) still fit without re-ringing.
@@ -553,15 +554,14 @@ class ProcessExecutor:
         self._sizes[shard].append(sizes)
 
     def submit_batch(self, shard: int, batch) -> None:
-        """Ship one serve :class:`~repro.serve.batcher.Batch` to its worker."""
-        packets = batch.packets
+        """Ship one serve :class:`~repro.serve.batcher.Batch` to its worker.
+
+        Keys are gathered here, with the offsets installed now, since a
+        changed-offsets swap may land while a batch is queued.
+        """
+        keys, sizes = batch_arrays(batch.packets, self.offsets)
         self.submit(
-            shard,
-            Packet.batch_keys(packets, self.offsets),
-            np.fromiter(
-                map(len, map(_DATA, packets)), dtype=np.int64, count=len(packets)
-            ),
-            batch.timestamps,
+            shard, keys, sizes, batch.timestamps,
             np.asarray(batch.indices, dtype=np.int64),
         )
 

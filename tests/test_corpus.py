@@ -160,6 +160,17 @@ class TestSource:
             direct.extend(read_pcap(small_corpus.chunk_path(meta)))
         assert [p.data for p in streamed] == [p.data for p in direct]
 
+    def test_frame_blocks_only_on_recorded_clock(self, small_corpus):
+        source = CorpusSource(small_corpus)
+        rows = [
+            (packet.data, packet.timestamp)
+            for block in source.frame_blocks()
+            for packet in block.packets()
+        ]
+        assert source.chunks_verified == 4
+        assert rows == [(p.data, p.timestamp) for p in CorpusSource(small_corpus)]
+        assert CorpusSource(small_corpus, rate=1e5).frame_blocks() is None
+
     def test_corruption_detected(self, tmp_path):
         manifest = build_corpus(small_spec(), tmp_path / "x")
         path = manifest.chunk_path(manifest.chunks[2])

@@ -69,14 +69,20 @@ def _rules(seed: int):
 
 
 class _SwapHook:
-    """Swap to a second rule set once ``at`` packets were serviced."""
+    """Swap to a second rule set once ``at`` packets were serviced.
 
-    def __init__(self, at: int):
+    With ``log`` given, every batch's packets are appended to it.
+    """
+
+    def __init__(self, at: int, log=None):
         self.at = at
         self.seen = 0
         self.pending = _rules(seed=9)
+        self.log = log
 
     def __call__(self, packets, verdicts):
+        if self.log is not None:
+            self.log.append(list(packets))
         self.seen += len(packets)
         if self.pending is not None and self.seen >= self.at:
             out, self.pending = self.pending, None
@@ -129,15 +135,32 @@ def _digest(verdicts) -> str:
     return sha.hexdigest()
 
 
-def observe(name: str, n_shards: int, executor: str) -> dict:
-    """Run one scenario; returns every golden field, JSON-ready."""
+def observe(
+    name: str,
+    n_shards: int,
+    executor: str,
+    *,
+    source=None,
+    recorder=None,
+    hook_log=None,
+) -> dict:
+    """Run one scenario; returns every golden field, JSON-ready.
+
+    ``source`` replaces the scenario's in-memory packets (the same
+    packets, served another way); ``recorder`` is attached to the
+    gateway, and ``hook_log`` collects what the swap hook receives.
+    """
     packet_kwargs, config_kwargs, swap_at = SCENARIOS[name]
     config = ServeConfig(n_shards=n_shards, executor=executor, **config_kwargs)
-    hook = _SwapHook(swap_at) if swap_at is not None else None
+    hook = _SwapHook(swap_at, hook_log) if swap_at is not None else None
+    if source is None:
+        source = IterableSource(_packets(**packet_kwargs))
     registry = obs.Registry(enabled=True)
     with obs.use_registry(registry):
-        gateway = StreamingGateway(_rules(seed=0), config, retrain_hook=hook)
-        result = gateway.run(IterableSource(_packets(**packet_kwargs)))
+        gateway = StreamingGateway(
+            _rules(seed=0), config, retrain_hook=hook, recorder=recorder
+        )
+        result = gateway.run(source)
     histograms = {}
     for hist_name in HISTOGRAMS:
         histogram = registry.histogram(hist_name)

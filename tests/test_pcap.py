@@ -10,9 +10,12 @@ from repro.net.packet import Packet
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_USER0,
+    MAGIC_MICROS,
+    MAGIC_NANOS,
     MAX_RECORD_BYTES,
     PcapError,
     iter_pcap,
+    iter_pcap_blocks,
     iter_pcap_buffered,
     read_pcap,
     write_pcap,
@@ -291,3 +294,101 @@ class TestCorruptRecordLength:
         data = self._corrupt(snaplen=1500, bad_len=1500, tail=1500)
         packets = list(self.READERS[reader](self._CountingReader(data)))
         assert [len(p.data) for p in packets] == [4, 1500]
+
+
+class TestReaderProperty:
+    """Every reader returns exactly what was written, on any block split."""
+
+    @staticmethod
+    def _file(records, *, endian, nanos, snaplen, fault):
+        """A pcap of ``records`` ((seconds, fraction, data) triples).
+
+        ``fault`` is ``None``, ``("truncate", cut)`` (drop ``cut`` bytes
+        off the last record, leaving at least one) or ``("over", extra)``
+        (the last record's length field claims ``extra`` bytes over the
+        limit).  Returns the bytes and the records a reader must yield.
+        """
+        magic = MAGIC_NANOS if nanos else MAGIC_MICROS
+        out = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, snaplen, 1)]
+        for seconds, fraction, data in records:
+            out.append(struct.pack(endian + "IIII", seconds, fraction, len(data), len(data)))
+            out.append(data)
+        good = list(records)
+        if fault is not None and records:
+            kind, amount = fault
+            good = records[:-1]
+            if kind == "truncate":
+                tail = out[-2] + out[-1]
+                del out[-2:]
+                out.append(tail[: max(1, len(tail) - amount)])
+            else:
+                limit = snaplen if 0 < snaplen <= MAX_RECORD_BYTES else MAX_RECORD_BYTES
+                seconds, fraction, data = records[-1]
+                out[-2] = struct.pack(
+                    endian + "IIII", seconds, fraction, limit + amount, limit + amount
+                )
+        return b"".join(out), good
+
+    @staticmethod
+    def _read(reader, data, block_size):
+        import io
+
+        stream = io.BytesIO(data)
+        if reader == "read_pcap":
+            yield from read_pcap(stream)
+        elif reader == "iter_pcap":
+            yield from iter_pcap(stream)
+        elif reader == "buffered":
+            yield from iter_pcap_buffered(stream, block_size=block_size)
+        else:
+            for block in iter_pcap_blocks(stream, block_size=block_size):
+                yield from block.packets()
+
+    @given(
+        st.data(),
+        st.sampled_from(["<", ">"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(16, 2048),
+        st.sampled_from([None, "truncate", "over"]),
+    )
+    def test_readers_return_what_was_written(
+        self, data, endian, nanos, compressed, block_size, fault_kind
+    ):
+        import gzip
+
+        snaplen = data.draw(st.one_of(st.integers(1, 300), st.sampled_from([0, 65535])))
+        cap = min(300, snaplen) if snaplen else 300
+        divisor = 1_000_000_000 if nanos else 1_000_000
+        payload = st.one_of(
+            st.binary(min_size=0, max_size=cap), st.binary(min_size=cap, max_size=cap)
+        )
+        records = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 2**32 - 1), st.integers(0, divisor - 1), payload
+                ),
+                max_size=30,
+            )
+        )
+        fault = None
+        if fault_kind is not None and records:
+            fault = (fault_kind, data.draw(st.integers(1, 400)))
+        blob, good = self._file(
+            records, endian=endian, nanos=nanos, snaplen=snaplen, fault=fault
+        )
+        if compressed:
+            blob = gzip.compress(blob, mtime=0)
+        expected = [(d, s + f / divisor) for s, f, d in good]
+        for reader in ("read_pcap", "iter_pcap", "buffered", "blocks"):
+            got = []
+            try:
+                for packet in self._read(reader, blob, block_size):
+                    got.append((packet.data, packet.timestamp))
+            except PcapError:
+                assert fault is not None, reader
+                if reader != "read_pcap":
+                    assert got == expected, reader
+            else:
+                assert fault is None, reader
+                assert got == expected, reader
