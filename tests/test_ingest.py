@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.harness import synthetic_firewall_ruleset
 from repro.net.frames import FrameBlock
 from repro.net.packet import Packet
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import iter_pcap_blocks, read_pcap, write_pcap
 from repro.obs import FlightRecorder
 from repro.serve import IterableSource, PcapSource, ServeConfig, StreamingGateway
 from repro.serve.shard import flow_shard, flow_shards
@@ -127,3 +127,83 @@ def test_block_keys_equal_packet_keys(payloads, offsets):
     rows = np.arange(len(payloads))
     expected = Packet.batch_keys([Packet(p) for p in payloads], offsets)
     assert block.bytes_at(rows, offsets).tolist() == expected.tolist()
+
+
+class _ClockLog:
+    """An alert engine that logs the gateway state at each evaluation."""
+
+    def __init__(self):
+        self.gateway = None
+        self.log = []
+
+    def evaluate(self, now):
+        gateway = self.gateway
+        self.log.append(
+            (now, gateway._offered, dict(gateway._flush_reasons),
+             [(s.processed, s.shed) for s in gateway.shards])
+        )
+        return []
+
+    def finalize(self):
+        pass
+
+
+class _Blocks:
+    """A capture offered as frame blocks read ``block_size`` bytes at a time."""
+
+    def __init__(self, path, block_size):
+        self.path = path
+        self.block_size = block_size
+
+    def frame_blocks(self):
+        def blocks():
+            with open(self.path, "rb") as handle:
+                yield from iter_pcap_blocks(handle, block_size=self.block_size)
+
+        return blocks()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 20_000), min_size=1, max_size=300),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 48),
+    st.sampled_from([0.0005, 0.002]),
+    st.sampled_from([None, 40_000.0]),
+    st.integers(16, 4096),
+)
+def test_any_stamp_order_serves_like_packets(
+    tmp_path_factory, stamps_us, seed, n_shards, max_batch, max_latency,
+    service_rate, block_size,
+):
+    """Arbitrary stamp orders, batch sizes, sheds and block splits."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("order") / "s.pcap"
+    write_pcap(
+        path,
+        [
+            Packet(bytes(rng.integers(0, 256, size=int(rng.integers(0, 80)), dtype=np.uint8)),
+                   timestamp=1.0 + us * 1e-6)
+            for us in stamps_us
+        ],
+    )
+    config = ServeConfig(
+        n_shards=n_shards, max_batch=max_batch, max_latency=max_latency,
+        queue_capacity=2 * max_batch, service_rate=service_rate,
+    )
+    rules = synthetic_firewall_ruleset(n_rules=4, seed=seed % 7)
+    runs = []
+    for source in (_Blocks(path, block_size), IterableSource(read_pcap(path))):
+        clocks = _ClockLog()
+        gateway = StreamingGateway(
+            rules, config, alert_engine=clocks, alert_interval=0.003
+        )
+        clocks.gateway = gateway
+        result = gateway.run(source)
+        runs.append((
+            result.verdicts, result.per_shard, result.flush_reasons,
+            result.latency_p50, result.latency_p99, result.batcher_wait_p99,
+            result.shed, result.duration, clocks.log,
+        ))
+    assert runs[0] == runs[1]
