@@ -12,7 +12,8 @@ read pass and adds one hash update per block, not per record.
 
 On the recorded clock (no ``rate``) the source also offers its frame
 blocks (:meth:`CorpusSource.frame_blocks`), which the gateway serves
-without building a packet object per record.
+without building a packet object per record.  A re-timed corpus is
+read as packets, which the gateway packs into blocks again.
 
 Re-stamping to a fresh offered load wraps the whole chained stream in
 :func:`repro.serve.retime`, which is itself a streaming generator — a

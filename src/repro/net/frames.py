@@ -7,7 +7,8 @@ int64 arrays saying where each frame starts and how long it is, and a
 float64 array of capture stamps.  Match keys, sizes and flow hashes
 come out of the buffer with numpy gathers, and a
 :class:`~repro.net.packet.Packet` is built for a row only when a caller
-asks for one.
+asks for one.  :meth:`FrameBlock.of` packs packets that already exist
+into a block, which then hands back those same objects as its rows.
 
 :class:`FrameRows` is a ``Sequence[Packet]`` over rows of one or more
 blocks, which is how a serve batch holds block rows.
@@ -16,6 +17,7 @@ blocks, which is how a serve batch holds block rows.
 from __future__ import annotations
 
 import collections.abc
+import operator
 import zlib
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -26,6 +28,8 @@ from repro.net.packet import Label, Packet
 __all__ = ["FrameBlock", "FrameRows", "block_packets", "crc32_rows"]
 
 _DEFAULT_LABEL = Label()
+_DATA = operator.attrgetter("data")
+_STAMP = operator.attrgetter("timestamp")
 _PACKET_NEW = Packet.__new__
 _SETATTR = object.__setattr__
 
@@ -75,9 +79,11 @@ class FrameBlock:
         offsets: ``(n,)`` int64 start of each frame in ``buffer``.
         lengths: ``(n,)`` int64 captured length of each frame.
         stamps: ``(n,)`` float64 capture timestamps, seconds.
+        kept: the packets the block was packed from (:meth:`of`), which
+            :meth:`packets` returns as they are; ``None`` otherwise.
     """
 
-    __slots__ = ("buffer", "offsets", "lengths", "stamps", "_view")
+    __slots__ = ("buffer", "offsets", "lengths", "stamps", "kept", "_view")
 
     def __init__(
         self,
@@ -85,12 +91,25 @@ class FrameBlock:
         offsets: np.ndarray,
         lengths: np.ndarray,
         stamps: np.ndarray,
+        kept: Optional[Sequence[Packet]] = None,
     ):
         self.buffer = buffer
         self.offsets = offsets
         self.lengths = lengths
         self.stamps = stamps
+        self.kept = kept
         self._view = np.frombuffer(buffer, dtype=np.uint8)
+
+    @classmethod
+    def of(cls, packets: Sequence[Packet]) -> "FrameBlock":
+        """``packets`` in one block whose rows are those same objects."""
+        data = list(map(_DATA, packets))
+        n = len(data)
+        lengths = np.fromiter(map(len, data), dtype=np.int64, count=n)
+        offsets = np.zeros(n, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=offsets[1:])
+        stamps = np.fromiter(map(_STAMP, packets), dtype=np.float64, count=n)
+        return cls(b"".join(data), offsets, lengths, stamps, packets)
 
     def __len__(self) -> int:
         return self.offsets.shape[0]
@@ -101,6 +120,12 @@ class FrameBlock:
 
     def packets(self, rows: Optional[np.ndarray] = None) -> Iterator[Packet]:
         """The rows (all by default) as packets, built one at a time."""
+        if self.kept is not None:
+            kept = self.kept
+            return iter(kept) if rows is None else map(kept.__getitem__, rows.tolist())
+        return self._build(rows)
+
+    def _build(self, rows: Optional[np.ndarray]) -> Iterator[Packet]:
         offsets, lengths, stamps = self.offsets, self.lengths, self.stamps
         if rows is not None:
             offsets, lengths, stamps = offsets[rows], lengths[rows], stamps[rows]

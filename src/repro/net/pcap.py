@@ -28,7 +28,6 @@ __all__ = [
     "read_pcap",
     "iter_pcap",
     "iter_pcap_blocks",
-    "iter_pcap_buffered",
     "open_pcap_stream",
     "LINKTYPE_ETHERNET",
     "LINKTYPE_USER0",
@@ -277,9 +276,3 @@ def read_pcap(source: Union[str, Path, BinaryIO]) -> List[Packet]:
     """Read an entire pcap file into a list (see :func:`iter_pcap`)."""
     return list(iter_pcap(source))
 
-
-def iter_pcap_buffered(
-    handle: BinaryIO, *, block_size: int = 1 << 16
-) -> Iterator[Packet]:
-    """:func:`iter_pcap` over an open handle, with a chosen read size."""
-    return block_packets(iter_pcap_blocks(handle, block_size=block_size))

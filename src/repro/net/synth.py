@@ -20,15 +20,14 @@ Two render backends share one spec format:
   :mod:`repro.net.protocols.inet` (batch columns are expanded back to
   per-row values first).
 
-``REPRO_FASTPATH=0`` (or the :func:`fastpath` context manager) forces
-the scalar backend; the differential test generates full traces both
-ways and asserts byte-identical packets, timestamps and labels.
+The :func:`fastpath` context manager forces the scalar backend; the
+differential test generates full traces both ways and asserts
+byte-identical packets, timestamps and labels.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from functools import lru_cache
 from typing import Iterator, List, Sequence, Tuple, Union
 
@@ -59,7 +58,7 @@ __all__ = [
     "stamped_payloads",
 ]
 
-_FASTPATH = os.environ.get("REPRO_FASTPATH", "1") != "0"
+_FASTPATH = True
 
 
 def fastpath_enabled() -> bool:

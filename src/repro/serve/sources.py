@@ -21,7 +21,9 @@ A source may also offer ``frame_blocks()``: an iterator of
 stamps, or ``None``.  :class:`PcapSource` (and
 :class:`~repro.corpus.CorpusSource`) offer blocks when they replay the
 recorded clock; the gateway then serves whole blocks without a
-``Packet`` per record.  Anything live or re-timed stays per packet.
+``Packet`` per record.  The gateway packs any other source, live or
+re-timed, into blocks as it reads it, never reading past a packet that
+triggers work.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.frames import block_packets
 from repro.net.packet import Packet
 from repro.net.pcap import (
     LINKTYPE_ETHERNET,
@@ -16,7 +17,6 @@ from repro.net.pcap import (
     PcapError,
     iter_pcap,
     iter_pcap_blocks,
-    iter_pcap_buffered,
     read_pcap,
     write_pcap,
 )
@@ -263,7 +263,7 @@ class TestCorruptRecordLength:
 
     READERS = {
         "iter_pcap": lambda stream: iter_pcap(stream),
-        "buffered": lambda stream: iter_pcap_buffered(stream, block_size=4096),
+        "buffered": lambda stream: block_packets(iter_pcap_blocks(stream, block_size=4096)),
     }
 
     @pytest.mark.parametrize("reader", sorted(READERS))
@@ -338,11 +338,8 @@ class TestReaderProperty:
             yield from read_pcap(stream)
         elif reader == "iter_pcap":
             yield from iter_pcap(stream)
-        elif reader == "buffered":
-            yield from iter_pcap_buffered(stream, block_size=block_size)
         else:
-            for block in iter_pcap_blocks(stream, block_size=block_size):
-                yield from block.packets()
+            yield from block_packets(iter_pcap_blocks(stream, block_size=block_size))
 
     @given(
         st.data(),
@@ -380,7 +377,7 @@ class TestReaderProperty:
         if compressed:
             blob = gzip.compress(blob, mtime=0)
         expected = [(d, s + f / divisor) for s, f, d in good]
-        for reader in ("read_pcap", "iter_pcap", "buffered", "blocks"):
+        for reader in ("read_pcap", "iter_pcap", "blocks"):
             got = []
             try:
                 for packet in self._read(reader, blob, block_size):

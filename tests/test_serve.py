@@ -21,6 +21,7 @@ import pytest
 from repro.core.rules import ACTION_DROP, MatchField, Rule, RuleSet
 from repro.dataplane.switch import SwitchStats
 from repro.eval.harness import replay_gateway, synthetic_firewall_ruleset
+from repro.net.frames import FrameBlock
 from repro.net.packet import Packet
 from repro.serve import (
     FAIL_CLOSED,
@@ -85,27 +86,40 @@ class TestAdaptiveBatcher:
         assert max(batch.waits()) <= 0.005 + 1e-12
         assert batcher.drain(2.0) is None  # now empty
 
-    def test_lanes_fill_the_same_batch_as_add(self):
-        via_add = AdaptiveBatcher(max_batch=3, max_latency=1.0)
-        via_lanes = AdaptiveBatcher(max_batch=3, max_latency=1.0)
-        pending, add_packet, add_index, add_stamp = via_lanes.lanes()
+    def test_add_flushes_like_add_rows(self):
         packets = [_packet(0.5), _packet(0.2), _packet(0.9)]  # reordered stamps
+        via_add = AdaptiveBatcher(max_batch=3, max_latency=1.0)
+        via_rows = AdaptiveBatcher(max_batch=3, max_latency=1.0)
+        block = FrameBlock.of(packets)
+        rows = np.arange(3)
         for index, packet in enumerate(packets):
-            expected = via_add.add(packet, index)
-            add_packet(packet)
-            add_index(index)
-            add_stamp(packet.timestamp)
-            assert via_lanes.deadline == 1.5
-        got = via_lanes.flush_full()
-        assert (got.packets, got.indices, got.flush_time, got.reason) == (
-            expected.packets, expected.indices, expected.flush_time, expected.reason
+            expected = via_add.add(packet, 7 + index)
+            via_rows.add_rows(block, rows, index, index + 1, 7)
+            assert via_rows.deadline == 1.5
+            assert expected is not None or via_add.deadline == 1.5
+        assert len(via_add) == 0 and len(via_rows) == 3
+        got = via_rows.flush_full()
+        assert (got.indices, got.flush_time, got.reason) == (
+            expected.indices, expected.flush_time, expected.reason
         )
-        assert got.timestamps.tolist() == [0.5, 0.2, 0.9]
+        assert got.indices == [7, 8, 9]
+        assert got.timestamps.tolist() == expected.timestamps.tolist() == [0.5, 0.2, 0.9]
         assert got.waits().tolist() == expected.waits().tolist()
-        # The lanes stay bound to the (cleared) batcher after a flush.
-        assert len(via_lanes) == 0 and pending == []
-        add_packet(packets[0])
-        assert len(via_lanes) == 1
+        assert got.packet_list() == expected.packet_list() == packets
+        # Deadline and drain flushes agree too.
+        via_add.add(packets[1], 0)
+        via_rows.add_rows(block, rows, 1, 2, -1)
+        first, second = via_add.flush_due(2.0), via_rows.flush_due(2.0)
+        assert (first.indices, first.flush_time, first.reason) == (
+            second.indices, second.flush_time, second.reason
+        ) == ([0], 1.2, "deadline")
+        via_add.add(packets[2], 4)
+        via_rows.add_rows(block, rows, 2, 3, 2)
+        first, second = via_add.drain(1.0), via_rows.drain(1.0)
+        assert (first.indices, first.flush_time, first.reason) == (
+            second.indices, second.flush_time, second.reason
+        ) == ([4], 1.0, "drain")
+        assert len(via_add) == len(via_rows) == 0
 
     def test_empty_deadline_is_inf(self):
         batcher = AdaptiveBatcher()
