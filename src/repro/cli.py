@@ -382,9 +382,8 @@ def cmd_serve(args) -> int:
             burstiness=args.burstiness,
             seed=args.seed,
         )
-    n_shards = args.workers if args.workers is not None else args.shards
     config = ServeConfig(
-        n_shards=n_shards,
+        n_shards=args.shards,
         max_batch=args.max_batch,
         max_latency=args.max_latency_ms / 1000.0,
         queue_capacity=args.queue_capacity,
@@ -611,11 +610,8 @@ def cmd_corpus(args) -> int:
                 from repro.eval.harness import synthetic_firewall_ruleset
 
                 rules = synthetic_firewall_ruleset(seed=args.seed)
-            n_shards = (
-                args.workers if args.workers is not None else args.shards
-            )
             config = ServeConfig(
-                n_shards=n_shards,
+                n_shards=args.shards,
                 max_batch=args.max_batch,
                 max_latency=args.max_latency_ms / 1000.0,
                 queue_capacity=args.queue_capacity,
@@ -859,13 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="inline",
         help="classification backend: in-process (default) or one worker "
         "process per shard over shared-memory frame rings",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker/shard count; overrides --shards (pairs with "
-        "--executor process)",
     )
     serve.add_argument(
         "--ring-slots",
@@ -1149,13 +1138,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     creplay.add_argument(
         "--shards", type=int, default=1, help="switch workers (default 1)"
-    )
-    creplay.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker/shard count; overrides --shards (pairs with "
-        "--executor process)",
     )
     creplay.add_argument(
         "--executor",

@@ -163,6 +163,9 @@ class RuleSet:
             matches must use only these offsets.
         rules: initial rules.
         default_action: applied when no rule matches.
+
+    Raises:
+        ValueError: on an unknown default action or a negative offset.
     """
 
     def __init__(
@@ -175,6 +178,8 @@ class RuleSet:
         if default_action not in KNOWN_ACTIONS:
             raise ValueError(f"unknown default action {default_action!r}")
         self.offsets: Tuple[int, ...] = tuple(offsets)
+        if any(offset < 0 for offset in self.offsets):
+            raise ValueError(f"negative byte offset in {self.offsets}")
         self.default_action = default_action
         self.rules: List[Rule] = []
         for rule in rules:

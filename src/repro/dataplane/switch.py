@@ -14,8 +14,9 @@ Two data paths share these semantics:
 
 * :meth:`Switch.process` — the scalar reference path, one packet at a
   time through the pipeline;
-* :meth:`Switch.process_batch` — extracts every match key in one pass
-  and classifies each table through its compiled per-byte LUT bitmaps
+* :meth:`Switch.process_batch` — reads every match key in one pass
+  through :class:`~repro.net.frames.FrameRows` and classifies each
+  table through its compiled per-byte LUT bitmaps
   (:mod:`repro.dataplane.compiled`), decided-packet masking preserving
   the scalar path's first-table-wins semantics bit for bit.
 
@@ -36,7 +37,7 @@ import collections.abc
 import dataclasses
 import operator
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,8 +85,6 @@ ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
 _DROP, _QUARANTINE = ACTION_CODES["drop"], ACTION_CODES["quarantine"]
 #: Code of a table action that does not end the pipeline.
 _NOT_TERMINAL = 255
-_DATA = operator.attrgetter("data")
-_TIMESTAMP = operator.attrgetter("timestamp")
 
 
 @dataclasses.dataclass
@@ -104,6 +103,8 @@ class SwitchConfig:
     def __post_init__(self) -> None:
         if not self.key_offsets:
             raise ValueError("key_offsets must be non-empty")
+        if min(self.key_offsets) < 0:
+            raise ValueError(f"negative key offset {min(self.key_offsets)}")
         if len(set(self.key_offsets)) != len(self.key_offsets):
             raise ValueError("key_offsets must be unique")
 
@@ -267,21 +268,6 @@ def verdicts_of(result, table_names: Sequence[str]) -> VerdictBatch:
     )
 
 
-def batch_arrays(
-    packets: Sequence[Packet], offsets: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(keys, sizes)`` of a batch: its ``(n, k)`` uint8 match keys at
-    ``offsets`` and its ``(n,)`` int64 frame lengths.
-
-    A :class:`~repro.net.frames.FrameRows` batch is read straight from
-    its frame buffers, with no packet object built.
-    """
-    if isinstance(packets, FrameRows):
-        return packets.keys(offsets), packets.sizes()
-    sizes = np.fromiter(map(len, map(_DATA, packets)), dtype=np.int64, count=len(packets))
-    return Packet.batch_keys(packets, offsets), sizes
-
-
 class Register:
     """A named integer array, as in P4 ``register<bit<64>>(size)``."""
 
@@ -399,24 +385,6 @@ _SWITCH_SERIES = (
         for verdict, __, bytes_ in _VERDICT_FIELDS
     ),
 )
-
-
-class _PacketStamps:
-    """``stamps.take(rows)`` reads those packets' timestamps on demand.
-
-    Decision records are kept for a few percent of a batch, so the
-    batch path reads just those packets' timestamps.
-    """
-
-    __slots__ = ("_packets",)
-
-    def __init__(self, packets: Sequence[Packet]):
-        self._packets = packets
-
-    def take(self, rows: List[int]) -> List[float]:
-        if len(rows) == 1:
-            return [self._packets[rows[0]].timestamp]
-        return list(map(_TIMESTAMP, operator.itemgetter(*rows)(self._packets)))
 
 
 class _RecordedRows:
@@ -668,37 +636,29 @@ class Switch:
         identical to running :meth:`process` packet by packet; the
         verdicts come back columnar, as a :class:`VerdictBatch`.
 
-        ``packets`` may be a :class:`~repro.net.frames.FrameRows`: keys
-        and sizes are then gathered straight from the frame buffers,
-        and no packet object is built.
+        A plain packet sequence is packed once into a frame block
+        (:meth:`~repro.net.frames.FrameRows.of`); keys, sizes and stamps
+        are read through :class:`~repro.net.frames.FrameRows`, as for a
+        serve batch, with no packet object built.
 
         Args:
             seqs: per-packet sequence numbers for decision records
                 (defaults to the switch's running counter).
         """
         self._sync_obs()
-        n = len(packets)
-        if n == 0:
+        if not len(packets):
             return VerdictBatch.empty(self._pipeline_names())
-        keys, sizes = batch_arrays(packets, self.config.key_offsets)
-        timestamps = None
-        if self.recorder is not None:
-            timestamps = (
-                packets.stamps()
-                if isinstance(packets, FrameRows)
-                else _PacketStamps(packets)
-            )
-        return verdicts_of(
-            self.classify_arrays(keys, sizes, timestamps=timestamps, seqs=seqs),
-            self._pipeline_names(),
-        )
+        rows = FrameRows.of(packets)
+        keys = rows.keys(self.config.key_offsets)
+        result = self.classify_arrays(keys, rows.sizes(), stamps_of=rows.stamps, seqs=seqs)
+        return verdicts_of(result, self._pipeline_names())
 
     def classify_arrays(
         self,
         keys: np.ndarray,
         sizes: np.ndarray,
         *,
-        timestamps: Optional[Sequence[float]] = None,
+        stamps_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         seqs: Optional[Sequence[int]] = None,
     ) -> "ClassifiedArrays":
         """Classify a pre-extracted ``(n, key_width)`` key matrix.
@@ -713,9 +673,10 @@ class Switch:
         :class:`VerdictBatch` the serve path uses.
 
         Args:
-            timestamps: per-packet stream timestamps indexed by row,
-                required only when a recorder is attached (stamped on
-                records; only the recorded rows are read).
+            stamps_of: maps the sorted rows a recorder keeps to their
+                float64 stream timestamps (an array's ``take``, or
+                :meth:`~repro.net.frames.FrameRows.stamps`); required
+                only when a recorder is attached.
             seqs: per-packet sequence numbers for decision records
                 (defaults to the switch's running counter).
         """
@@ -756,15 +717,15 @@ class Switch:
             self._obs_batch_seconds.observe(time.perf_counter() - start_time)
         verdicts = VerdictBatch(codes, table_idx, entries, self._pipeline_names())
         if self.recorder is not None:
-            if timestamps is None:
+            if stamps_of is None:
                 raise ValueError(
-                    "classify_arrays needs timestamps when a recorder is attached"
+                    "classify_arrays needs stamps_of when a recorder is attached"
                 )
             if seqs is None:
                 # Numbered here: a kept row's seq is the first plus its row.
                 first, self._seq = self._seq, self._seq + n
                 admitted = self.recorder.admit_permit_range(first, n)
-                self._record_batch(timestamps, keys, verdicts, first, admitted)
+                self._record_batch(stamps_of, keys, verdicts, first, admitted)
             else:
                 seq_array = (
                     np.asarray(seqs, dtype=np.int64)
@@ -772,10 +733,10 @@ class Switch:
                     else np.fromiter(seqs, dtype=np.int64, count=len(seqs))
                 )
                 admitted = self.recorder.admit_permit_mask(seq_array)
-                self._record_batch(timestamps, keys, verdicts, seq_array, admitted)
+                self._record_batch(stamps_of, keys, verdicts, seq_array, admitted)
         return ClassifiedArrays(verdicts)
 
-    def _record_batch(self, timestamps, keys, verdicts, seqs, admitted) -> None:
+    def _record_batch(self, stamps_of, keys, verdicts, seqs, admitted) -> None:
         """Batch-path decision capture, record-equal to the scalar path.
 
         Admission is a pure hash of ``(recorder.seed, seq)``, so the
@@ -796,10 +757,7 @@ class Switch:
         recorder.note_sampled_out(len(codes) - count)
         if not count:
             return
-        if isinstance(timestamps, _PacketStamps):
-            stamps = timestamps.take(selected.tolist())
-        else:
-            stamps = np.asarray(timestamps, dtype=np.float64)[selected]
+        stamps = stamps_of(selected)
         codes = codes[selected]
         build = self._decision_rows
         context = (self.recorder_shard, self.recorder_tenant, self._pipeline_names())

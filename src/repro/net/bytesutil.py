@@ -8,12 +8,11 @@ serialisers (:mod:`repro.net.protocols`) short and uniform.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 __all__ = [
-    "batch_bytes_at",
     "int_to_bytes",
     "bytes_to_int",
     "get_bits",
@@ -30,33 +29,6 @@ __all__ = [
     "ipv4_to_bytes",
     "bytes_to_ipv4",
 ]
-
-
-def batch_bytes_at(
-    payloads: Sequence[bytes], offsets: Sequence[int]
-) -> np.ndarray:
-    """Byte values at ``offsets`` for every payload, as ``(n, k)`` uint8.
-
-    The vectorised counterpart of :meth:`repro.net.packet.Packet.bytes_at`:
-    offsets past the end of a short payload read 0 (the zero-initialised
-    header convention the P4 parser and the feature extractor share).
-
-    Raises:
-        IndexError: if any offset is negative (matching ``byte_at``).
-    """
-    offsets = tuple(int(o) for o in offsets)
-    if not offsets:
-        raise ValueError("offsets must be non-empty")
-    for offset in offsets:
-        if offset < 0:
-            raise IndexError(f"negative offset {offset}")
-    if not len(payloads):
-        return np.zeros((0, len(offsets)), dtype=np.uint8)
-    width = max(offsets) + 1
-    # One contiguous zero-padded buffer: ljust pads short payloads in C.
-    padded = b"".join(p[:width].ljust(width, b"\x00") for p in payloads)
-    matrix = np.frombuffer(padded, dtype=np.uint8).reshape(len(payloads), width)
-    return matrix[:, list(offsets)]
 
 
 def int_to_bytes(value: int, length: int, byteorder: str = "big") -> bytes:

@@ -87,12 +87,17 @@ class Packet:
         """Match keys for a whole trace as one ``(n, k)`` uint8 matrix.
 
         Row ``i`` equals ``packets[i].bytes_at(offsets)`` — including the
-        zero-fill past the end of short packets — extracted in one
-        vectorised pass for the switch's batch data path.
-        """
-        from repro.net.bytesutil import batch_bytes_at
+        zero-fill past the end of short packets — read through
+        :meth:`repro.net.frames.FrameBlock.bytes_at`, the batch data
+        path's key extractor.
 
-        return batch_bytes_at([p.data for p in packets], offsets)
+        Raises:
+            ValueError: if ``offsets`` is empty.
+            IndexError: if any offset is negative.
+        """
+        from repro.net.frames import FrameRows
+
+        return FrameRows.of(packets).keys(offsets)
 
     def with_label(self, category: str, device: str = "") -> "Packet":
         """Copy of this packet with a new ground-truth label."""

@@ -85,6 +85,9 @@ FAIL_CLOSED = "fail-closed"  # shed traffic is dropped (security)
 #: :class:`~repro.dataplane.switch.VerdictBatch` (a ``Sequence[Verdict]``).
 RetrainHook = Callable[[List[Packet], VerdictBatch], Optional[RuleSet]]
 
+#: A frame block and the shard of each of its rows (``None``: not hashed yet).
+Routed = Tuple[FrameBlock, Optional[np.ndarray]]
+
 
 @dataclasses.dataclass
 class ServeConfig:
@@ -500,10 +503,13 @@ class StreamingGateway:
         wall_start = time.perf_counter()
         frame_blocks = getattr(source, "frame_blocks", None)
         blocks = frame_blocks() if frame_blocks is not None else None
+        routed = (
+            self._pack(source)
+            if blocks is None
+            else ((block, None) for block in blocks)
+        )
         try:
-            return self._run_blocks(
-                self._pack(source) if blocks is None else blocks, wall_start
-            )
+            return self._run_blocks(routed, wall_start)
         finally:
             self._registry.retire(self)
             if self._remote:
@@ -511,24 +517,26 @@ class StreamingGateway:
             self._executor.close()
             self._executor = None
 
-    def _pack(self, packets: Iterable[Packet]) -> Iterator[FrameBlock]:
-        """Pack a packet stream into frame blocks, reading nothing ahead.
+    def _pack(self, packets: Iterable[Packet]) -> Iterator[Routed]:
+        """Pack a packet stream into routed frame blocks, reading nothing ahead.
 
         A block ends at the first packet that may trigger work: one
         whose stamp reaches the next batcher deadline, the next alert
         time, or the deadline of a batch the block itself opens (no
         earlier than its first stamp + ``max_latency``); or the packet
         that fills a batcher, which is why each packet is routed here
-        when there are several shards (the block loop hashes the block
-        again, vectorised).  The
-        gateway serves each block before this reads on, so the source
-        is pulled no further than a packet-at-a-time loop would pull it.
+        when there are several shards.  Each block comes with the shard
+        of every row (``None`` on one shard), so a packet is hashed
+        once.  The gateway serves each block before this reads on, so
+        the source is pulled no further than a packet-at-a-time loop
+        would pull it.
         """
         batchers = [shard.batcher for shard in self.shards]
         n_shards = len(batchers)
         hash_mode = self.config.hash_mode
         max_batch, max_latency = batchers[0].max_batch, batchers[0].max_latency
         block: List[Packet] = []
+        owners: List[int] = []
         for packet in packets:
             t = packet.timestamp
             if not block:
@@ -538,19 +546,29 @@ class StreamingGateway:
                 limit = min(self._next_deadline, alert, t + max_latency)
                 pending = [len(batcher) for batcher in batchers]
             block.append(packet)
-            i = flow_shard(packet, n_shards, mode=hash_mode) if n_shards > 1 else 0
+            if n_shards > 1:
+                i = flow_shard(packet, n_shards, mode=hash_mode)
+                owners.append(i)
+            else:
+                i = 0
             pending[i] += 1
             if t >= limit or pending[i] >= max_batch:
-                yield FrameBlock.of(block)
-                block = []
+                yield self._routed(block, owners)
+                block, owners = [], []
         if block:
-            yield FrameBlock.of(block)
+            yield self._routed(block, owners)
 
-    def _run_blocks(self, blocks: Iterable[FrameBlock], wall_start: float) -> SoakResult:
+    @staticmethod
+    def _routed(block: List[Packet], owners: List[int]) -> Routed:
+        return FrameBlock.of(block), np.array(owners, dtype=np.int64) if owners else None
+
+    def _run_blocks(self, routed: Iterable[Routed], wall_start: float) -> SoakResult:
         """Serve frame blocks: the event loop.
 
-        Within a block, rows are appended to their shards' batchers in
-        runs, cut at the next row that does something else: a deadline
+        ``routed`` yields each block with its rows' shards, or ``None``
+        where they are not known yet (see :data:`Routed`).  Within a
+        block, rows are appended to their shards' batchers in runs, cut
+        at the next row that does something else: a deadline
         or alert clock firing before the row is appended, or the row
         filling a batch (size trigger) or opening one (a new, possibly
         earlier, deadline).  A clock fires at the first row whose stamp
@@ -567,7 +585,7 @@ class StreamingGateway:
         offered = self._offered
         t = self._last_t
         with self._registry.span("serve.soak"):
-            for block in blocks:
+            for block, owner in routed:
                 m = len(block)
                 if not m:
                     continue
@@ -577,7 +595,8 @@ class StreamingGateway:
                     if engine is not None:
                         self._next_alert_t = self._first_t + self.alert_interval
                 if n_shards > 1:
-                    owner = flow_shards(block, n_shards, mode=hash_mode)
+                    if owner is None:
+                        owner = flow_shards(block, n_shards, mode=hash_mode)
                     rows = [np.flatnonzero(owner == i) for i in range(n_shards)]
                 else:
                     rows = [np.arange(m)]
@@ -676,39 +695,45 @@ class StreamingGateway:
         self._service(shard, now)
         admitted, shed = shard.queue.offer(batch)
         if shed:
-            self._shed(shard, shard.queue.shed_tail(batch, shed))
+            self._shed(shard, [shard.queue.shed_tail(batch, shed)])
         if self._obs_on:
             self._obs_depth[shard.index].set(shard.queue.depth)
         self._service(shard, now)
 
-    def _shed(self, shard: Shard, refused, *, action: Optional[str] = None) -> None:
-        """Explicit drop accounting for packets the queue refused.
+    def _shed(
+        self, shard: Shard, refused: Sequence[Batch], *, action: Optional[str] = None
+    ) -> None:
+        """Explicit drop accounting for the rows of batches the queue refused.
 
         Args:
             action: override the policy verdict — worker-death handling
                 always fails closed (``"drop"``) regardless of policy.
         """
+        indices = [index for batch in refused for index in batch.indices]
+        if not indices:
+            return
         if action is None:
             action = "allow" if self.config.policy == FAIL_OPEN else "drop"
         if self.config.record_verdicts:
             verdict = Verdict(action, table=None, entry_id=None, tenant=self.tenant)
-            self._shed_verdicts.append(([index for __, index in refused], verdict))
+            self._shed_verdicts.append((indices, verdict))
         recorder = self.recorder
         if recorder is not None:
-            for packet, index in refused:
+            stamps = np.concatenate([batch.timestamps for batch in refused])
+            for index, stamp in zip(indices, stamps.tolist()):
                 # Shed records are critical: never sampled, never evicted
                 # before a permit — the dump holds every shed packet.
                 recorder.add(
                     DecisionRecord(
                         kind=KIND_SHED,
                         seq=int(index),
-                        timestamp=packet.timestamp,
+                        timestamp=stamp,
                         verdict=action,
                         shard=shard.index,
                         tenant=self.tenant,
                     )
                 )
-        shard.shed += len(refused)
+        shard.shed += len(indices)
 
     def _service(self, shard: Shard, now: float) -> None:
         """Run the shard worker forward to stream time ``now``.
@@ -847,11 +872,7 @@ class StreamingGateway:
         queue = shard.queue
         while queue.depth:
             owed.append(queue.pop())
-        self._shed(
-            shard,
-            [pair for batch in owed for pair in zip(batch.packets, batch.indices)],
-            action="drop",
-        )
+        self._shed(shard, owed, action="drop")
         self._obs_parallel_workers.set(len(self.shards) - len(self._dead))
         self._obs_depth[shard.index].set(0)
 
@@ -860,10 +881,8 @@ class StreamingGateway:
         refused = []
         queue = shard.queue
         while queue.depth:
-            batch = queue.pop()
-            refused.extend(zip(batch.packets, batch.indices))
-        if refused:
-            self._shed(shard, refused, action="drop")
+            refused.append(queue.pop())
+        self._shed(shard, refused, action="drop")
 
     # -- results -------------------------------------------------------------
 

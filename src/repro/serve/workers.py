@@ -65,7 +65,6 @@ from repro.dataplane.switch import (
     ACTION_CODES,
     CODE_ACTIONS,
     VerdictBatch,
-    batch_arrays,
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.events import event_to_dict
@@ -202,7 +201,7 @@ class _ShardWorker:
     def classify(self, keys, sizes, timestamps, seqs) -> VerdictBatch:
         """Classify one frame into a columnar verdict batch."""
         return self.switch.classify_arrays(
-            keys, sizes, timestamps=timestamps, seqs=seqs
+            keys, sizes, stamps_of=timestamps.take, seqs=seqs
         ).verdicts
 
     def drain_records(self) -> Tuple[bytes, int, int]:
@@ -556,12 +555,13 @@ class ProcessExecutor:
     def submit_batch(self, shard: int, batch) -> None:
         """Ship one serve :class:`~repro.serve.batcher.Batch` to its worker.
 
-        Keys are gathered here, with the offsets installed now, since a
-        changed-offsets swap may land while a batch is queued.
+        Keys are gathered here from the batch's frame rows, with the
+        offsets installed now, since a changed-offsets swap may land
+        while a batch is queued.
         """
-        keys, sizes = batch_arrays(batch.packets, self.offsets)
+        rows = batch.packets
         self.submit(
-            shard, keys, sizes, batch.timestamps,
+            shard, rows.keys(self.offsets), rows.sizes(), batch.timestamps,
             np.asarray(batch.indices, dtype=np.int64),
         )
 

@@ -11,6 +11,8 @@ hook receives, and the flight-recorder dump.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,13 +123,60 @@ def test_vectorised_hash_equals_flow_shard(payloads, n_shards):
 
 @given(
     st.lists(st.binary(min_size=0, max_size=64), min_size=1, max_size=40),
-    st.lists(st.integers(0, 80), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(0, 80), min_size=1, max_size=6),
+    st.integers(16, 256),
 )
-def test_block_keys_equal_packet_keys(payloads, offsets):
-    block = _block(payloads)
-    rows = np.arange(len(payloads))
-    expected = Packet.batch_keys([Packet(p) for p in payloads], offsets)
-    assert block.bytes_at(rows, offsets).tolist() == expected.tolist()
+def test_block_keys_equal_packet_keys(payloads, offsets, block_size):
+    """The one vectorised key extractor against the scalar oracle, row
+    by row, on blocks read from a pcap and on blocks packed from packets."""
+    packets = [Packet(p, timestamp=float(i)) for i, p in enumerate(payloads)]
+    expected = [list(packet.bytes_at(tuple(offsets))) for packet in packets]
+    capture = io.BytesIO()
+    write_pcap(capture, packets)
+    capture.seek(0)
+    read = list(iter_pcap_blocks(capture, block_size=block_size))
+    for blocks in (read, [FrameBlock.of(packets)], [_block(payloads)]):
+        got = [
+            row
+            for block in blocks
+            for row in block.bytes_at(np.arange(len(block)), offsets).tolist()
+        ]
+        assert got == expected
+    assert Packet.batch_keys(packets, offsets).tolist() == expected
+
+
+@pytest.mark.parametrize("executor", ["inline", "process"])
+def test_packed_source_hashes_each_packet_once(
+    tmp_path, inet_dataset, monkeypatch, executor
+):
+    """A packed source at several shards is routed once per packet, as
+    it is packed, and the block loop reuses that routing: in ``"flow"``
+    mode each packet's 5-tuple is parsed once.  The run equals the same
+    capture served as its own frame blocks (hashed per block)."""
+    import repro.net.flow as flow
+
+    path = tmp_path / "inet.pcap"
+    n = write_pcap(path, inet_dataset.test_packets)
+    rules = synthetic_firewall_ruleset(n_rules=8, seed=1)
+    config = ServeConfig(n_shards=3, hash_mode="flow", max_batch=16, executor=executor)
+    expected = StreamingGateway(rules, config).run(PcapSource(path))
+    parse, calls = flow.key_for_packet, []
+
+    def counted(packet):
+        calls.append(1)
+        return parse(packet)
+
+    monkeypatch.setattr(flow, "key_for_packet", counted)
+    packed = StreamingGateway(rules, config).run(IterableSource(read_pcap(path)))
+    assert len(calls) == packed.offered == n
+    assert packed.verdicts == expected.verdicts
+    assert packed.per_shard == expected.per_shard
+    assert packed.stats == expected.stats
+    assert packed.offered == packed.processed + packed.shed
+    owners = [flow_shard(p, 3, mode="flow") for p in read_pcap(path)]
+    assert [s["processed"] for s in packed.per_shard] == [
+        owners.count(i) for i in range(3)
+    ]
 
 
 class _ClockLog:

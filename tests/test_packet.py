@@ -1,6 +1,9 @@
 """Tests for repro.net.packet."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.net.packet import BENIGN, Label, Packet, truncate
 
@@ -45,19 +48,42 @@ class TestPacket:
         ]
         matrix = Packet.batch_keys(packets, offsets)
         assert matrix.shape == (4, 3)
+        assert matrix.dtype == np.uint8
         for row, packet in zip(matrix, packets):
             assert tuple(int(b) for b in row) == packet.bytes_at(offsets)
 
     def test_batch_keys_short_packets_read_zero(self):
-        matrix = Packet.batch_keys([Packet(b"\xff")], (0, 10))
-        assert matrix.tolist() == [[0xFF, 0]]
+        matrix = Packet.batch_keys([Packet(b"\xff"), Packet(b"")], (0, 10))
+        assert matrix.tolist() == [[0xFF, 0], [0, 0]]
 
     def test_batch_keys_empty_trace(self):
-        assert Packet.batch_keys([], (0, 1)).shape == (0, 2)
+        matrix = Packet.batch_keys([], (0, 1))
+        assert matrix.shape == (0, 2)
+        assert matrix.dtype == np.uint8
 
     def test_batch_keys_negative_offset_raises(self):
         with pytest.raises(IndexError):
             Packet.batch_keys([Packet(b"x")], (0, -1))
+
+    def test_batch_keys_empty_offsets_raises(self):
+        with pytest.raises(ValueError):
+            Packet.batch_keys([Packet(b"x")], ())
+
+    def test_batch_keys_repeated_offsets(self):
+        matrix = Packet.batch_keys([Packet(b"\x0a\x0b")], (1, 1, 0))
+        assert matrix.tolist() == [[0x0B, 0x0B, 0x0A]]
+
+    @given(
+        st.lists(st.binary(min_size=0, max_size=64), min_size=0, max_size=20),
+        st.lists(st.integers(min_value=0, max_value=80), min_size=1, max_size=6),
+    )
+    def test_batch_keys_rows_match_bytes_at_property(self, payloads, offsets):
+        packets = [Packet(p) for p in payloads]
+        matrix = Packet.batch_keys(packets, offsets)
+        assert matrix.shape == (len(packets), len(offsets))
+        assert matrix.dtype == np.uint8
+        for row, packet in zip(matrix.tolist(), packets):
+            assert tuple(row) == packet.bytes_at(tuple(offsets))
 
     def test_with_label(self):
         packet = Packet(b"x").with_label("udp_flood", "dev-1")

@@ -472,12 +472,12 @@ class TestServeCLI:
             "--packets", "2000",
             "--rate", "100000",
             "--executor", "process",
-            "--workers", "2",
+            "--shards", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "processed" in out
-        assert "shard 1" in out  # --workers overrode the default 1 shard
+        assert "shard 1" in out  # one worker process per shard
 
 
 @pytest.mark.perf

@@ -65,6 +65,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ruleset_from_dict(data)
 
+    def test_negative_offset_file_rejected(self, tmp_path):
+        # Every key extractor refuses a negative offset, so the rule set
+        # must too, before it can be deployed or served.
+        ruleset = RuleSet((5, 0))
+        ruleset.add(Rule((MatchField(0, 1, 1),), ACTION_DROP))
+        data = ruleset_to_dict(ruleset)
+        data["offsets"] = [-1, 0]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="negative"):
+            load_ruleset(path)
+        with pytest.raises(ValueError, match="negative"):
+            RuleSet((-1, 0))
+
 
 class TestControllerUpdate:
     def test_update_computes_minimal_diff(self):

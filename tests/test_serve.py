@@ -140,6 +140,7 @@ class TestBoundedQueue:
             list(range(start_index, start_index + n)),
             0.0,
             "full",
+            np.arange(n, dtype=np.float64),
         )
 
     def test_offer_within_capacity(self):
@@ -156,7 +157,9 @@ class TestBoundedQueue:
         assert shed == 2 and len(admitted) == 2
         # the refused packets are exactly the batch tail
         refused = queue.shed_tail(batch, shed)
-        assert [idx for __, idx in refused] == [5, 6]
+        assert refused.indices == [5, 6]
+        assert refused.timestamps.tolist() == [2.0, 3.0]
+        assert refused.packet_list() == batch.packet_list()[2:]
         assert queue.dropped == 2
 
     def test_offer_when_full_refuses_everything(self):

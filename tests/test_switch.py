@@ -29,6 +29,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SwitchConfig(key_offsets=(1, 1))
 
+    def test_negative_offsets_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            SwitchConfig(key_offsets=(-1, 0))
+
 
 class TestParser:
     def test_key_extraction(self):
