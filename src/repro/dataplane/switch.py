@@ -661,28 +661,35 @@ class Switch:
         stamps_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         seqs: Optional[Sequence[int]] = None,
     ) -> "ClassifiedArrays":
-        """Classify a pre-extracted ``(n, key_width)`` key matrix.
+        """Classify a pre-extracted ``(n, key_width)`` key matrix, then
+        :meth:`account` for it.
 
-        The array core of :meth:`process_batch`, shared with the
-        process-parallel serve backend (whose workers receive key
-        matrices over shared memory, never Packet objects).  Updates
-        stats, the batch-time histogram, and — when a recorder is
-        attached — decision records exactly as :meth:`process_batch`
-        does.  Returns ``(action, table, entry_id)`` (see
+        The array core of :meth:`process_batch`.  Updates stats, the
+        batch-time histogram, and — when a recorder is attached —
+        decision records exactly as :meth:`process_batch` does.
+        Returns ``(action, table, entry_id)`` (see
         :class:`ClassifiedArrays`); its ``verdicts`` is the columnar
         :class:`VerdictBatch` the serve path uses.
 
         Args:
-            stamps_of: maps the sorted rows a recorder keeps to their
-                float64 stream timestamps (an array's ``take``, or
-                :meth:`~repro.net.frames.FrameRows.stamps`); required
-                only when a recorder is attached.
-            seqs: per-packet sequence numbers for decision records
-                (defaults to the switch's running counter).
+            stamps_of, seqs: as for :meth:`account`.
         """
         self._sync_obs()
-        n = keys.shape[0]
         start_time = time.perf_counter() if self._obs_on else 0.0
+        verdicts = self.classify_keys(keys, sizes)
+        if self._obs_on:
+            self._obs_batch_seconds.observe(time.perf_counter() - start_time)
+        self.account(verdicts, keys, sizes, stamps_of=stamps_of, seqs=seqs)
+        return ClassifiedArrays(verdicts)
+
+    def classify_keys(self, keys: np.ndarray, sizes: np.ndarray) -> VerdictBatch:
+        """Verdicts of a ``(n, key_width)`` key matrix, and nothing else.
+
+        No stats, no records: the process-parallel serve backend's
+        workers run just this, and the parent then calls
+        :meth:`account` on its own switch with the same arrays.
+        """
+        n = keys.shape[0]
         classifier = self._compiled
         classifier.refresh(self._pipeline)
         codes = np.zeros(n, dtype=np.uint8)
@@ -711,30 +718,49 @@ class Switch:
             table_idx[decided] = position
             entries[decided] = result.entry_id[terminal]
             pending = pending[~terminal]
+        return VerdictBatch(codes, table_idx, entries, self._pipeline_names())
 
-        self.stats.count_batch(codes, sizes)
-        if self._obs_on:
-            self._obs_batch_seconds.observe(time.perf_counter() - start_time)
-        verdicts = VerdictBatch(codes, table_idx, entries, self._pipeline_names())
-        if self.recorder is not None:
-            if stamps_of is None:
-                raise ValueError(
-                    "classify_arrays needs stamps_of when a recorder is attached"
-                )
-            if seqs is None:
-                # Numbered here: a kept row's seq is the first plus its row.
-                first, self._seq = self._seq, self._seq + n
-                admitted = self.recorder.admit_permit_range(first, n)
-                self._record_batch(stamps_of, keys, verdicts, first, admitted)
-            else:
-                seq_array = (
-                    np.asarray(seqs, dtype=np.int64)
-                    if isinstance(seqs, np.ndarray)
-                    else np.fromiter(seqs, dtype=np.int64, count=len(seqs))
-                )
-                admitted = self.recorder.admit_permit_mask(seq_array)
-                self._record_batch(stamps_of, keys, verdicts, seq_array, admitted)
-        return ClassifiedArrays(verdicts)
+    def account(
+        self,
+        verdicts: VerdictBatch,
+        keys: np.ndarray,
+        sizes: np.ndarray,
+        *,
+        stamps_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        seqs: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Count one classified batch and record its decisions.
+
+        The one place a batch reaches :attr:`stats` and the recorder,
+        whichever executor classified it.
+
+        Args:
+            stamps_of: maps the sorted rows a recorder keeps to their
+                float64 stream timestamps (an array's ``take``, or
+                :meth:`~repro.net.frames.FrameRows.stamps`); required
+                only when a recorder is attached.
+            seqs: per-packet sequence numbers for decision records
+                (defaults to the switch's running counter).
+        """
+        self.stats.count_batch(verdicts.codes, sizes)
+        if self.recorder is None:
+            return
+        if stamps_of is None:
+            raise ValueError("recording a batch needs stamps_of")
+        n = len(verdicts)
+        if seqs is None:
+            # Numbered here: a kept row's seq is the first plus its row.
+            first, self._seq = self._seq, self._seq + n
+            admitted = self.recorder.admit_permit_range(first, n)
+            self._record_batch(stamps_of, keys, verdicts, first, admitted)
+        else:
+            seq_array = (
+                np.asarray(seqs, dtype=np.int64)
+                if isinstance(seqs, np.ndarray)
+                else np.fromiter(seqs, dtype=np.int64, count=len(seqs))
+            )
+            admitted = self.recorder.admit_permit_mask(seq_array)
+            self._record_batch(stamps_of, keys, verdicts, seq_array, admitted)
 
     def _record_batch(self, stamps_of, keys, verdicts, seqs, admitted) -> None:
         """Batch-path decision capture, record-equal to the scalar path.

@@ -54,7 +54,6 @@ from repro.fleet.capacity import (
     TenantSpec,
 )
 from repro.net.packet import Packet
-from repro.obs.events import KIND_SHED, DecisionRecord
 from repro.serve.gateway import (
     FAIL_OPEN,
     ServeConfig,
@@ -276,16 +275,6 @@ class FleetGateway:
             help="packets no tenant's routing entry claimed",
         )
 
-    def _tenant_counter(self, name: str, tenant: str):
-        helps = {
-            "fleet_tenant_packets_total": "packets routed per tenant",
-            "fleet_shed_packets_total":
-                "packets shed because their tenant was not installed",
-        }
-        return self._registry.counter(
-            name, {"tenant": tenant}, help=helps[name]
-        )
-
     # -- tenant lifecycle ----------------------------------------------------
 
     def remove(self, name: str) -> int:
@@ -329,20 +318,15 @@ class FleetGateway:
     ) -> None:
         """Policy-verdict every packet of an unserved (sub-)stream."""
         action = self._policy_action()
-        verdict = Verdict(action, table=None, entry_id=None, tenant=tenant)
-        for seq, (index, packet) in enumerate(stream):
-            if merged is not None:
+        if merged is not None:
+            verdict = Verdict(action, table=None, entry_id=None, tenant=tenant)
+            for index, __ in stream:
                 merged[index] = verdict
-            if self.recorder is not None:
-                self.recorder.add(
-                    DecisionRecord(
-                        kind=KIND_SHED,
-                        seq=seq,
-                        timestamp=packet.timestamp,
-                        verdict=action,
-                        tenant=tenant,
-                    )
-                )
+        if self.recorder is not None:
+            self.recorder.add_sheds(
+                range(len(stream)), [packet.timestamp for __, packet in stream],
+                action, tenant=tenant,
+            )
 
     def _tenant_config(self, spec: TenantSpec) -> ServeConfig:
         return dataclasses.replace(
@@ -388,8 +372,9 @@ class FleetGateway:
                     self._shed_stream(name, stream, merged)
                     shed_tenants[name] = len(stream)
                     if self._obs_on and stream:
-                        self._tenant_counter(
-                            "fleet_shed_packets_total", name
+                        self._registry.counter(
+                            "fleet_shed_packets_total", {"tenant": name},
+                            help="packets shed because their tenant was not installed",
                         ).inc(len(stream))
                 if self.alert_engine is not None and stream:
                     alerts.extend(
@@ -454,9 +439,10 @@ class FleetGateway:
         )
         result = gateway.run(packet for _, packet in stream)
         if self._obs_on and stream:
-            self._tenant_counter("fleet_tenant_packets_total", name).inc(
-                len(stream)
-            )
+            self._registry.counter(
+                "fleet_tenant_packets_total", {"tenant": name},
+                help="packets routed per tenant",
+            ).inc(len(stream))
         if merged is not None and result.verdicts is not None:
             for (index, _), verdict in zip(stream, result.verdicts):
                 merged[index] = verdict

@@ -38,7 +38,7 @@ from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.events import Event, is_critical, write_events
+from repro.obs.events import KIND_SHED, DecisionRecord, Event, is_critical, write_events
 
 __all__ = ["FlightRecorder"]
 
@@ -227,6 +227,27 @@ class FlightRecorder:
         """
         return self._extend(columns, build, critical)
 
+    def add_sheds(
+        self,
+        seqs: Sequence[int],
+        stamps: Sequence[float],
+        verdict: str,
+        *,
+        shard: Optional[int] = None,
+        tenant: Optional[str] = None,
+    ) -> int:
+        """Add one shed record per ``(seqs[i], stamps[i])``, built when read.
+
+        A shed packet never reached a switch: its record carries the
+        policy ``verdict`` and no match fields.  Sheds are critical, so
+        they are never sampled and never evicted before a permit; the
+        ring keeps every shed packet while it has critical room.
+        """
+        return self.extend_lazy(
+            (seqs, stamps), _ShedRows(verdict, shard, tenant),
+            critical=np.ones(len(seqs), dtype=bool),
+        )
+
     def _extend(self, columns, build, critical) -> int:
         count = len(critical)
         if not count:
@@ -369,6 +390,21 @@ class FlightRecorder:
 
 def _as_list(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+class _ShedRows:
+    """Builds the shed record of one ``(seq, timestamp)`` row."""
+
+    __slots__ = ("verdict", "shard", "tenant")
+
+    def __init__(self, verdict: str, shard: Optional[int], tenant: Optional[str]):
+        self.verdict = verdict
+        self.shard = shard
+        self.tenant = tenant
+
+    def __call__(self, row) -> DecisionRecord:
+        seq, stamp = row
+        return DecisionRecord(KIND_SHED, seq, stamp, self.verdict, self.shard, self.tenant)
 
 
 class _Run:

@@ -54,7 +54,6 @@ import sys
 
 # See dataplane/switch.py: the obs package rebinds `registry` to a function.
 _obs_state = sys.modules["repro.obs.registry"]
-from repro.obs.events import KIND_SHED, DecisionRecord, event_from_dict
 from repro.core.rules import RuleSet
 from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
 from repro.net.frames import FrameBlock
@@ -441,10 +440,6 @@ class StreamingGateway:
                     field("_executor.ring_full_wait_seconds"), unit="s",
                     help="wall-clock seconds spent blocked on full frame rings",
                 ),
-                Series(
-                    "worker_records_dropped_total", field("_executor.records_dropped"),
-                    help="decision records dropped by the result-ring budget",
-                ),
             ]
         return series
 
@@ -492,7 +487,6 @@ class StreamingGateway:
                 table_capacity=config.table_capacity,
                 max_batch=config.max_batch,
                 ring_slots=config.ring_slots,
-                recorder=self.recorder,
                 start_method=config.start_method,
                 timeout=config.worker_timeout,
             )
@@ -717,22 +711,11 @@ class StreamingGateway:
         if self.config.record_verdicts:
             verdict = Verdict(action, table=None, entry_id=None, tenant=self.tenant)
             self._shed_verdicts.append((indices, verdict))
-        recorder = self.recorder
-        if recorder is not None:
+        if self.recorder is not None:
             stamps = np.concatenate([batch.timestamps for batch in refused])
-            for index, stamp in zip(indices, stamps.tolist()):
-                # Shed records are critical: never sampled, never evicted
-                # before a permit — the dump holds every shed packet.
-                recorder.add(
-                    DecisionRecord(
-                        kind=KIND_SHED,
-                        seq=int(index),
-                        timestamp=stamp,
-                        verdict=action,
-                        shard=shard.index,
-                        tenant=self.tenant,
-                    )
-                )
+            self.recorder.add_sheds(
+                indices, stamps.tolist(), action, shard=shard.index, tenant=self.tenant
+            )
         shard.shed += len(indices)
 
     def _service(self, shard: Shard, now: float) -> None:
@@ -806,21 +789,15 @@ class StreamingGateway:
         if self.config.record_verdicts:
             self._classified.append((batch.indices, verdicts))
         if self._remote:
-            # The worker's switch is in another process: count the batch
-            # on the parent's, which ShardSet.stats() and switch_* read.
-            shard.switch.stats.count_batch(verdicts.codes, result.sizes)
+            # The worker only classified: count and record the batch on
+            # the parent's shard switch, as the inline switch did itself.
+            shard.switch.account(
+                verdicts, result.keys, result.sizes,
+                stamps_of=batch.timestamps.take, seqs=batch.indices,
+            )
             if self._obs_on:
                 self._obs_worker_batches[shard.index].inc()
                 self._obs_worker_batch_seconds.observe(result.process_seconds)
-        if result.records or result.sampled_out:
-            # Workers don't know their tenant; stamp identity parent-side
-            # so process-backend records match inline bit for bit.
-            tenant = self.tenant
-            for data in result.records:
-                if tenant is not None:
-                    data["tenant"] = tenant
-                self.recorder.add(event_from_dict(data))
-            self.recorder.note_sampled_out(result.sampled_out)
         if self._obs_on:
             self._obs_depth[shard.index].set(shard.queue.depth)
             self._obs_latency.observe_many(latencies)

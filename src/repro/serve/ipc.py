@@ -15,12 +15,13 @@ Two pieces live here, both deliberately free of any serve-layer policy:
   fast path.
 
 * Frame / result block packing — the wire format for one batch.  A
-  *frame* block is the parent→worker payload (packed key-byte matrix,
-  packet sizes, stream timestamps, and packet ids); a *result* block
-  is the worker→parent payload (verdict codes, table indices, entry
-  ids, per-batch telemetry, and a bounded JSON blob of sampled
-  DecisionRecords).  All fixed-width regions are 8-byte aligned so
-  numpy views over the shared buffer are cheap and portable.
+  *frame* block is the parent→worker payload (packed key-byte matrix
+  and packet sizes); a *result* block is the worker→parent payload
+  (verdict codes, table indices, entry ids, and the batch's
+  classification time).  Workers only classify, so nothing else
+  crosses: the parent counts and records each batch itself.  All
+  fixed-width regions are 8-byte aligned so numpy views over the
+  shared buffer are cheap and portable.
 
 Ring layout (one SharedMemory segment)::
 
@@ -225,30 +226,22 @@ class ShmRing:
 #
 # Layout (offsets in bytes, n = packets, k = key width)::
 #
-#     0   int64[4]    n, k, reserved, reserved
-#     32  int64[n]    packet sizes
-#     +   float64[n]  stream timestamps
-#     +   int64[n]    packet ids (gateway sequence numbers)
+#     0   int64[2]    n, k
+#     16  int64[n]    packet sizes
 #     +   uint8[n*k]  key-byte matrix, row-major
 
-_FRAME_HEADER = 32
+_FRAME_HEADER = 16
 
 
 def frame_slot_bytes(max_batch: int, key_width: int) -> int:
     """Slot size for frames of up to ``max_batch`` x ``key_width``."""
-    return _align8(_FRAME_HEADER + max_batch * (8 + 8 + 8 + key_width))
+    return _align8(_FRAME_HEADER + max_batch * (8 + key_width))
 
 
-def pack_frame(
-    view: np.ndarray,
-    keys: np.ndarray,
-    sizes: np.ndarray,
-    timestamps: np.ndarray,
-    seqs: np.ndarray,
-) -> None:
+def pack_frame(view: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> None:
     """Pack one batch into a frame slot (no allocation beyond views)."""
     n, k = keys.shape
-    need = _FRAME_HEADER + n * (8 + 8 + 8 + k)
+    need = _FRAME_HEADER + n * (8 + k)
     if need > view.shape[0]:
         raise ValueError(
             f"frame of {n}x{k} needs {need} bytes, slot holds {view.shape[0]}"
@@ -259,17 +252,11 @@ def pack_frame(
     o = _FRAME_HEADER
     view[o : o + 8 * n].view(np.int64)[:] = sizes
     o += 8 * n
-    view[o : o + 8 * n].view(np.float64)[:] = timestamps
-    o += 8 * n
-    view[o : o + 8 * n].view(np.int64)[:] = seqs
-    o += 8 * n
     view[o : o + n * k] = keys.reshape(-1)
 
 
-def unpack_frame(
-    view: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Views ``(keys, sizes, timestamps, seqs)`` over a frame slot.
+def unpack_frame(view: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Views ``(keys, sizes)`` over a frame slot.
 
     Zero-copy: the arrays alias the shared slot and are valid only
     until the consumer's ``commit_read``.
@@ -279,31 +266,26 @@ def unpack_frame(
     o = _FRAME_HEADER
     sizes = view[o : o + 8 * n].view(np.int64)
     o += 8 * n
-    timestamps = view[o : o + 8 * n].view(np.float64)
-    o += 8 * n
-    seqs = view[o : o + 8 * n].view(np.int64)
-    o += 8 * n
     keys = view[o : o + n * k].reshape(n, k)
-    return keys, sizes, timestamps, seqs
+    return keys, sizes
 
 
 # -- result blocks (worker -> parent) --------------------------------------
 #
 # Layout::
 #
-#     0   int64[4]    n, sampled_out, records_len, records_dropped
-#     32  float64[2]  process_seconds, reserved
-#     48  int64[n]    entry ids (-1 = none)
+#     0   int64       n
+#     8   float64     process_seconds
+#     16  int64[n]    entry ids (-1 = none)
 #     +   int16[n]    table index into the pipeline (-1 = none)
 #     +   uint8[n]    verdict codes (0=allow 1=drop 2=quarantine)
-#     +   uint8[...]  JSON blob of sampled DecisionRecord dicts
 
-_RESULT_HEADER = 48
+_RESULT_HEADER = 16
 
 
-def result_slot_bytes(max_batch: int, record_budget: int) -> int:
+def result_slot_bytes(max_batch: int) -> int:
     """Slot size for results of up to ``max_batch`` verdicts."""
-    return _align8(_RESULT_HEADER + max_batch * (8 + 2 + 1) + record_budget)
+    return _align8(_RESULT_HEADER + max_batch * (8 + 2 + 1))
 
 
 def pack_result(
@@ -313,33 +295,22 @@ def pack_result(
     entries: np.ndarray,
     *,
     process_seconds: float,
-    sampled_out: int,
-    blob: bytes = b"",
-    records_dropped: int = 0,
 ) -> None:
-    """Pack one batch's verdicts + telemetry into a result slot."""
+    """Pack one batch's verdicts and classification time into a result slot."""
     n = codes.shape[0]
-    need = _RESULT_HEADER + n * (8 + 2 + 1) + len(blob)
+    need = _RESULT_HEADER + n * (8 + 2 + 1)
     if need > view.shape[0]:
         raise ValueError(
-            f"result of {n} (+{len(blob)}B records) needs {need} bytes, "
-            f"slot holds {view.shape[0]}"
+            f"result of {n} needs {need} bytes, slot holds {view.shape[0]}"
         )
-    header = view[:32].view(np.int64)
-    header[0] = n
-    header[1] = sampled_out
-    header[2] = len(blob)
-    header[3] = records_dropped
-    view[32:_RESULT_HEADER].view(np.float64)[0] = process_seconds
+    view[:8].view(np.int64)[0] = n
+    view[8:_RESULT_HEADER].view(np.float64)[0] = process_seconds
     o = _RESULT_HEADER
     view[o : o + 8 * n].view(np.int64)[:] = entries
     o += 8 * n
     view[o : o + 2 * n].view(np.int16)[:] = table_idx
     o += 2 * n
     view[o : o + n] = codes
-    o += n
-    if blob:
-        view[o : o + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
 
 
 def unpack_result(view: np.ndarray) -> dict:
@@ -348,27 +319,18 @@ def unpack_result(view: np.ndarray) -> dict:
     Copies, unlike :func:`unpack_frame`: the parent keeps results
     around after freeing the slot.
     """
-    header = view[:32].view(np.int64)
-    n = int(header[0])
-    sampled_out = int(header[1])
-    blob_len = int(header[2])
-    records_dropped = int(header[3])
-    process_seconds = float(view[32:_RESULT_HEADER].view(np.float64)[0])
+    n = int(view[:8].view(np.int64)[0])
+    process_seconds = float(view[8:_RESULT_HEADER].view(np.float64)[0])
     o = _RESULT_HEADER
     entries = view[o : o + 8 * n].view(np.int64).copy()
     o += 8 * n
     table_idx = view[o : o + 2 * n].view(np.int16).copy()
     o += 2 * n
     codes = view[o : o + n].copy()
-    o += n
-    blob = bytes(view[o : o + blob_len]) if blob_len else b""
     return {
         "n": n,
         "codes": codes,
         "table_idx": table_idx,
         "entries": entries,
         "process_seconds": process_seconds,
-        "sampled_out": sampled_out,
-        "records_blob": blob,
-        "records_dropped": records_dropped,
     }

@@ -13,22 +13,24 @@ in the event-loop process, on the shard's own switch, at submit time.
 :class:`ProcessExecutor` is the multiprocessing backend behind
 ``ServeConfig(executor="process")``.  Topology: one OS process per
 shard, each fed by its own pair of :class:`~repro.serve.ipc.ShmRing`
-rings — a *frame* ring (parent → worker: packed key-byte matrices,
-packet sizes, stream timestamps, packet ids) and a *result* ring
-(worker → parent: verdict codes, table indices, entry ids, per-batch
-telemetry and sampled DecisionRecords).  A duplex pipe per worker
-carries only rare control traffic: startup handshake, versioned rule
-swaps, shutdown, and error reports.
+rings — a *frame* ring (parent → worker: packed key-byte matrices and
+packet sizes) and a *result* ring (worker → parent: verdict codes,
+table indices, entry ids and the batch's classification time).  A
+duplex pipe per worker carries only rare control traffic: startup
+handshake, versioned rule swaps, shutdown, and error reports.
 
 Division of labour (and why verdicts stay bit-identical to inline):
 
 * The **parent** keeps every stream-time decision — batching triggers,
   bounded-queue admission and shedding, service-rate clocking, latency
   accounting.  Those are deterministic functions of the arrival
-  process in both backends.
-* The **worker** does only the classification work: it builds its
-  shard's switch from a serialized RuleSet, services its frame ring with
-  :meth:`~repro.dataplane.switch.Switch.classify_arrays` on the
+  process in both backends.  It also counts and records every batch,
+  on its own shard switch, with
+  :meth:`~repro.dataplane.switch.Switch.account`: the code the inline
+  backend runs after classifying.
+* The **worker** only classifies: it builds its shard's switch from a
+  serialized RuleSet, services its frame ring with
+  :meth:`~repro.dataplane.switch.Switch.classify_keys` on the
   shared-memory key matrix (zero-copy — the batch is classified in
   place before the slot is released), and ships verdict arrays back.
 * **Rule swaps** fan out through :meth:`ProcessExecutor.install` only
@@ -50,7 +52,6 @@ from __future__ import annotations
 import atexit
 import collections
 import dataclasses
-import json
 import multiprocessing as mp
 import time
 import traceback
@@ -66,8 +67,6 @@ from repro.dataplane.switch import (
     CODE_ACTIONS,
     VerdictBatch,
 )
-from repro.obs.flight import FlightRecorder
-from repro.obs.events import event_to_dict
 from repro.serve.ipc import (
     RingSpec,
     ShmRing,
@@ -109,60 +108,11 @@ class WorkerDiedError(RuntimeError):
 # -- worker side ------------------------------------------------------------
 
 
-class _RecorderSink:
-    """FlightRecorder stand-in for worker switches.
-
-    Implements just the recorder surface a worker's switch touches
-    (``admit_permit`` / ``admit_permit_mask`` / ``note_sampled_out`` /
-    ``add`` / ``extend_lazy``; frames always carry seqs) with the *same*
-    pure ``(seed, seq)`` admission hash as the parent's recorder — so
-    the worker samples exactly the records the inline backend would —
-    but buffers them per batch instead of keeping a ring.  Ring
-    retention/eviction happens once, in the parent's real recorder,
-    when the shipped records are re-added.
-    """
-
-    def __init__(self, sample_rate: float, seed: int):
-        self._admit = FlightRecorder(1, sample_rate=sample_rate, seed=seed)
-        self._records: List[object] = []
-        self._sampled_out = 0
-
-    def admit_permit(self, seq: int) -> bool:
-        return self._admit.admit_permit(seq)
-
-    def admit_permit_mask(self, seqs: np.ndarray) -> np.ndarray:
-        return self._admit.admit_permit_mask(seqs)
-
-    def note_sampled_out(self, count: int = 1) -> None:
-        self._sampled_out += count
-
-    def add(self, event) -> bool:
-        self._records.append(event)
-        return True
-
-    def extend_lazy(self, columns, build, critical) -> int:
-        self._records.extend(map(build, zip(*columns)))
-        return len(critical)
-
-    def drain(self) -> Tuple[List[object], int]:
-        records, self._records = self._records, []
-        sampled_out, self._sampled_out = self._sampled_out, 0
-        return records, sampled_out
-
-
 class _ShardWorker:
-    """Worker-process state: the shard's deployed switch + recorder sink."""
+    """Worker-process state: the shard's deployed switch."""
 
-    def __init__(self, shard_index: int, init: Dict):
-        self.shard = shard_index
+    def __init__(self, init: Dict):
         self.table_capacity = int(init["table_capacity"])
-        recorder_cfg = init.get("recorder")
-        self.sink = (
-            _RecorderSink(recorder_cfg["sample_rate"], recorder_cfg["seed"])
-            if recorder_cfg
-            else None
-        )
-        self.record_budget = int(init.get("record_budget", 0))
         self.rules: Optional[RuleSet] = None
         self.controller: Optional[GatewayController] = None
         self.install(init["ruleset"])
@@ -194,31 +144,10 @@ class _ShardWorker:
                 rules, table_capacity=self.table_capacity
             )
             self.controller.deploy(rules)
-        if self.sink is not None:
-            self.switch.attach_recorder(self.sink, shard=self.shard)
         self.rules = rules
-
-    def classify(self, keys, sizes, timestamps, seqs) -> VerdictBatch:
-        """Classify one frame into a columnar verdict batch."""
-        return self.switch.classify_arrays(
-            keys, sizes, stamps_of=timestamps.take, seqs=seqs
-        ).verdicts
-
-    def drain_records(self) -> Tuple[bytes, int, int]:
-        """Serialized sampled records: (blob, dropped_count, sampled_out)."""
-        if self.sink is None:
-            return b"", 0, 0
-        records, sampled_out = self.sink.drain()
-        if not records:
-            return b"", 0, sampled_out
-        blob = json.dumps([event_to_dict(r) for r in records]).encode()
-        if len(blob) > self.record_budget:
-            return b"", len(records), sampled_out
-        return blob, 0, sampled_out
 
 
 def worker_main(
-    shard_index: int,
     frame_name: str,
     result_name: str,
     frame_spec: RingSpec,
@@ -237,16 +166,14 @@ def worker_main(
     frames = ShmRing.attach(frame_name, frame_spec)
     results = ShmRing.attach(result_name, result_spec)
     try:
-        worker = _ShardWorker(shard_index, init)
+        worker = _ShardWorker(init)
         conn.send(("ready", worker.table_names))
         while True:
             view = frames.try_acquire_read()
             if view is not None:
                 start = time.perf_counter()
-                keys, sizes, timestamps, seqs = unpack_frame(view)
-                verdicts = worker.classify(keys, sizes, timestamps, seqs)
+                verdicts = worker.switch.classify_keys(*unpack_frame(view))
                 frames.commit_read()
-                blob, dropped, sampled_out = worker.drain_records()
                 out = results.try_acquire_write()
                 while out is None:
                     time.sleep(_POLL)
@@ -257,9 +184,6 @@ def worker_main(
                     verdicts.table_idx,
                     verdicts.entries,
                     process_seconds=time.perf_counter() - start,
-                    sampled_out=sampled_out,
-                    blob=blob,
-                    records_dropped=dropped,
                 )
                 results.commit_write()
                 continue
@@ -295,18 +219,17 @@ class BatchResult:
     Attributes:
         outcome: the batch's columnar verdicts.
         process_seconds: wall-clock seconds the classification took.
-        sizes: packet sizes the batch was submitted with (process
-            backend: the parent counts the batch on its switch's stats).
-        sampled_out / records: decision-record traffic a worker
-            shipped back (process backend; inline switches feed the
-            recorder directly; the executor totals records dropped).
+        keys / sizes: the key matrix and packet sizes the batch was
+            submitted with (process backend, whose workers only
+            classify: the parent counts and records the batch on its
+            own shard switch from them; ``None`` inline, where the
+            switch already did).
     """
 
     outcome: VerdictBatch
     process_seconds: float
+    keys: Optional[np.ndarray] = None
     sizes: Optional[np.ndarray] = None
-    sampled_out: int = 0
-    records: List[Dict] = dataclasses.field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.outcome)
@@ -364,8 +287,8 @@ class ProcessExecutor:
     control pipes.  The API the gateway drives:
 
     * :meth:`submit_batch` / :meth:`submit` — pack one batch (a serve
-      :class:`~repro.serve.batcher.Batch`, or its key matrix, sizes,
-      stamps and seqs) into the shard's frame ring (blocking with
+      :class:`~repro.serve.batcher.Batch`, or its key matrix and sizes)
+      into the shard's frame ring (blocking with
       result-draining back-off when the ring is full);
     * :meth:`poll` / :meth:`wait` — reap :class:`BatchResult`\\ s, in
       submit order per shard;
@@ -385,8 +308,6 @@ class ProcessExecutor:
         table_capacity: int = 4096,
         max_batch: int = 1024,
         ring_slots: int = 8,
-        recorder=None,
-        record_budget: int = 32768,
         start_method: Optional[str] = None,
         timeout: float = 30.0,
     ):
@@ -410,7 +331,6 @@ class ProcessExecutor:
         self.ring_full_waits = 0
         self.ring_full_wait_seconds = 0.0
         self.swap_barrier_seconds: List[float] = []
-        self.records_dropped = 0
 
         ctx = mp.get_context(start_method)
         # The ring protocol needs >= 2 slots (see RingSpec); a user
@@ -420,17 +340,10 @@ class ProcessExecutor:
         frame_spec = RingSpec(
             ring_slots, frame_slot_bytes(max_batch, self.key_width_cap)
         )
-        budget = record_budget if recorder is not None else 0
-        result_spec = RingSpec(ring_slots, result_slot_bytes(max_batch, budget))
+        result_spec = RingSpec(ring_slots, result_slot_bytes(max_batch))
         init = {
             "ruleset": ruleset_to_dict(rules),
             "table_capacity": table_capacity,
-            "recorder": (
-                {"sample_rate": recorder.sample_rate, "seed": recorder.seed}
-                if recorder is not None
-                else None
-            ),
-            "record_budget": budget,
         }
 
         self._frames: List[ShmRing] = []
@@ -441,8 +354,9 @@ class ProcessExecutor:
         self._done: List[Deque[BatchResult]] = [
             collections.deque() for _ in range(n_shards)
         ]
-        # Sizes of each in-flight frame, handed back with its result.
-        self._sizes: List[Deque[np.ndarray]] = [
+        # Keys and sizes of each in-flight frame, handed back with its
+        # result.
+        self._submitted: List[Deque[Tuple[np.ndarray, np.ndarray]]] = [
             collections.deque() for _ in range(n_shards)
         ]
         self.table_names: List[str] = []
@@ -457,7 +371,6 @@ class ProcessExecutor:
                 proc = ctx.Process(
                     target=worker_main,
                     args=(
-                        shard,
                         frames.name,
                         results.name,
                         frame_spec,
@@ -518,14 +431,7 @@ class ProcessExecutor:
 
     # -- data plane --------------------------------------------------------
 
-    def submit(
-        self,
-        shard: int,
-        keys: np.ndarray,
-        sizes: np.ndarray,
-        timestamps: np.ndarray,
-        seqs: np.ndarray,
-    ) -> None:
+    def submit(self, shard: int, keys: np.ndarray, sizes: np.ndarray) -> None:
         """Ship one batch to a shard worker (blocks while its ring is full)."""
         ring = self._frames[shard]
         view = ring.try_acquire_write()
@@ -547,10 +453,10 @@ class ProcessExecutor:
                     raise WorkerDiedError(shard, "frame-ring timeout")
                 time.sleep(_POLL)
             self.ring_full_wait_seconds += time.perf_counter() - start
-        pack_frame(view, keys, sizes, timestamps, seqs)
+        pack_frame(view, keys, sizes)
         ring.commit_write()
         self._inflight[shard] += 1
-        self._sizes[shard].append(sizes)
+        self._submitted[shard].append((keys, sizes))
 
     def submit_batch(self, shard: int, batch) -> None:
         """Ship one serve :class:`~repro.serve.batcher.Batch` to its worker.
@@ -560,10 +466,7 @@ class ProcessExecutor:
         while a batch is queued.
         """
         rows = batch.packets
-        self.submit(
-            shard, rows.keys(self.offsets), rows.sizes(), batch.timestamps,
-            np.asarray(batch.indices, dtype=np.int64),
-        )
+        self.submit(shard, rows.keys(self.offsets), rows.sizes())
 
     def _drain_results(self) -> None:
         """Move every completed result, on any shard, into its done queue."""
@@ -575,12 +478,7 @@ class ProcessExecutor:
                     break
                 raw = unpack_result(view)
                 ring.commit_read()
-                records = (
-                    json.loads(raw["records_blob"].decode())
-                    if raw["records_blob"]
-                    else []
-                )
-                self.records_dropped += raw["records_dropped"]
+                keys, sizes = self._submitted[shard].popleft()
                 self._done[shard].append(
                     BatchResult(
                         outcome=VerdictBatch(
@@ -590,9 +488,8 @@ class ProcessExecutor:
                             self.table_names,
                         ),
                         process_seconds=raw["process_seconds"],
-                        sizes=self._sizes[shard].popleft(),
-                        sampled_out=raw["sampled_out"],
-                        records=records,
+                        keys=keys,
+                        sizes=sizes,
                     )
                 )
                 self._inflight[shard] -= 1

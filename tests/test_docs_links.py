@@ -1,14 +1,16 @@
 """Documentation health checks, run as part of tier-1.
 
-Three guarantees, all checked by ``tools/docs_check.py`` (the same
+Four guarantees, all checked by ``tools/docs_check.py`` (the same
 script ``make docs-check`` runs), whose scanners these tests call:
 
 * every intra-repo Markdown link resolves,
 * every metric and span name registered anywhere in the source —
   collected series included — appears in ``docs/OBSERVABILITY.md``, so
-  the instrument catalogue cannot silently drift from the code, and
+  the instrument catalogue cannot silently drift from the code,
 * every event kind (``repro/obs/events.py``) and alert rule name
-  appears there too.
+  appears there too, and
+* every row of its metric tables names a metric some source
+  registers, so a deleted metric cannot leave its row behind.
 """
 
 from __future__ import annotations
@@ -73,3 +75,30 @@ def test_observability_doc_covers_events_and_alerts():
         f"alert rules declared in code but missing from "
         f"docs/OBSERVABILITY.md: {undocumented_alerts}"
     )
+
+
+def test_stale_catalogue_row_fails():
+    """A metric-table row for a metric no source registers is drift too."""
+    doc = "\n".join([
+        "| Metric | Type | Meaning |",
+        "|---|---|---|",
+        "| `live_total` | counter | Registered. |",
+        "| `ghost_total` | counter | Registered nowhere. |",
+        "",
+        "| Series | Source | How |",
+        "|---|---|---|",
+        "| `live_total{shard}`, `gone_seconds`, every histogram | x | pushed |",
+        "",
+        "| Span | Where | Wraps |",
+        "|---|---|---|",
+        "| `not_a_metric` | x | Not a metric table. |",
+    ])
+    assert docs_check.stale_rows(doc, {"live_total"}) == [
+        (4, "ghost_total"), (8, "gone_seconds"),
+    ]
+
+    real = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    names = {name for __, name in docs_check.catalogue_rows(real)}
+    # Both tables are read, the fleet counters included.
+    assert {"switch_packets_total", "fleet_tenant_packets_total", "span_seconds"} <= names
+    assert not docs_check.stale_rows(real, docs_check.all_metric_names())

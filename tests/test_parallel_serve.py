@@ -95,8 +95,8 @@ def _result_key(result):
 
 def _record_key(recorder):
     return sorted(
-        (e.seq, e.kind, e.verdict, e.shard, e.table, e.entry_id,
-         e.tables, e.offsets, e.values)
+        (e.seq, e.kind, e.timestamp, e.verdict, e.shard, e.tenant, e.table,
+         e.entry_id, e.tables, e.offsets, e.values)
         for e in recorder.records()
     )
 
@@ -158,44 +158,29 @@ class TestBlockFormats:
         view = np.zeros(frame_slot_bytes(64, k), dtype=np.uint8)
         keys = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
         sizes = rng.integers(40, 1500, size=n).astype(np.int64)
-        timestamps = rng.random(n)
-        seqs = np.arange(100, 100 + n, dtype=np.int64)
-        pack_frame(view, keys, sizes, timestamps, seqs)
-        out_keys, out_sizes, out_ts, out_seqs = unpack_frame(view)
+        pack_frame(view, keys, sizes)
+        out_keys, out_sizes = unpack_frame(view)
         assert np.array_equal(out_keys, keys)
         assert np.array_equal(out_sizes, sizes)
-        assert np.array_equal(out_ts, timestamps)
-        assert np.array_equal(out_seqs, seqs)
 
     def test_frame_too_large_raises(self, rng):
         view = np.zeros(frame_slot_bytes(16, 4), dtype=np.uint8)
         keys = rng.integers(0, 256, size=(32, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            pack_frame(
-                view, keys,
-                np.zeros(32, np.int64), np.zeros(32), np.zeros(32, np.int64),
-            )
+            pack_frame(view, keys, np.zeros(32, np.int64))
 
     def test_result_round_trip(self, rng):
         n = 29
-        blob = b'[{"kind": "decision"}]'
-        view = np.zeros(result_slot_bytes(64, 128), dtype=np.uint8)
+        view = np.zeros(result_slot_bytes(64), dtype=np.uint8)
         codes = rng.integers(0, 3, size=n).astype(np.uint8)
         table_idx = rng.integers(-1, 3, size=n).astype(np.int16)
         entries = rng.integers(-1, 1000, size=n).astype(np.int64)
-        pack_result(
-            view, codes, table_idx, entries,
-            process_seconds=0.125, sampled_out=17, blob=blob,
-            records_dropped=2,
-        )
+        pack_result(view, codes, table_idx, entries, process_seconds=0.125)
         out = unpack_result(view)
         assert np.array_equal(out["codes"], codes)
         assert np.array_equal(out["table_idx"], table_idx)
         assert np.array_equal(out["entries"], entries)
         assert out["process_seconds"] == 0.125
-        assert out["sampled_out"] == 17
-        assert out["records_blob"] == blob
-        assert out["records_dropped"] == 2
 
 
 class _SwapHook:
@@ -280,21 +265,33 @@ class TestDifferentialEquality:
         assert inline.rule_swaps == 1
         assert _result_key(process) == _result_key(inline)
 
-    def test_flight_recorder_parity(self, rng):
-        packets = _random_packets(rng, 5000)
-        rec_inline = FlightRecorder(100_000, sample_rate=0.05, seed=3)
-        rec_process = FlightRecorder(100_000, sample_rate=0.05, seed=3)
-        inline = self._run(
-            packets, "inline", recorder=rec_inline,
-            service_rate=15_000.0, queue_capacity=256,
-        )
-        process = self._run(
-            packets, "process", recorder=rec_process,
-            service_rate=15_000.0, queue_capacity=256,
-        )
+    @pytest.mark.parametrize(
+        "sample_rate, n, rate, overrides",
+        [
+            pytest.param(
+                0.05, 5000, 100_000.0,
+                dict(service_rate=15_000.0, queue_capacity=256), id="sampled",
+            ),
+            # Every row recorded, in full 1024-row batches: far more
+            # records per batch than one result frame could carry.
+            pytest.param(
+                1.0, 8192, 2_000_000.0,
+                dict(n_shards=2, max_batch=1024, queue_capacity=2**20, service_rate=None),
+                id="full",
+            ),
+        ],
+    )
+    def test_flight_recorder_parity(self, rng, sample_rate, n, rate, overrides):
+        packets = _random_packets(rng, n, rate=rate)
+        rec_inline = FlightRecorder(100_000, sample_rate=sample_rate, seed=3)
+        rec_process = FlightRecorder(100_000, sample_rate=sample_rate, seed=3)
+        inline = self._run(packets, "inline", recorder=rec_inline, **overrides)
+        process = self._run(packets, "process", recorder=rec_process, **overrides)
         assert _result_key(process) == _result_key(inline)
         assert _record_key(rec_process) == _record_key(rec_inline)
         assert rec_process.sampled_out == rec_inline.sampled_out
+        if sample_rate == 1.0:
+            assert len(rec_inline) == n and inline.flush_reasons["full"] > 0
 
     def test_ring_full_backpressure_keeps_equality(self, rng):
         # ring_slots=1 clamps to the 2-slot protocol minimum — the
@@ -394,9 +391,8 @@ class TestWorkerLifecycle:
         packets = _random_packets(rng, 64)
         keys = Packet.batch_keys(packets, rules.offsets)
         sizes = np.fromiter((len(p.data) for p in packets), np.int64, 64)
-        timestamps = np.fromiter((p.timestamp for p in packets), np.float64, 64)
         with ProcessExecutor(rules, n_shards=1) as executor:
-            executor.submit(0, keys, sizes, timestamps, np.arange(64))
+            executor.submit(0, keys, sizes)
             with pytest.raises(RuntimeError, match="in-flight"):
                 executor.install(synthetic_firewall_ruleset(seed=2))
             executor.wait(0)
@@ -407,11 +403,10 @@ class TestWorkerLifecycle:
         packets = _random_packets(rng, 64)
         keys = Packet.batch_keys(packets, rules.offsets)
         sizes = np.fromiter((len(p.data) for p in packets), np.int64, 64)
-        timestamps = np.fromiter((p.timestamp for p in packets), np.float64, 64)
         with ProcessExecutor(rules, n_shards=1) as executor:
             executor._procs[0].kill()
             executor._procs[0].join()
-            executor.submit(0, keys, sizes, timestamps, np.arange(64))
+            executor.submit(0, keys, sizes)
             with pytest.raises(WorkerDiedError):
                 executor.wait(0)
 

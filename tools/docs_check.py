@@ -17,6 +17,10 @@ plus ``docs/*.md``) and fails on:
   ``src/repro/obs/events.py``, and every alert rule name declared under
   ``src/`` (the fleet alerts included) must appear in
   ``docs/OBSERVABILITY.md``;
+* **stale catalogue rows** — every metric a row of a metric table in
+  ``docs/OBSERVABILITY.md`` names (the instrument catalogue's
+  ``Metric`` tables and the ``Series`` table of "Where counts live")
+  must be registered or collected somewhere under ``src/repro``;
 * **CLI catalogue drift** — every top-level ``repro`` subcommand
   registered in ``src/repro/cli.py`` must appear in the operator guide
   ``docs/OPERATIONS.md``.
@@ -183,6 +187,45 @@ def registered_names() -> Tuple[set, set]:
     return metrics, spans
 
 
+#: First header cell of the metric tables whose rows :func:`stale_rows` checks.
+_METRIC_TABLE_HEADERS = ("Metric", "Series")
+#: A backticked metric name in a row's first cell, labels (``{...}``) dropped.
+_ROW_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*)(?:\{[^`]*\})?`")
+
+
+def catalogue_rows(doc: str) -> List[Tuple[int, str]]:
+    """``(line, metric name)`` for each name a metric-table row lists first."""
+    rows: List[Tuple[int, str]] = []
+    header = None  # first header cell of the table being read
+    for lineno, line in enumerate(strip_code_blocks(doc).splitlines(), start=1):
+        if not line.startswith("|"):
+            header = None
+            continue
+        first = line.strip("|").split("|")[0].strip()
+        if header is None:
+            header = first
+        elif header in _METRIC_TABLE_HEADERS:
+            rows.extend((lineno, name) for name in _ROW_METRIC_RE.findall(first))
+    return rows
+
+
+def stale_rows(doc: str, metrics: set) -> List[Tuple[int, str]]:
+    """The catalogue rows of ``doc`` naming a metric not in ``metrics``."""
+    return [(lineno, name) for lineno, name in catalogue_rows(doc) if name not in metrics]
+
+
+def all_metric_names() -> set:
+    """Metric names registered or collected anywhere under ``src/repro``.
+
+    Unlike :func:`registered_names`, the obs package counts: its own
+    series (``span_seconds``, ``alerts_fired_total``) have rows too.
+    """
+    names = set()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        names.update(_METRIC_CALL_RE.findall(_read(path)))
+    return names
+
+
 def declared_events_and_alerts() -> Tuple[set, set]:
     """``(event kinds, alert rule names)`` declared in the source."""
     kinds = set(
@@ -212,6 +255,11 @@ def catalogue_problems() -> List[str]:
                 problems.append(f"{what} scan did not find {name!r}")
         for name in undocumented(names):
             problems.append(f"{what} {name!r} missing from OBSERVABILITY.md")
+    doc = _read(REPO_ROOT / "docs" / "OBSERVABILITY.md")
+    if not catalogue_rows(doc):
+        problems.append("catalogue row scan found no metric rows")
+    for lineno, name in stale_rows(doc, all_metric_names()):
+        problems.append(f"line {lineno}: row for {name!r}, which no source registers")
     return problems
 
 
