@@ -1,7 +1,7 @@
 # Developer convenience targets.
 PYTHON ?= python
 
-.PHONY: test test-fast test-full bench bench-suite examples lint docs-check all
+.PHONY: test test-fast test-full bench bench-selftest bench-suite examples lint docs-check all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -25,6 +25,12 @@ test-full:
 # nothing and fails if any run is incorrect.
 bench:
 	$(PYTHON) tools/bench.py
+
+# Self-test of the bench/ harness (~1 min): its smoke runs, --trace 1
+# included, fail when a serve-path change breaks what it wraps.  CI's
+# "Benchmark self-test" step runs this target.
+bench-selftest:
+	$(PYTHON) -m pytest -q bench/
 
 # The full paper-experiment benchmark suite (pytest-benchmark).
 bench-suite:

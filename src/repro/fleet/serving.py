@@ -55,10 +55,11 @@ from repro.fleet.capacity import (
 )
 from repro.net.packet import Packet
 from repro.serve.gateway import (
-    FAIL_OPEN,
+    SHED_ACTIONS,
     ServeConfig,
     SoakResult,
     StreamingGateway,
+    arrival_order,
 )
 
 __all__ = [
@@ -207,20 +208,18 @@ class FleetGateway:
                        src_prefix="10.1.0.0/16"),
             TenantSpec("sensors", sensor_rules, src_prefix="10.2.0.0/16"),
         ]
-        fleet = FleetGateway(tenants, ServeConfig(fleet_capacity=1024))
+        fleet = FleetGateway(tenants, capacity=1024)
         result = fleet.run(source)
         print(result.summary())
 
     Args:
-        tenants: tenant specs in declaration (packing + routing) order;
-            ``None`` reads ``config.tenants``.
+        tenants: tenant specs in declaration (packing + routing) order.
         config: fleet-wide serving policy; per-tenant gateways inherit
             everything except ``table_capacity`` (sized to the tenant's
             installed rule set, never below the configured value).
         capacity: shared table budget in ternary entries; ``None``
-            reads ``config.fleet_capacity``, and when that is also
-            unset the budget defaults to exactly fitting every declared
-            tenant (admission then only enforces quotas).
+            sizes the budget to fit every declared tenant exactly
+            (admission then only enforces quotas).
         recorder: one flight recorder shared across tenants — decision
             and shed records carry the tenant name.
         alert_engine: evaluated after each tenant's sub-run and
@@ -233,7 +232,7 @@ class FleetGateway:
 
     def __init__(
         self,
-        tenants: Optional[Sequence[TenantSpec]] = None,
+        tenants: Sequence[TenantSpec],
         config: Optional[ServeConfig] = None,
         *,
         capacity: Optional[int] = None,
@@ -243,14 +242,10 @@ class FleetGateway:
         tenant_hook: Optional[TenantHook] = None,
     ):
         self.config = config or ServeConfig()
-        specs = tuple(
-            tenants if tenants is not None else (self.config.tenants or ())
-        )
+        specs = tuple(tenants)
         if not specs:
             raise ValueError("fleet serving needs at least one TenantSpec")
-        budget = capacity or self.config.fleet_capacity
-        if budget is None:
-            budget = max(1, sum(spec.cost() for spec in specs))
+        budget = capacity or max(1, sum(spec.cost() for spec in specs))
         self.specs: Dict[str, TenantSpec] = {s.name: s for s in specs}
         self.order: List[str] = [s.name for s in specs]
         self.controller = CapacityController(budget)
@@ -307,69 +302,59 @@ class FleetGateway:
 
     # -- serving -------------------------------------------------------------
 
-    def _policy_action(self) -> str:
-        return "allow" if self.config.policy == FAIL_OPEN else "drop"
-
-    def _shed_stream(
-        self,
-        tenant: Optional[str],
-        stream: List[Tuple[int, Packet]],
-        merged: Optional[List[Optional[Verdict]]],
-    ) -> None:
-        """Policy-verdict every packet of an unserved (sub-)stream."""
-        action = self._policy_action()
-        if merged is not None:
-            verdict = Verdict(action, table=None, entry_id=None, tenant=tenant)
-            for index, __ in stream:
-                merged[index] = verdict
+    def _shed_stream(self, tenant: Optional[str], stream: List[Packet]) -> Verdict:
+        """Shed every packet of an unserved (sub-)stream; returns their
+        policy verdict."""
+        action = SHED_ACTIONS[self.config.policy]
         if self.recorder is not None:
             self.recorder.add_sheds(
-                range(len(stream)), [packet.timestamp for __, packet in stream],
+                range(len(stream)), [packet.timestamp for packet in stream],
                 action, tenant=tenant,
             )
+        return Verdict(action, table=None, entry_id=None, tenant=tenant)
 
     def _tenant_config(self, spec: TenantSpec) -> ServeConfig:
         return dataclasses.replace(
             self.config,
-            tenants=None,
-            fleet_capacity=None,
             table_capacity=max(self.config.table_capacity, spec.cost()),
         )
 
     def run(self, source: Iterable[Packet]) -> FleetSoakResult:
         """Route, pack-check, and serve the stream; returns the result."""
         wall_start = time.perf_counter()
-        record = self.config.record_verdicts
         with self._registry.span("fleet.soak"):
-            routed: Dict[str, List[Tuple[int, Packet]]] = {
-                name: [] for name in self.order
+            # Per tenant (``None``: unrouted), the arrival indices of its
+            # packets and the packets themselves.
+            routed: Dict[Optional[str], Tuple[List[int], List[Packet]]] = {
+                name: ([], []) for name in [*self.order, None]
             }
-            unrouted: List[Tuple[int, Packet]] = []
             offered = 0
+            end = 0.0  # stream time of the last arrival
             route = self.router.route
             for packet in source:
-                name = route(packet)
-                (routed[name] if name is not None else unrouted).append(
-                    (offered, packet)
-                )
+                indices, stream = routed[route(packet)]
+                indices.append(offered)
+                stream.append(packet)
                 offered += 1
-            merged: Optional[List[Optional[Verdict]]] = (
-                [None] * offered if record else None
-            )
+                end = packet.timestamp
+            unrouted_indices, unrouted = routed[None]
             if self._obs_on:
                 self._obs_offered.inc(offered)
                 self._obs_unrouted.inc(len(unrouted))
             per_tenant: Dict[str, SoakResult] = {}
             shed_tenants: Dict[str, int] = {}
             alerts: List[object] = []
+            # (arrival indices, their verdicts) per tenant and unrouted.
+            parts = []
             for name in self.order:
-                stream = routed[name]
+                indices, stream = routed[name]
                 if self.controller.is_installed(name):
-                    result = self._serve_tenant(name, stream, merged)
+                    result = self._serve_tenant(name, stream)
                     per_tenant[name] = result
                     alerts.extend(result.alerts)
+                    parts.append((indices, result.verdicts))
                 else:
-                    self._shed_stream(name, stream, merged)
+                    parts.append((indices, self._shed_stream(name, stream)))
                     shed_tenants[name] = len(stream)
                     if self._obs_on and stream:
                         self._registry.counter(
@@ -377,14 +362,12 @@ class FleetGateway:
                             help="packets shed because their tenant was not installed",
                         ).inc(len(stream))
                 if self.alert_engine is not None and stream:
-                    alerts.extend(
-                        self.alert_engine.evaluate(stream[-1][1].timestamp)
-                    )
+                    alerts.extend(self.alert_engine.evaluate(stream[-1].timestamp))
                 if self.tenant_hook is not None:
                     self.tenant_hook(name, per_tenant.get(name))
-            self._shed_stream(None, unrouted, merged)
+            parts.append((unrouted_indices, self._shed_stream(None, unrouted)))
             if self.alert_engine is not None:
-                alerts.extend(self.alert_engine.evaluate(0.0))
+                alerts.extend(self.alert_engine.evaluate(end))
                 self.alert_engine.finalize()
         wall = time.perf_counter() - wall_start
         processed = sum(r.processed for r in per_tenant.values())
@@ -393,12 +376,6 @@ class FleetGateway:
             + sum(shed_tenants.values())
             + len(unrouted)
         )
-        verdicts: Optional[List[Verdict]] = None
-        if record:
-            assert merged is not None and all(v is not None for v in merged), (
-                "packet lost without a verdict — fleet accounting bug"
-            )
-            verdicts = list(merged)
         return FleetSoakResult(
             offered=offered,
             processed=processed,
@@ -412,16 +389,15 @@ class FleetGateway:
                 name: dataclasses.replace(account)
                 for name, account in self.controller.accounts.items()
             },
-            verdicts=verdicts,
+            verdicts=(
+                arrival_order(offered, parts)
+                if self.config.record_verdicts
+                else None
+            ),
             alerts=alerts,
         )
 
-    def _serve_tenant(
-        self,
-        name: str,
-        stream: List[Tuple[int, Packet]],
-        merged: Optional[List[Optional[Verdict]]],
-    ) -> SoakResult:
+    def _serve_tenant(self, name: str, stream: List[Packet]) -> SoakResult:
         """One tenant's sub-stream through its own StreamingGateway.
 
         Stream time is carried by the packets themselves, so serving
@@ -437,15 +413,12 @@ class FleetGateway:
             recorder=self.recorder,
             retrain_hook=self.retrain_hooks.get(name),
         )
-        result = gateway.run(packet for _, packet in stream)
+        result = gateway.run(stream)
         if self._obs_on and stream:
             self._registry.counter(
                 "fleet_tenant_packets_total", {"tenant": name},
                 help="packets routed per tenant",
             ).inc(len(stream))
-        if merged is not None and result.verdicts is not None:
-            for (index, _), verdict in zip(stream, result.verdicts):
-                merged[index] = verdict
         return result
 
 

@@ -105,15 +105,19 @@ class FrameBlock:
         self._view = np.frombuffer(buffer, dtype=np.uint8)
 
     @classmethod
-    def of(cls, packets: Sequence[Packet]) -> "FrameBlock":
-        """``packets`` in one block whose rows are those same objects;
-        their stamps are read when first asked for."""
+    def of(
+        cls, packets: Sequence[Packet], stamps: Optional[np.ndarray] = None
+    ) -> "FrameBlock":
+        """``packets`` in one block whose rows are those same objects.
+
+        ``stamps`` are their timestamps if the caller has read them
+        already; otherwise they are read when first asked for."""
         data = list(map(_DATA, packets))
         n = len(data)
         lengths = np.fromiter(map(len, data), dtype=np.int64, count=n)
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(lengths[:-1], out=offsets[1:])
-        return cls(b"".join(data), offsets, lengths, None, packets)
+        return cls(b"".join(data), offsets, lengths, stamps, packets)
 
     @property
     def stamps(self) -> np.ndarray:

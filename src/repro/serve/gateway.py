@@ -44,7 +44,10 @@ import dataclasses
 import math
 import operator
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -70,14 +73,19 @@ from repro.serve.workers import (
 __all__ = [
     "FAIL_CLOSED",
     "FAIL_OPEN",
+    "SHED_ACTIONS",
     "ServeConfig",
     "SoakResult",
     "StreamingGateway",
+    "arrival_order",
 ]
 
 #: Load-shedding policies: what happens to packets the queues cannot hold.
 FAIL_OPEN = "fail-open"      # shed traffic passes uninspected (availability)
 FAIL_CLOSED = "fail-closed"  # shed traffic is dropped (security)
+
+#: The verdict action each policy gives the packets it sheds.
+SHED_ACTIONS = {FAIL_OPEN: "allow", FAIL_CLOSED: "drop"}
 
 #: Retrain hook signature: (batch packets, their verdicts) → optional new
 #: rule set to install atomically across all shards.  The verdicts are a
@@ -86,6 +94,10 @@ RetrainHook = Callable[[List[Packet], VerdictBatch], Optional[RuleSet]]
 
 #: A frame block and the shard of each of its rows (``None``: not hashed yet).
 Routed = Tuple[FrameBlock, Optional[np.ndarray]]
+
+#: Arrival indices and their verdicts: a batch's, one per index, or one
+#: verdict for every listed index (see :func:`arrival_order`).
+VerdictPart = Tuple[Sequence[int], Union[VerdictBatch, Sequence[Verdict], Verdict]]
 
 
 @dataclasses.dataclass
@@ -123,16 +135,10 @@ class ServeConfig:
         worker_timeout: seconds a worker may stay silent (startup,
             result, swap ack) before the gateway declares it dead and
             fails its shard closed.
-        start_method: multiprocessing start method for workers
-            (``None`` picks ``fork`` when available, else ``spawn``).
-        tenants: multi-tenant fleet mode — a sequence of
-            :class:`repro.fleet.TenantSpec`.  Consumed by
-            :class:`repro.fleet.FleetGateway` (and ``repro serve
-            --tenants``); :class:`StreamingGateway` itself refuses a
-            tenants-bearing config and directs you there.
-        fleet_capacity: shared table budget in ternary entries for
-            fleet mode; ``None`` sizes the budget to fit every declared
-            tenant exactly.
+
+    Multi-tenant serving takes its tenants and table budget as
+    :class:`repro.fleet.FleetGateway` arguments and gives every tenant
+    gateway a copy of this config.
     """
 
     n_shards: int = 1
@@ -147,12 +153,9 @@ class ServeConfig:
     executor: str = "inline"
     ring_slots: int = 8
     worker_timeout: float = 30.0
-    start_method: Optional[str] = None
-    tenants: Optional[Sequence] = None
-    fleet_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.policy not in (FAIL_OPEN, FAIL_CLOSED):
+        if self.policy not in SHED_ACTIONS:
             raise ValueError(f"unknown shed policy {self.policy!r}")
         if self.queue_capacity < self.max_batch:
             raise ValueError(
@@ -167,10 +170,6 @@ class ServeConfig:
             raise ValueError("ring_slots must be >= 1")
         if self.worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
-        if self.tenants is not None and not self.tenants:
-            raise ValueError("tenants must be a non-empty sequence (or None)")
-        if self.fleet_capacity is not None and self.fleet_capacity < 1:
-            raise ValueError("fleet_capacity must be >= 1 (or None)")
 
 
 @dataclasses.dataclass
@@ -300,12 +299,6 @@ class StreamingGateway:
         if alert_interval <= 0:
             raise ValueError("alert_interval must be positive")
         self.config = config or ServeConfig()
-        if self.config.tenants is not None:
-            raise ValueError(
-                "ServeConfig.tenants is fleet mode — construct a "
-                "repro.fleet.FleetGateway (or `repro serve --tenants`) "
-                "instead of a StreamingGateway"
-            )
         #: Tenant this gateway serves under a fleet deployment; stamps
         #: verdicts and decision records.  ``None`` (single-tenant)
         #: leaves every record untagged, byte-identical to pre-fleet runs.
@@ -449,10 +442,9 @@ class StreamingGateway:
         # invariant (offered == processed + shed == stats.received + shed)
         # holds per run.
         self.shards.reset()
-        # Arrival-order verdict slots, filled once at the end of the run:
+        # Verdict parts, merged into arrival order at the end of the run:
         # (indices, classified batch) and (indices, shed verdict).
-        self._classified: List[Tuple[List[int], VerdictBatch]] = []
-        self._shed_verdicts: List[Tuple[List[int], Verdict]] = []
+        self._verdicts: List[VerdictPart] = []
         self._latencies: List[np.ndarray] = []
         self._waits: List[np.ndarray] = []
         self._offered = 0
@@ -487,7 +479,6 @@ class StreamingGateway:
                 table_capacity=config.table_capacity,
                 max_batch=config.max_batch,
                 ring_slots=config.ring_slots,
-                start_method=config.start_method,
                 timeout=config.worker_timeout,
             )
             self._obs_parallel_workers.set(config.n_shards)
@@ -530,6 +521,7 @@ class StreamingGateway:
         hash_mode = self.config.hash_mode
         max_batch, max_latency = batchers[0].max_batch, batchers[0].max_latency
         block: List[Packet] = []
+        stamps: List[float] = []
         owners: List[int] = []
         for packet in packets:
             t = packet.timestamp
@@ -540,6 +532,7 @@ class StreamingGateway:
                 limit = min(self._next_deadline, alert, t + max_latency)
                 pending = [len(batcher) for batcher in batchers]
             block.append(packet)
+            stamps.append(t)
             if n_shards > 1:
                 i = flow_shard(packet, n_shards, mode=hash_mode)
                 owners.append(i)
@@ -547,14 +540,17 @@ class StreamingGateway:
                 i = 0
             pending[i] += 1
             if t >= limit or pending[i] >= max_batch:
-                yield self._routed(block, owners)
-                block, owners = [], []
+                yield self._routed(block, stamps, owners)
+                block, stamps, owners = [], [], []
         if block:
-            yield self._routed(block, owners)
+            yield self._routed(block, stamps, owners)
 
     @staticmethod
-    def _routed(block: List[Packet], owners: List[int]) -> Routed:
-        return FrameBlock.of(block), np.array(owners, dtype=np.int64) if owners else None
+    def _routed(block: List[Packet], stamps: List[float], owners: List[int]) -> Routed:
+        return (
+            FrameBlock.of(block, np.array(stamps, dtype=np.float64)),
+            np.array(owners, dtype=np.int64) if owners else None,
+        )
 
     def _run_blocks(self, routed: Iterable[Routed], wall_start: float) -> SoakResult:
         """Serve frame blocks: the event loop.
@@ -703,14 +699,14 @@ class StreamingGateway:
             action: override the policy verdict — worker-death handling
                 always fails closed (``"drop"``) regardless of policy.
         """
-        indices = [index for batch in refused for index in batch.indices]
+        indices = list(chain.from_iterable(batch.indices for batch in refused))
         if not indices:
             return
         if action is None:
-            action = "allow" if self.config.policy == FAIL_OPEN else "drop"
+            action = SHED_ACTIONS[self.config.policy]
         if self.config.record_verdicts:
             verdict = Verdict(action, table=None, entry_id=None, tenant=self.tenant)
-            self._shed_verdicts.append((indices, verdict))
+            self._verdicts.append((indices, verdict))
         if self.recorder is not None:
             stamps = np.concatenate([batch.timestamps for batch in refused])
             self.recorder.add_sheds(
@@ -787,7 +783,9 @@ class StreamingGateway:
         shard.processed += n
         shard.count_verdicts(verdicts)
         if self.config.record_verdicts:
-            self._classified.append((batch.indices, verdicts))
+            # Tagged with the fleet tenant, if any (shed verdicts are
+            # stamped at creation).
+            self._verdicts.append((batch.indices, verdicts.with_tenant(self.tenant)))
         if self._remote:
             # The worker only classified: count and record the batch on
             # the parent's shard switch, as the inline switch did itself.
@@ -863,22 +861,6 @@ class StreamingGateway:
 
     # -- results -------------------------------------------------------------
 
-    def _arrival_order_verdicts(self) -> List[Verdict]:
-        """Every packet's verdict in arrival order (``record_verdicts``)."""
-        slots = np.empty(self._offered, dtype=object)
-        for indices, verdicts in self._classified:
-            if self.tenant is not None:
-                # Fleet mode: tag pipeline verdicts with the serving
-                # tenant (shed verdicts were stamped at creation).
-                verdicts = verdicts.with_tenant(self.tenant)
-            slots[indices] = verdicts.objects()
-        for indices, verdict in self._shed_verdicts:
-            for index in indices:
-                slots[index] = verdict
-        out = slots.tolist()
-        assert None not in out, "packet lost without a verdict — accounting bug"
-        return out
-
     def _result(self, wall: float) -> SoakResult:
         # Sorted before aggregating so the mean does not depend on the
         # order batches completed in.
@@ -920,7 +902,7 @@ class StreamingGateway:
             stats=self.shards.stats(),
             per_shard=per_shard,
             verdicts=(
-                self._arrival_order_verdicts()
+                arrival_order(self._offered, self._verdicts)
                 if self.config.record_verdicts
                 else None
             ),
@@ -932,6 +914,33 @@ class StreamingGateway:
             ),
             worker_failures=len(self._dead),
         )
+
+
+def arrival_order(n: int, parts: Iterable[VerdictPart]) -> List[Verdict]:
+    """The verdicts of rows ``0 .. n-1`` in arrival order, from ``parts``.
+
+    Each part is ``(indices, verdicts)``: a :class:`VerdictBatch` or a
+    ``Sequence[Verdict]`` with one verdict per index, or one
+    :class:`Verdict` that every listed row gets.  Parts are scattered
+    into one object array; a row no part lists is a packet lost without
+    a verdict, an accounting bug, and raises.
+    """
+    slots = np.empty(n, dtype=object)
+    filled = np.zeros(n, dtype=bool)
+    for indices, verdicts in parts:
+        if isinstance(verdicts, VerdictBatch):
+            verdicts = verdicts.objects()
+        elif not isinstance(verdicts, Verdict):
+            verdicts = np.array(verdicts, dtype=object)
+        slots[indices] = verdicts
+        filled[indices] = True
+    if not filled.all():
+        lost = np.flatnonzero(~filled)
+        raise RuntimeError(
+            f"{len(lost)} packets lost without a verdict (first: row "
+            f"{int(lost[0])}) — accounting bug"
+        )
+    return slots.tolist()
 
 
 def _first_reaching(stamps: np.ndarray, peak: np.ndarray, p: int, clock: float) -> int:

@@ -47,7 +47,9 @@ from repro.net.frames import FrameBlock
 from repro.net.packet import Packet
 from repro.serve.batcher import AdaptiveBatcher, Batch
 
-__all__ = ["BoundedQueue", "Shard", "ShardSet", "flow_shard", "flow_shards"]
+__all__ = [
+    "BoundedQueue", "Shard", "ShardSet", "flow_shard", "flow_shards", "swap_controller",
+]
 
 #: Ethernet + IPv4 flow-identifying byte region: IP src/dst (26..34) and
 #: L4 ports (34..38).  Frames shorter than this hash in full.
@@ -147,6 +149,25 @@ class BoundedQueue:
         return self._batches[0] if self._batches else None
 
 
+def swap_controller(
+    controller: Optional[GatewayController], rules: RuleSet, table_capacity: int
+) -> GatewayController:
+    """The controller that serves ``rules`` after a swap from ``controller``.
+
+    Same parser offsets → ``controller`` itself, updated in place by the
+    incremental :meth:`GatewayController.update` (minimal entry churn);
+    changed offsets, or no controller yet → a freshly deployed one (a
+    new parser, as on hardware).  Both executors swap by this rule, so
+    entry ids stay equal across them.
+    """
+    if controller is not None and controller.switch.config.key_offsets == rules.offsets:
+        controller.update(rules)
+        return controller
+    fresh = GatewayController.for_ruleset(rules, table_capacity=table_capacity)
+    fresh.deploy(rules)
+    return fresh
+
+
 class Shard:
     """One worker: a deployed switch plus its batcher and queue.
 
@@ -224,7 +245,7 @@ class ShardSet:
         self.shards: List[Shard] = [
             Shard(
                 i,
-                self._deployed_controller(rules),
+                swap_controller(None, rules, table_capacity),
                 **self._build_args,
             )
             for i in range(n_shards)
@@ -234,13 +255,6 @@ class ShardSet:
         #: "swap" leg of the drift→retrain→swap latency the endurance
         #: harness reports (the retrain leg is timed by the hook).
         self.swap_seconds: List[float] = []
-
-    def _deployed_controller(self, rules: RuleSet) -> GatewayController:
-        controller = GatewayController.for_ruleset(
-            rules, table_capacity=self.table_capacity
-        )
-        controller.deploy(rules)
-        return controller
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -255,24 +269,20 @@ class ShardSet:
         """Atomically swap every shard to ``rules``.
 
         Called only between batches by the gateway loop, so no packet
-        is ever matched against a half-installed rule set.  Same
-        offsets → incremental :meth:`GatewayController.update` (minimal
-        churn); changed offsets → a fresh switch per shard (new parser,
-        as on hardware), with batcher/queue contents carried over
-        untouched (they hold raw packets, not parsed keys).  Each
-        changed table's LUT program is rebuilt by the next batch that
-        shard classifies.
+        is ever matched against a half-installed rule set.  Each shard
+        swaps by :func:`swap_controller`; a changed-offsets swap keeps
+        batcher/queue contents untouched (they hold raw packets, not
+        parsed keys).  Each changed table's LUT program is rebuilt by
+        the next batch that shard classifies.
         """
         swap_start = time.perf_counter()
-        same_offsets = tuple(rules.offsets) == tuple(self.rules.offsets)
         for shard in self.shards:
-            if same_offsets:
-                shard.controller.update(rules)
-            else:
+            controller = swap_controller(shard.controller, rules, self.table_capacity)
+            if controller is not shard.controller:
                 # A parser change retires the old switch; keep its
                 # counts so aggregate stats survive the swap.
                 self._retired.append(shard.switch.stats)
-                shard.controller = self._deployed_controller(rules)
+                shard.controller = controller
         self.rules = rules
         self.rule_swaps += 1
         self.swap_seconds.append(time.perf_counter() - swap_start)

@@ -77,6 +77,7 @@ from repro.serve.ipc import (
     unpack_frame,
     unpack_result,
 )
+from repro.serve.shard import swap_controller
 
 __all__ = [
     "ACTION_CODES",
@@ -90,6 +91,9 @@ __all__ = [
 #: Poll interval for ring spin-waits, seconds.  Rings hand off through
 #: shared memory, so waits are pure back-off, not wake-ups.
 _POLL = 0.0002
+
+#: Worker start method: ``fork`` where the platform has it, else ``spawn``.
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 #: Minimum key-matrix width a frame slot is sized for, so rule swaps
 #: that widen the parser (more offsets) still fit without re-ringing.
@@ -113,7 +117,6 @@ class _ShardWorker:
 
     def __init__(self, init: Dict):
         self.table_capacity = int(init["table_capacity"])
-        self.rules: Optional[RuleSet] = None
         self.controller: Optional[GatewayController] = None
         self.install(init["ruleset"])
 
@@ -128,23 +131,13 @@ class _ShardWorker:
     def install(self, data: Dict) -> None:
         """Apply a (initial or swapped) rule set between batches.
 
-        Mirrors ``ShardSet.install``: same offsets → incremental
-        ``update`` (same entry-id churn as inline), changed offsets →
-        fresh switch.  The next frame classified rebuilds the LUT
-        program of each changed table.
+        The same :func:`~repro.serve.shard.swap_controller` decision as
+        ``ShardSet.install``, so entry ids stay equal to inline.  The
+        next frame classified rebuilds the LUT program of each changed
+        table.
         """
         rules = ruleset_from_dict(data) if isinstance(data, dict) else data
-        if (
-            self.rules is not None
-            and tuple(rules.offsets) == tuple(self.rules.offsets)
-        ):
-            self.controller.update(rules)
-        else:
-            self.controller = GatewayController.for_ruleset(
-                rules, table_capacity=self.table_capacity
-            )
-            self.controller.deploy(rules)
-        self.rules = rules
+        self.controller = swap_controller(self.controller, rules, self.table_capacity)
 
 
 def worker_main(
@@ -308,17 +301,12 @@ class ProcessExecutor:
         table_capacity: int = 4096,
         max_batch: int = 1024,
         ring_slots: int = 8,
-        start_method: Optional[str] = None,
         timeout: float = 30.0,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if ring_slots < 1:
             raise ValueError("ring_slots must be >= 1")
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
         self.n_shards = n_shards
         self.max_batch = max_batch
         self.timeout = timeout
@@ -332,7 +320,7 @@ class ProcessExecutor:
         self.ring_full_wait_seconds = 0.0
         self.swap_barrier_seconds: List[float] = []
 
-        ctx = mp.get_context(start_method)
+        ctx = mp.get_context(_START_METHOD)
         # The ring protocol needs >= 2 slots (see RingSpec); a user
         # asking for 1 gets the tightest legal ring, which still forces
         # a full-ring wall-clock wait on nearly every submit.

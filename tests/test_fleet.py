@@ -25,6 +25,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core.serialize import ruleset_to_dict, save_ruleset
 from repro.dataplane.switch import Verdict
@@ -453,6 +454,21 @@ class TestFleetShedding:
         starved = [v for v in result.verdicts if v.tenant == "starved"]
         assert starved and all(v.action == "allow" for v in starved)
 
+    def test_final_alert_pass_stamped_at_last_arrival(self):
+        packets = _tenant_stream(50, [(192, 168)], seed=35)
+        registry = obs.Registry(enabled=True)
+        with obs.use_registry(registry):
+            engine = obs.AlertEngine(obs.default_fleet_alerts(), registry=registry)
+            fleet = FleetGateway(
+                [_spec("cams", src_prefix="10.1.0.0/16")],
+                ServeConfig(max_batch=64),
+                alert_engine=engine,
+            )
+            result = fleet.run(packets)
+        assert result.unrouted == len(packets)
+        fired = [a for a in result.alerts if a.name == "fleet_unrouted_rate_high"]
+        assert [a.timestamp for a in fired] == [packets[-1].timestamp]
+
 
 class TestTenantLifecycle:
     def test_remove_mid_soak_via_hook(self):
@@ -562,11 +578,6 @@ class TestPreFleetCompatibility:
             ServeConfig(record_verdicts=True),
         ).run(packets)
         assert all(v.tenant is None for v in result.verdicts)
-
-    def test_streaming_gateway_refuses_fleet_config(self):
-        config = ServeConfig(tenants=[_spec("a")])
-        with pytest.raises(ValueError, match="FleetGateway"):
-            StreamingGateway(_rules(), config)
 
 
 class TestFleetCLI:

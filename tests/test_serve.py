@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.rules import ACTION_DROP, MatchField, Rule, RuleSet
-from repro.dataplane.switch import SwitchStats
+from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
 from repro.eval.harness import replay_gateway, synthetic_firewall_ruleset
 from repro.net.frames import FrameBlock
 from repro.net.packet import Packet
@@ -36,6 +36,7 @@ from repro.serve import (
     retime,
 )
 from repro.serve.batcher import Batch
+from repro.serve.gateway import arrival_order
 
 
 def _packet(t: float, data: bytes = b"\x00" * 64) -> Packet:
@@ -310,6 +311,28 @@ class TestServeConfig:
     def test_bad_service_rate(self):
         with pytest.raises(ValueError):
             ServeConfig(service_rate=0.0)
+
+
+class TestArrivalOrder:
+    def test_merges_parts_and_raises_on_a_lost_packet(self):
+        batch = VerdictBatch(
+            np.array([1, 0], dtype=np.uint8),
+            np.array([0, -1], dtype=np.int16),
+            np.array([7, -1], dtype=np.int64),
+            ["acl"],
+        )
+        shed = Verdict("drop")
+        listed = [Verdict("allow", table="acl", entry_id=2)]
+        parts = [([4, 0], batch), ([1, 3], shed), ([2], listed)]
+        assert arrival_order(5, parts) == [
+            Verdict("allow"),
+            shed,
+            listed[0],
+            shed,
+            Verdict("drop", table="acl", entry_id=7),
+        ]
+        with pytest.raises(RuntimeError, match="lost without a verdict"):
+            arrival_order(6, parts)
 
 
 class TestStreamingGatewayDifferential:
