@@ -424,13 +424,16 @@ def cmd_serve(args) -> int:
                     recorder=recorder,
                     dump_path=args.flight_dump,
                 )
-            gateway = FleetGateway(
-                specs,
-                config,
-                capacity=capacity,
-                recorder=recorder,
-                alert_engine=engine,
-            )
+            try:
+                gateway = FleetGateway(
+                    specs,
+                    config,
+                    capacity=capacity,
+                    recorder=recorder,
+                    alert_engine=engine,
+                )
+            except ValueError as exc:
+                raise SystemExit(f"fleet: {exc}")
         else:
             rules = load_ruleset(args.rules)
             if args.alerts:

@@ -217,9 +217,9 @@ class FleetGateway:
         config: fleet-wide serving policy; per-tenant gateways inherit
             everything except ``table_capacity`` (sized to the tenant's
             installed rule set, never below the configured value).
-        capacity: shared table budget in ternary entries; ``None``
-            sizes the budget to fit every declared tenant exactly
-            (admission then only enforces quotas).
+        capacity: shared table budget in ternary entries (at least
+            1); ``None`` sizes the budget to fit every declared tenant
+            exactly (admission then only enforces quotas).
         recorder: one flight recorder shared across tenants — decision
             and shed records carry the tenant name.
         alert_engine: evaluated after each tenant's sub-run and
@@ -245,7 +245,9 @@ class FleetGateway:
         specs = tuple(tenants)
         if not specs:
             raise ValueError("fleet serving needs at least one TenantSpec")
-        budget = capacity or max(1, sum(spec.cost() for spec in specs))
+        budget = (
+            max(1, sum(spec.cost() for spec in specs)) if capacity is None else capacity
+        )
         self.specs: Dict[str, TenantSpec] = {s.name: s for s in specs}
         self.order: List[str] = [s.name for s in specs]
         self.controller = CapacityController(budget)
@@ -440,7 +442,9 @@ def load_fleet_spec(
     Each tenant names its rule set either as a registry reference
     (``detector``, resolved against ``registry_root``) or a rules JSON
     path (``rules``, relative to the spec file).  Returns
-    ``(capacity or None, specs in declaration order)``.
+    ``(capacity, specs in declaration order)``, the capacity ``None``
+    when the spec names none (a named 0 is refused by
+    :class:`FleetGateway`).
     """
     from repro.core.serialize import load_ruleset
     from repro.fleet.registry import DetectorRegistry

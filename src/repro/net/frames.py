@@ -8,7 +8,9 @@ float64 array of capture stamps.  Match keys, sizes and flow hashes
 come out of the buffer with numpy gathers, and a
 :class:`~repro.net.packet.Packet` is built for a row only when a caller
 asks for one.  :meth:`FrameBlock.of` packs packets that already exist
-into a block, which then hands back those same objects as its rows.
+into a block, which then hands back those same objects as its rows,
+and :func:`pack_blocks` packs a materialised packet stream into
+:data:`PACK_ROWS`-row blocks that way.
 
 :class:`FrameRows` is a ``Sequence[Packet]`` over rows of one or more
 blocks, which is how a serve batch holds block rows.  It is the one way
@@ -23,13 +25,19 @@ from __future__ import annotations
 import collections.abc
 import operator
 import zlib
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.net.packet import Label, Packet
 
-__all__ = ["FrameBlock", "FrameRows", "block_packets", "crc32_rows"]
+__all__ = [
+    "PACK_ROWS", "FrameBlock", "FrameRows", "block_packets", "crc32_rows", "pack_blocks",
+]
+
+#: Rows per block when :func:`pack_blocks` packs existing packets.
+PACK_ROWS = 8192
 
 _DEFAULT_LABEL = Label()
 _DATA = operator.attrgetter("data")
@@ -213,6 +221,21 @@ class FrameBlock:
                 )
             ]
         return out
+
+
+def pack_blocks(packets: Iterable[Packet]) -> Iterator[FrameBlock]:
+    """``packets`` as consecutive :meth:`FrameBlock.of` blocks of
+    :data:`PACK_ROWS` rows; each block's rows are those same objects.
+
+    Reads a whole block ahead of what it yields, so it suits sources
+    that are already materialised, not live ones.
+    """
+    packets = iter(packets)
+    while True:
+        chunk = list(islice(packets, PACK_ROWS))
+        if not chunk:
+            return
+        yield FrameBlock.of(chunk)
 
 
 def block_packets(blocks: Iterable[FrameBlock]) -> Iterator[Packet]:

@@ -12,9 +12,12 @@ offered arrival process (no sleeping, no flaky timers).
 
 The loop serves frame blocks.  A source that offers them
 (``source.frame_blocks()``, e.g. a pcap or corpus replayed on its
-recorded clock) hands them over directly; any other packet iterable is
-packed into blocks as it is read, each block ending at the first packet
-that could trigger work, so a live source is never read ahead.  Each
+recorded clock, or an in-memory :class:`~repro.serve.sources.IterableSource`)
+hands them over directly, and a materialised packet ``Sequence`` (a
+list or tuple) is cut into large blocks of the packets themselves
+(:func:`~repro.net.frames.pack_blocks`).  Only a live packet iterator is
+packed as it is read, each block ending at the first packet that could
+trigger work, so a live source is never read ahead.  Each
 block gets one vectorised flow hash (consistent flow hash — stateful
 tables stay per-flow correct), and its rows go to their shards'
 adaptive batchers in runs cut where the deadline, alert and size
@@ -40,6 +43,7 @@ docs/OBSERVABILITY.md for the instrument catalogue.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import dataclasses
 import math
 import operator
@@ -59,7 +63,7 @@ import sys
 _obs_state = sys.modules["repro.obs.registry"]
 from repro.core.rules import RuleSet
 from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
-from repro.net.frames import FrameBlock
+from repro.net.frames import FrameBlock, pack_blocks
 from repro.net.packet import Packet
 from repro.serve.batcher import Batch
 from repro.serve.shard import Shard, ShardSet, flow_shard, flow_shards
@@ -466,7 +470,12 @@ class StreamingGateway:
     # -- the event loop ------------------------------------------------------
 
     def run(self, source: Iterable[Packet]) -> SoakResult:
-        """Consume a source to exhaustion, then drain; returns the result."""
+        """Consume a source to exhaustion, then drain; returns the result.
+
+        The source's own ``frame_blocks()`` are served when it offers
+        them, a packet ``Sequence`` as :func:`pack_blocks` blocks, and
+        any other iterable through :meth:`_pack`.
+        """
         if _obs_state._generation != self._obs_gen:  # see registry._generation
             self._capture_obs()
         self._reset_run_state()
@@ -486,14 +495,16 @@ class StreamingGateway:
             self._executor = InlineExecutor(self.shards)
         self._registry.track(self, self._run_series)  # until run() ends
         wall_start = time.perf_counter()
-        frame_blocks = getattr(source, "frame_blocks", None)
-        blocks = frame_blocks() if frame_blocks is not None else None
-        routed = (
-            self._pack(source)
-            if blocks is None
-            else ((block, None) for block in blocks)
-        )
         try:
+            frame_blocks = getattr(source, "frame_blocks", None)
+            blocks = frame_blocks() if frame_blocks is not None else None
+            if blocks is None and isinstance(source, collections.abc.Sequence):
+                blocks = pack_blocks(source)
+            routed = (
+                self._pack(source)
+                if blocks is None
+                else ((block, None) for block in blocks)
+            )
             return self._run_blocks(routed, wall_start)
         finally:
             self._registry.retire(self)
@@ -503,7 +514,7 @@ class StreamingGateway:
             self._executor = None
 
     def _pack(self, packets: Iterable[Packet]) -> Iterator[Routed]:
-        """Pack a packet stream into routed frame blocks, reading nothing ahead.
+        """Pack a live packet stream into routed frame blocks, reading nothing ahead.
 
         A block ends at the first packet that may trigger work: one
         whose stamp reaches the next batcher deadline, the next alert

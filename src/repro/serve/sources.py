@@ -21,9 +21,12 @@ A source may also offer ``frame_blocks()``: an iterator of
 stamps, or ``None``.  :class:`PcapSource` (and
 :class:`~repro.corpus.CorpusSource`) offer blocks when they replay the
 recorded clock; the gateway then serves whole blocks without a
-``Packet`` per record.  The gateway packs any other source, live or
-re-timed, into blocks as it reads it, never reading past a packet that
-triggers work.
+``Packet`` per record.  :class:`IterableSource` and
+:class:`SyntheticSource` hold their packets in memory, so they always
+offer them as large blocks (:func:`~repro.net.frames.pack_blocks`),
+re-timed or not.  The gateway packs any other source (a live iterator,
+or a re-timed :class:`PcapSource`) into blocks as it reads it, never
+reading past a packet that triggers work.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.net.frames import FrameBlock, block_packets
+from repro.net.frames import FrameBlock, block_packets, pack_blocks
 from repro.net.packet import Packet
 
 __all__ = ["IterableSource", "PcapSource", "SyntheticSource", "retime"]
@@ -79,6 +82,11 @@ def retime(
 class IterableSource:
     """Wrap an in-process packet sequence as a source.
 
+    The packets are already in memory, so reading ahead is never
+    observable: :meth:`frame_blocks` hands the gateway large blocks of
+    the (re-timed) packets themselves, and a retrain hook receives those
+    same objects.
+
     Args:
         packets: the packets to serve, already timestamp-ordered.
         rate: when set, re-time the stream to this offered load
@@ -114,6 +122,10 @@ class IterableSource:
             burstiness=self._burstiness,
             seed=self._seed,
         )
+
+    def frame_blocks(self) -> Iterator[FrameBlock]:
+        """The packets of :meth:`__iter__`, as large frame blocks."""
+        return pack_blocks(self)
 
 
 class SyntheticSource(IterableSource):

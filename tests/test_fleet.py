@@ -107,6 +107,12 @@ class TestCapacityController:
         assert controller.free == 0
         controller.check_invariants()
 
+    def test_fleet_refuses_zero_capacity(self):
+        """Only ``None`` means "fit every tenant"; 0 is refused."""
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            FleetGateway([_spec("a")], capacity=0)
+        assert FleetGateway([_spec("a")]).controller.capacity == _spec("a").cost()
+
     def test_equal_band_never_displaced(self):
         a, b = _spec("a", seed=1), _spec("b", seed=2)
         controller = CapacityController(a.cost())
@@ -545,6 +551,17 @@ class TestFleetSpecFile:
         assert ruleset_to_dict(specs[1].rules) == ruleset_to_dict(sensor_rules)
         assert specs[1].src_prefix is None  # catch-all
 
+    def test_spec_zero_capacity_is_refused(self, tmp_path):
+        save_ruleset(_rules(seed=53), tmp_path / "a.json")
+        spec_path = tmp_path / "fleet.json"
+        spec_path.write_text(json.dumps(
+            {"capacity": 0, "tenants": [{"name": "a", "rules": "a.json"}]}
+        ))
+        capacity, specs = load_fleet_spec(spec_path)
+        assert capacity == 0
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            FleetGateway(specs, capacity=capacity)
+
     def test_spec_errors(self, tmp_path):
         path = tmp_path / "fleet.json"
         path.write_text(json.dumps({"tenants": []}))
@@ -629,6 +646,17 @@ class TestFleetCLI:
         assert "tenants served" in out
         assert "tenant cameras" in out
         assert "entries offered" in out
+
+    def test_serve_zero_fleet_capacity_exits(self, fleet_files):
+        registry_root, spec_path = fleet_files
+        with pytest.raises(SystemExit, match="capacity must be >= 1") as exc:
+            main([
+                "serve", "--tenants", str(spec_path),
+                "--registry-root", str(registry_root),
+                "--synthetic", "inet", "--packets", "400", "--rate", "50000",
+                "--fleet-capacity", "0",
+            ])
+        assert exc.value.code not in (0, None)
 
     def test_serve_without_rules_or_tenants_exits(self):
         with pytest.raises(SystemExit, match="rules file"):

@@ -1,12 +1,16 @@
 """A capture's own frame blocks serve exactly as its packets do.
 
 A source that offers frame blocks (``PcapSource`` on its recorded
-clock) hands the gateway the blocks it read; the same capture read into
-a packet list is packed into blocks by the gateway as it reads it.
-Every golden scenario, written to a pcap, must produce equal results
-both ways, on both executors: every field
-:func:`test_gateway_golden.observe` returns, the packets the retrain
-hook receives, and the flight-recorder dump.
+clock) hands the gateway the blocks it read; the same capture read as a
+live packet iterator is packed into blocks by the gateway as it reads
+it (``StreamingGateway._pack``).  Every golden scenario, written to a
+pcap, must produce equal results both ways, on both executors: every
+field :func:`test_gateway_golden.observe` returns, the packets the
+retrain hook receives, and the flight-recorder dump.
+
+A materialised source (a packet list or tuple, an ``IterableSource``)
+is cut into large blocks of its own packets and never reaches
+``_pack``; it must serve exactly as the same packets read live.
 """
 
 from __future__ import annotations
@@ -18,15 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.eval.harness import synthetic_firewall_ruleset
-from repro.net.frames import FrameBlock
+from repro.net.frames import PACK_ROWS, FrameBlock
 from repro.net.packet import Packet
 from repro.net.pcap import iter_pcap_blocks, read_pcap, write_pcap
-from repro.obs import FlightRecorder
+from repro.obs import AlertEngine, FlightRecorder, default_serve_alerts
 from repro.serve import IterableSource, PcapSource, ServeConfig, StreamingGateway
 from repro.serve.shard import flow_shard, flow_shards
+from repro.serve.sources import retime
 
-from tests.test_gateway_golden import CASES, SCENARIOS, _packets, observe
+from tests.test_gateway_golden import (
+    CASES, SCENARIOS, _packets, _rules, _SwapHook, observe,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +79,7 @@ def test_blocks_serve_like_packets(captures, tmp_path, name, n_shards, executor)
     assert source.frame_blocks() is not None
     blocks = _serve(name, n_shards, executor, source, tmp_path / "blocks.jsonl")
     packets = _serve(
-        name, n_shards, executor, IterableSource(read_pcap(path)), tmp_path / "packets.jsonl"
+        name, n_shards, executor, iter(read_pcap(path)), tmp_path / "packets.jsonl"
     )
     assert blocks[0] == packets[0]
     assert blocks[1] == packets[1]
@@ -149,10 +157,10 @@ def test_block_keys_equal_packet_keys(payloads, offsets, block_size):
 def test_packed_source_hashes_each_packet_once(
     tmp_path, inet_dataset, monkeypatch, executor
 ):
-    """A packed source at several shards is routed once per packet, as
-    it is packed, and the block loop reuses that routing: in ``"flow"``
-    mode each packet's 5-tuple is parsed once.  The run equals the same
-    capture served as its own frame blocks (hashed per block)."""
+    """A live source packed at several shards is routed once per
+    packet, as it is packed, and the block loop reuses that routing: in
+    ``"flow"`` mode each packet's 5-tuple is parsed once.  The run equals
+    the same capture served as its own frame blocks (hashed per block)."""
     import repro.net.flow as flow
 
     path = tmp_path / "inet.pcap"
@@ -167,7 +175,7 @@ def test_packed_source_hashes_each_packet_once(
         return parse(packet)
 
     monkeypatch.setattr(flow, "key_for_packet", counted)
-    packed = StreamingGateway(rules, config).run(IterableSource(read_pcap(path)))
+    packed = StreamingGateway(rules, config).run(iter(read_pcap(path)))
     assert len(calls) == packed.offered == n
     assert packed.verdicts == expected.verdicts
     assert packed.per_shard == expected.per_shard
@@ -246,7 +254,8 @@ def test_any_stamp_order_serves_like_packets(
     service_rate, block_size,
 ):
     """Arbitrary stamp orders, batch sizes, sheds and block splits,
-    down to one record per block."""
+    down to one record per block; a live iterator (packed as read) and
+    a list (one block of its packets) serve alike."""
     rng = np.random.default_rng(seed)
     path = tmp_path_factory.mktemp("order") / "s.pcap"
     write_pcap(
@@ -263,7 +272,10 @@ def test_any_stamp_order_serves_like_packets(
     )
     rules = synthetic_firewall_ruleset(n_rules=4, seed=seed % 7)
     runs = []
-    sources = (_Blocks(path, block_size), _OneRowBlocks(path), IterableSource(read_pcap(path)))
+    sources = (
+        _Blocks(path, block_size), _OneRowBlocks(path), iter(read_pcap(path)),
+        read_pcap(path),
+    )
     for source in sources:
         clocks = _ClockLog()
         gateway = StreamingGateway(
@@ -276,4 +288,95 @@ def test_any_stamp_order_serves_like_packets(
             result.latency_p50, result.latency_p99, result.batcher_wait_p99,
             result.shed, result.duration, clocks.log,
         ))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def test_only_live_sources_are_packed(monkeypatch):
+    """Lists, tuples and ``IterableSource``\\ s (re-timed or not) are
+    served as blocks of their packets; only a live iterator is packed."""
+    packets = _packets(seed=1, n=3000, rate=1_000_000.0)
+
+    def refuse(self, source):
+        raise AssertionError("packed a source")
+
+    monkeypatch.setattr(StreamingGateway, "_pack", refuse)
+    gateway = StreamingGateway(
+        synthetic_firewall_ruleset(n_rules=4, seed=1),
+        ServeConfig(n_shards=3, max_batch=128),
+    )
+    for source in (
+        packets, tuple(packets), IterableSource(packets),
+        IterableSource(packets, rate=50_000.0),
+    ):
+        result = gateway.run(source)
+        assert result.offered == result.processed == len(packets)
+    with pytest.raises(AssertionError, match="packed a source"):
+        gateway.run(iter(packets))
+
+
+class _LoggedAlerts(AlertEngine):
+    """The default serve alerts, logging the gateway's counters at each
+    evaluation next to the alerts it fired."""
+
+    def __init__(self, registry):
+        super().__init__(default_serve_alerts(shed_rate=0.01), registry=registry)
+        self.gateway = None
+        self.log = []
+
+    def evaluate(self, now=0.0):
+        fired = super().evaluate(now)
+        gateway = self.gateway
+        self.log.append(
+            (now, gateway._offered, dict(gateway._flush_reasons),
+             [(s.processed, s.shed) for s in gateway.shards], fired)
+        )
+        return fired
+
+
+@pytest.fixture(scope="module")
+def long_inet(inet_dataset):
+    """Real IPv4 traffic tiled past one :data:`PACK_ROWS` block."""
+    base = inet_dataset.test_packets
+    tiled = base * (PACK_ROWS // len(base) + 2)
+    return list(retime(tiled, rate=100_000.0, burstiness=4.0, seed=5))
+
+
+@pytest.mark.parametrize("executor", ["inline", "process"])
+@pytest.mark.parametrize("hash_mode", ["bytes", "flow"])
+def test_list_serves_like_live_iterator(long_inet, executor, hash_mode):
+    """A list (served as large blocks) and the same packets read live
+    (packed as read) give equal results, alert logs and retrain-hook
+    batches, down to the identity of every packet the hook receives,
+    with a rule swap mid-run and shedding."""
+    assert len(long_inet) > PACK_ROWS
+    config = ServeConfig(
+        n_shards=3, hash_mode=hash_mode, executor=executor, max_batch=128,
+        max_latency=0.002, queue_capacity=256, service_rate=25_000.0,
+    )
+    runs = []
+    for source in (long_inet, iter(long_inet)):
+        registry = obs.Registry(enabled=True)
+        hook_log = []
+        with obs.use_registry(registry):
+            alerts = _LoggedAlerts(registry)
+            gateway = StreamingGateway(
+                _rules(seed=0), config, retrain_hook=_SwapHook(3000, hook_log),
+                alert_engine=alerts, alert_interval=0.005,
+            )
+            alerts.gateway = gateway
+            result = gateway.run(source)
+        runs.append((result, alerts.log, hook_log))
+    (listed, listed_alerts, listed_hook), (live, live_alerts, live_hook) = runs
+    for field in (
+        "verdicts", "stats", "per_shard", "flush_reasons", "latency_p50",
+        "latency_p99", "batcher_wait_p99", "rule_swaps", "alerts",
+    ):
+        assert getattr(listed, field) == getattr(live, field), field
+    assert listed.rule_swaps == 1 and listed.shed and listed.alerts
+    assert listed_alerts == live_alerts
+    assert [len(batch) for batch in listed_hook] == [len(batch) for batch in live_hook]
+    assert all(
+        a is b
+        for listed_batch, live_batch in zip(listed_hook, live_hook)
+        for a, b in zip(listed_batch, live_batch)
+    )
