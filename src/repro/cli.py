@@ -366,35 +366,38 @@ def cmd_serve(args) -> int:
 
     if args.rules is None and not args.tenants:
         raise SystemExit("need a rules file (or --tenants)")
-    if args.pcap:
-        source = PcapSource(
-            args.pcap,
-            rate=args.rate,
-            loop=args.loop,
-            burstiness=args.burstiness,
-            seed=args.seed,
+    try:
+        if args.pcap:
+            source = PcapSource(
+                args.pcap,
+                rate=args.rate,
+                loop=args.loop,
+                burstiness=args.burstiness,
+                seed=args.seed,
+            )
+        else:
+            source = SyntheticSource(
+                rate=args.rate or 50_000.0,
+                n_packets=args.packets,
+                stack=args.synthetic or "inet",
+                burstiness=args.burstiness,
+                seed=args.seed,
+            )
+        config = ServeConfig(
+            n_shards=args.shards,
+            max_batch=args.max_batch,
+            max_latency=args.max_latency_ms / 1000.0,
+            queue_capacity=args.queue_capacity,
+            policy=args.policy,
+            service_rate=args.service_rate,
+            table_capacity=args.table_capacity,
+            hash_mode=args.hash_mode,
+            record_verdicts=False,
+            executor=args.executor,
+            ring_slots=args.ring_slots,
         )
-    else:
-        source = SyntheticSource(
-            rate=args.rate or 50_000.0,
-            n_packets=args.packets,
-            stack=args.synthetic or "inet",
-            burstiness=args.burstiness,
-            seed=args.seed,
-        )
-    config = ServeConfig(
-        n_shards=args.shards,
-        max_batch=args.max_batch,
-        max_latency=args.max_latency_ms / 1000.0,
-        queue_capacity=args.queue_capacity,
-        policy=args.policy,
-        service_rate=args.service_rate,
-        table_capacity=args.table_capacity,
-        hash_mode=args.hash_mode,
-        record_verdicts=False,
-        executor=args.executor,
-        ring_slots=args.ring_slots,
-    )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     recorder = None
     engine = None
     if args.flight_dump or args.alerts:
@@ -613,17 +616,20 @@ def cmd_corpus(args) -> int:
                 from repro.eval.harness import synthetic_firewall_ruleset
 
                 rules = synthetic_firewall_ruleset(seed=args.seed)
-            config = ServeConfig(
-                n_shards=args.shards,
-                max_batch=args.max_batch,
-                max_latency=args.max_latency_ms / 1000.0,
-                queue_capacity=args.queue_capacity,
-                policy=args.policy,
-                service_rate=args.service_rate,
-                table_capacity=args.table_capacity,
-                record_verdicts=False,
-                executor=args.executor,
-            )
+            try:
+                config = ServeConfig(
+                    n_shards=args.shards,
+                    max_batch=args.max_batch,
+                    max_latency=args.max_latency_ms / 1000.0,
+                    queue_capacity=args.queue_capacity,
+                    policy=args.policy,
+                    service_rate=args.service_rate,
+                    table_capacity=args.table_capacity,
+                    record_verdicts=False,
+                    executor=args.executor,
+                )
+            except ValueError as exc:
+                raise SystemExit(str(exc))
             registry = obs.Registry(enabled=True)
             with obs.use_registry(registry):
                 report = replay_corpus(

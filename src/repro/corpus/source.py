@@ -10,10 +10,10 @@ chunk's sha256 over the uncompressed byte stream *as it reads*, raising
 with its manifest digest.  Verification is therefore free of a second
 read pass and adds one hash update per block, not per record.
 
-On the recorded clock (no ``rate``) the source also offers its frame
-blocks (:meth:`CorpusSource.frame_blocks`), which the gateway serves
-without building a packet object per record.  A re-timed corpus is
-read as packets, which the gateway packs into blocks again.
+The source also offers its packets as frame blocks
+(:meth:`CorpusSource.frame_blocks`), which the gateway serves whole: on
+the recorded clock (no ``rate``) the blocks it read, without a packet
+object per record; re-timed, large blocks of the re-timed packets.
 
 Re-stamping to a fresh offered load wraps the whole chained stream in
 :func:`repro.serve.retime`, which is itself a streaming generator — a
@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro import obs
 from repro.corpus.build import ChunkMeta, CorpusError, CorpusManifest, load_manifest
-from repro.net.frames import FrameBlock, block_packets
+from repro.net.frames import FrameBlock, block_packets, pack_blocks
 from repro.net.packet import Packet
 from repro.net.pcap import iter_pcap_blocks, open_pcap_stream
 from repro.serve.sources import retime
@@ -151,24 +151,19 @@ class CorpusSource:
                 if self._on_chunk is not None:
                     self._on_chunk(index, meta)
 
-    def frame_blocks(self) -> Optional[Iterator[FrameBlock]]:
-        """The corpus as frame blocks, or ``None`` when re-timed.
-
-        Re-timing draws arrival gaps one packet at a time, so only the
-        recorded clock is offered as blocks.
-        """
-        if self._rate is not None:
-            return None
-        return self._blocks()
-
-    def _raw(self) -> Iterator[Packet]:
-        return block_packets(self._blocks())
+    def frame_blocks(self) -> Iterator[FrameBlock]:
+        """The packets of :meth:`__iter__` as frame blocks: the blocks
+        read from the chunks, or large blocks of the re-timed packets."""
+        if self._rate is None:
+            return self._blocks()
+        return pack_blocks(self)
 
     def __iter__(self) -> Iterator[Packet]:
+        packets = block_packets(self._blocks())
         if self._rate is None:
-            return self._raw()
+            return packets
         return retime(
-            self._raw(),
+            packets,
             rate=self._rate,
             burstiness=self._burstiness,
             seed=self._seed,

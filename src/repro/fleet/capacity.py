@@ -215,10 +215,6 @@ class CapacityController:
     def free(self) -> int:
         return self.capacity - self.installed_entries
 
-    @property
-    def installed_tenants(self) -> Tuple[str, ...]:
-        return tuple(self._installed)
-
     def spec(self, name: str) -> TenantSpec:
         """The installed spec for ``name`` (KeyError if not installed)."""
         return self._installed[name]

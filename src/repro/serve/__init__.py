@@ -6,9 +6,9 @@ the opposite: a long-lived element fed by an unbounded packet stream at
 a rate it does not control.  This package supplies that missing layer:
 
 * :mod:`repro.serve.sources` — pluggable packet sources: a seeded
-  synthetic stream with configurable rate/burstiness, a streaming pcap
-  reader (never materialises the file), and an in-process source for
-  tests;
+  synthetic stream with configurable rate/burstiness and a streaming
+  pcap reader (never materialises the file); a packet list is the
+  in-memory source;
 * :mod:`repro.serve.batcher` — an adaptive batcher that accumulates
   packets under a max-latency / max-batch policy so live load still hits
   the vectorised :meth:`~repro.dataplane.switch.Switch.process_batch`
@@ -47,12 +47,7 @@ from repro.serve.gateway import (
 from repro.serve.hooks import DriftRetrainHook
 from repro.serve.shard import BoundedQueue, Shard, ShardSet, flow_shard
 from repro.serve.workers import InlineExecutor, ProcessExecutor, WorkerDiedError
-from repro.serve.sources import (
-    IterableSource,
-    PcapSource,
-    SyntheticSource,
-    retime,
-)
+from repro.serve.sources import PcapSource, SyntheticSource, retime
 
 __all__ = [
     "AdaptiveBatcher",
@@ -62,7 +57,6 @@ __all__ = [
     "FAIL_CLOSED",
     "FAIL_OPEN",
     "InlineExecutor",
-    "IterableSource",
     "PcapSource",
     "ProcessExecutor",
     "ServeConfig",

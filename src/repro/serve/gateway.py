@@ -10,12 +10,13 @@ directly comparable to ``replay_gateway`` — while queueing, deadlines,
 backpressure and shedding are exact, deterministic functions of the
 offered arrival process (no sleeping, no flaky timers).
 
-The loop serves frame blocks.  A source that offers them
-(``source.frame_blocks()``, e.g. a pcap or corpus replayed on its
-recorded clock, or an in-memory :class:`~repro.serve.sources.IterableSource`)
-hands them over directly, and a materialised packet ``Sequence`` (a
-list or tuple) is cut into large blocks of the packets themselves
-(:func:`~repro.net.frames.pack_blocks`).  Only a live packet iterator is
+The loop serves frame blocks.  Every source class offers them
+(``source.frame_blocks()``: a pcap or corpus hands over the blocks it
+read, or re-timed, large blocks of its re-timed packets, as does a
+:class:`~repro.serve.sources.SyntheticSource`), and a materialised
+packet ``Sequence`` (a list or tuple) is cut into large blocks of the
+packets themselves (:func:`~repro.net.frames.pack_blocks`).  Only a
+live packet iterator (a wall-clock-paced source, a generator) is
 packed as it is read, each block ending at the first packet that could
 trigger work, so a live source is never read ahead.  Each
 block gets one vectorised flow hash (consistent flow hash — stateful
@@ -133,12 +134,10 @@ class ServeConfig:
             :mod:`repro.serve.workers`).  Verdicts, shed accounting and
             aggregated stats are backend-identical.
         ring_slots: frame/result ring depth per worker (process
-            backend).  A full frame ring blocks the submitter in wall
-            clock (accounted, never shed) — stream-time shedding stays
-            with the bounded queues, identical to inline.
-        worker_timeout: seconds a worker may stay silent (startup,
-            result, swap ack) before the gateway declares it dead and
-            fails its shard closed.
+            backend), at least 2.  A full frame ring blocks the
+            submitter in wall clock (accounted, never shed) —
+            stream-time shedding stays with the bounded queues,
+            identical to inline.
 
     Multi-tenant serving takes its tenants and table budget as
     :class:`repro.fleet.FleetGateway` arguments and gives every tenant
@@ -156,9 +155,16 @@ class ServeConfig:
     record_verdicts: bool = True
     executor: str = "inline"
     ring_slots: int = 8
-    worker_timeout: float = 30.0
 
     def __post_init__(self) -> None:
+        if self.n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if self.max_latency <= 0:
+            raise ValueError("max_latency must be positive")
+        if self.table_capacity < 1:
+            raise ValueError("table_capacity must be >= 1")
         if self.policy not in SHED_ACTIONS:
             raise ValueError(f"unknown shed policy {self.policy!r}")
         if self.queue_capacity < self.max_batch:
@@ -170,10 +176,8 @@ class ServeConfig:
             raise ValueError("service_rate must be positive (or None)")
         if self.executor not in ("inline", "process"):
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.ring_slots < 1:
-            raise ValueError("ring_slots must be >= 1")
-        if self.worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive")
+        if self.ring_slots < 2:
+            raise ValueError("ring_slots must be >= 2")
 
 
 @dataclasses.dataclass
@@ -472,9 +476,9 @@ class StreamingGateway:
     def run(self, source: Iterable[Packet]) -> SoakResult:
         """Consume a source to exhaustion, then drain; returns the result.
 
-        The source's own ``frame_blocks()`` are served when it offers
-        them, a packet ``Sequence`` as :func:`pack_blocks` blocks, and
-        any other iterable through :meth:`_pack`.
+        A source that offers ``frame_blocks()`` is served as those
+        blocks, a packet ``Sequence`` as :func:`pack_blocks` blocks, and
+        any other iterable, which is live, through :meth:`_pack`.
         """
         if _obs_state._generation != self._obs_gen:  # see registry._generation
             self._capture_obs()
@@ -488,7 +492,6 @@ class StreamingGateway:
                 table_capacity=config.table_capacity,
                 max_batch=config.max_batch,
                 ring_slots=config.ring_slots,
-                timeout=config.worker_timeout,
             )
             self._obs_parallel_workers.set(config.n_shards)
         else:
@@ -496,15 +499,12 @@ class StreamingGateway:
         self._registry.track(self, self._run_series)  # until run() ends
         wall_start = time.perf_counter()
         try:
-            frame_blocks = getattr(source, "frame_blocks", None)
-            blocks = frame_blocks() if frame_blocks is not None else None
-            if blocks is None and isinstance(source, collections.abc.Sequence):
-                blocks = pack_blocks(source)
-            routed = (
-                self._pack(source)
-                if blocks is None
-                else ((block, None) for block in blocks)
-            )
+            if hasattr(source, "frame_blocks"):
+                routed = ((block, None) for block in source.frame_blocks())
+            elif isinstance(source, collections.abc.Sequence):
+                routed = ((block, None) for block in pack_blocks(source))
+            else:
+                routed = self._pack(source)
             return self._run_blocks(routed, wall_start)
         finally:
             self._registry.retire(self)

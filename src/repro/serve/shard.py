@@ -112,7 +112,6 @@ class BoundedQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.depth = 0
-        self.dropped = 0
         self.high_watermark = 0
         self._batches: Deque[Batch] = collections.deque()
 
@@ -123,13 +122,11 @@ class BoundedQueue:
         """Admit what fits; returns (admitted batch or None, shed count)."""
         space = self.capacity - self.depth
         if space <= 0:
-            self.dropped += len(batch)
             return None, len(batch)
         if len(batch) <= space:
             admitted, shed = batch, 0
         else:
             admitted, shed = batch[:space], len(batch) - space
-            self.dropped += shed
         self._batches.append(admitted)
         self.depth += len(admitted)
         if self.depth > self.high_watermark:
@@ -144,9 +141,6 @@ class BoundedQueue:
         batch = self._batches.popleft()
         self.depth -= len(batch)
         return batch
-
-    def peek(self) -> Optional[Batch]:
-        return self._batches[0] if self._batches else None
 
 
 def swap_controller(
@@ -250,7 +244,6 @@ class ShardSet:
             )
             for i in range(n_shards)
         ]
-        self.rule_swaps = 0
         #: Wall-clock seconds of each :meth:`install` this run — the
         #: "swap" leg of the drift→retrain→swap latency the endurance
         #: harness reports (the retrain leg is timed by the hook).
@@ -258,6 +251,11 @@ class ShardSet:
 
     def __len__(self) -> int:
         return len(self.shards)
+
+    @property
+    def rule_swaps(self) -> int:
+        """Atomic installs this run."""
+        return len(self.swap_seconds)
 
     def __iter__(self):
         return iter(self.shards)
@@ -284,7 +282,6 @@ class ShardSet:
                 self._retired.append(shard.switch.stats)
                 shard.controller = controller
         self.rules = rules
-        self.rule_swaps += 1
         self.swap_seconds.append(time.perf_counter() - swap_start)
 
     def stats(self) -> SwitchStats:
@@ -296,13 +293,11 @@ class ShardSet:
     def reset(self) -> None:
         """Zero every per-run counter and the queueing clock."""
         self._retired.clear()
-        self.rule_swaps = 0
         self.swap_seconds.clear()
         for shard in self.shards:
             shard.processed = 0
             shard.shed = 0
             shard.verdict_counts = {}
             shard.busy_until = 0.0
-            shard.queue.dropped = 0
             shard.queue.high_watermark = 0
             shard.switch.reset_stats()

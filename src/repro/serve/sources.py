@@ -2,12 +2,9 @@
 
 A *source* is simply an iterable of :class:`~repro.net.packet.Packet`
 whose timestamps are non-decreasing — the timestamp **is** the arrival
-clock the gateway runs on (stream time).  Three implementations cover
-the serving scenarios:
+clock the gateway runs on (stream time).  A packet list or tuple is the
+in-memory source; two classes cover the other serving scenarios:
 
-* :class:`IterableSource` — wrap any in-process packet sequence
-  (tests, pre-generated traces), optionally re-timed to an offered
-  load;
 * :class:`SyntheticSource` — a seeded synthetic stream built on
   :func:`repro.datasets.generator.generate_trace`, re-timed to a
   configurable rate with tunable burstiness;
@@ -16,31 +13,32 @@ the serving scenarios:
   materialised, so arbitrarily large files (or loops of a small one)
   feed the gateway in bounded memory.
 
-A source may also offer ``frame_blocks()``: an iterator of
+Every source class (these two and :class:`~repro.corpus.CorpusSource`)
+also offers ``frame_blocks()``: an iterator of
 :class:`~repro.net.frames.FrameBlock`\\ s carrying the same records and
-stamps, or ``None``.  :class:`PcapSource` (and
-:class:`~repro.corpus.CorpusSource`) offer blocks when they replay the
-recorded clock; the gateway then serves whole blocks without a
-``Packet`` per record.  :class:`IterableSource` and
-:class:`SyntheticSource` hold their packets in memory, so they always
-offer them as large blocks (:func:`~repro.net.frames.pack_blocks`),
-re-timed or not.  The gateway packs any other source (a live iterator,
-or a re-timed :class:`PcapSource`) into blocks as it reads it, never
-reading past a packet that triggers work.
+stamps as its packets.  On the recorded clock a disk source hands over
+the blocks it read, without a ``Packet`` per record; re-timed, and for
+:class:`SyntheticSource`, the re-timed packets are cut into large
+blocks (:func:`~repro.net.frames.pack_blocks`).  Reading one block
+ahead is not observable on a stream-time replay.  The gateway packs
+any other iterable (a wall-clock-paced source, a bare iterator) into
+blocks as it reads it, never reading past a packet that triggers work.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.net.frames import FrameBlock, block_packets, pack_blocks
 from repro.net.packet import Packet
 
-__all__ = ["IterableSource", "PcapSource", "SyntheticSource", "retime"]
+__all__ = ["PcapSource", "SyntheticSource", "retime"]
+
+_PACKET_NEW = Packet.__new__
+_SETATTR = object.__setattr__
 
 
 def retime(
@@ -61,6 +59,8 @@ def retime(
     batcher and the bounded queues).
 
     The input may be any iterable — re-timing is itself streaming.
+    Each copy shares the input's ``data``, ``label`` and ``meta``
+    objects, as :func:`dataclasses.replace` would.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -69,6 +69,8 @@ def retime(
     rng = np.random.default_rng(seed)
     now = float(start)
     remaining_in_burst = 0
+    # Packet() without re-running the dataclass __init__ (see FrameBlock).
+    packet_new, setattr_, packet_cls = _PACKET_NEW, _SETATTR, Packet
     for packet in packets:
         if remaining_in_burst <= 0:
             # Mean gap between bursts is burstiness/rate, so bursts of
@@ -76,66 +78,24 @@ def retime(
             now += float(rng.exponential(burstiness / rate))
             remaining_in_burst = int(rng.geometric(1.0 / burstiness))
         remaining_in_burst -= 1
-        yield dataclasses.replace(packet, timestamp=now)
+        copy = packet_new(packet_cls)
+        setattr_(copy, "data", packet.data)
+        setattr_(copy, "timestamp", now)
+        setattr_(copy, "label", packet.label)
+        setattr_(copy, "meta", packet.meta)
+        yield copy
 
 
-class IterableSource:
-    """Wrap an in-process packet sequence as a source.
-
-    The packets are already in memory, so reading ahead is never
-    observable: :meth:`frame_blocks` hands the gateway large blocks of
-    the (re-timed) packets themselves, and a retrain hook receives those
-    same objects.
-
-    Args:
-        packets: the packets to serve, already timestamp-ordered.
-        rate: when set, re-time the stream to this offered load
-            (pkts/s) with :func:`retime` instead of keeping the
-            packets' own timestamps.
-        burstiness: burst factor for re-timing (ignored without
-            ``rate``).
-        seed: RNG seed for the arrival process.
-    """
-
-    def __init__(
-        self,
-        packets: Sequence[Packet],
-        *,
-        rate: Optional[float] = None,
-        burstiness: float = 1.0,
-        seed: int = 0,
-    ):
-        self._packets = packets
-        self._rate = rate
-        self._burstiness = burstiness
-        self._seed = seed
-
-    def __len__(self) -> int:
-        return len(self._packets)
-
-    def __iter__(self) -> Iterator[Packet]:
-        if self._rate is None:
-            return iter(self._packets)
-        return retime(
-            self._packets,
-            rate=self._rate,
-            burstiness=self._burstiness,
-            seed=self._seed,
-        )
-
-    def frame_blocks(self) -> Iterator[FrameBlock]:
-        """The packets of :meth:`__iter__`, as large frame blocks."""
-        return pack_blocks(self)
-
-
-class SyntheticSource(IterableSource):
+class SyntheticSource:
     """Seeded synthetic traffic re-timed to a configurable offered load.
 
     Generates one labelled trace via
     :func:`repro.datasets.generator.generate_trace` (device mix plus
     attack windows, byte-deterministic under ``seed``) and replays it at
     ``rate`` pkts/s.  Generation happens once in the constructor so a
-    timed soak measures the gateway, not the generator.
+    timed soak measures the gateway, not the generator; re-timing is
+    lazy, so each iteration draws the same stamps without holding a
+    re-timed copy of the stream.
 
     Args:
         rate: offered load in packets per second.
@@ -167,10 +127,25 @@ class SyntheticSource(IterableSource):
         )
         if not base:
             raise ValueError("generated base trace is empty")
-        packets = (base * (n_packets // len(base) + 1))[:n_packets]
-        super().__init__(
-            packets, rate=rate, burstiness=burstiness, seed=seed
+        self._packets = (base * (n_packets // len(base) + 1))[:n_packets]
+        self._rate = rate
+        self._burstiness = burstiness
+        self._seed = seed
+
+    def __len__(self) -> int:
+        return len(self._packets)
+
+    def __iter__(self) -> Iterator[Packet]:
+        return retime(
+            self._packets,
+            rate=self._rate,
+            burstiness=self._burstiness,
+            seed=self._seed,
         )
+
+    def frame_blocks(self) -> Iterator[FrameBlock]:
+        """The re-timed packets of :meth:`__iter__`, as large frame blocks."""
+        return pack_blocks(self)
 
 
 class PcapSource:
@@ -213,20 +188,19 @@ class PcapSource:
             with open(self.path, "rb") as handle:
                 yield from iter_pcap_blocks(handle)
 
-    def frame_blocks(self) -> Optional[Iterator[FrameBlock]]:
-        """The capture as frame blocks, or ``None`` when re-timed."""
-        if self._rate is not None:
-            return None
-        return self._blocks()
-
-    def _raw(self) -> Iterator[Packet]:
-        return block_packets(self._blocks())
+    def frame_blocks(self) -> Iterator[FrameBlock]:
+        """The packets of :meth:`__iter__` as frame blocks: the blocks
+        read from the capture, or large blocks of the re-timed packets."""
+        if self._rate is None:
+            return self._blocks()
+        return pack_blocks(self)
 
     def __iter__(self) -> Iterator[Packet]:
+        packets = block_packets(self._blocks())
         if self._rate is None:
-            return self._raw()
+            return packets
         return retime(
-            self._raw(),
+            packets,
             rate=self._rate,
             burstiness=self._burstiness,
             seed=self._seed,

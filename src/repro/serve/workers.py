@@ -92,6 +92,10 @@ __all__ = [
 #: shared memory, so waits are pure back-off, not wake-ups.
 _POLL = 0.0002
 
+#: Seconds a worker may stay silent (startup, result, swap ack) before
+#: it is declared dead and its shard fails closed.
+_TIMEOUT = 30.0
+
 #: Worker start method: ``fork`` where the platform has it, else ``spawn``.
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
@@ -301,15 +305,11 @@ class ProcessExecutor:
         table_capacity: int = 4096,
         max_batch: int = 1024,
         ring_slots: int = 8,
-        timeout: float = 30.0,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if ring_slots < 1:
-            raise ValueError("ring_slots must be >= 1")
         self.n_shards = n_shards
         self.max_batch = max_batch
-        self.timeout = timeout
         self.key_width_cap = max(len(rules.offsets), _MIN_KEY_WIDTH)
         #: Parser offsets of the installed rule set (key extraction).
         self.offsets = tuple(rules.offsets)
@@ -321,10 +321,6 @@ class ProcessExecutor:
         self.swap_barrier_seconds: List[float] = []
 
         ctx = mp.get_context(_START_METHOD)
-        # The ring protocol needs >= 2 slots (see RingSpec); a user
-        # asking for 1 gets the tightest legal ring, which still forces
-        # a full-ring wall-clock wait on nearly every submit.
-        ring_slots = max(2, ring_slots)
         frame_spec = RingSpec(
             ring_slots, frame_slot_bytes(max_batch, self.key_width_cap)
         )
@@ -388,7 +384,7 @@ class ProcessExecutor:
     def _recv_control(self, shard: int):
         """One control message from a worker, with liveness + timeout."""
         conn = self._conns[shard]
-        deadline = time.perf_counter() + self.timeout
+        deadline = time.perf_counter() + _TIMEOUT
         while not conn.poll(_POLL):
             if not self._procs[shard].is_alive():
                 raise WorkerDiedError(
@@ -426,7 +422,7 @@ class ProcessExecutor:
         if view is None:
             self.ring_full_waits += 1
             start = time.perf_counter()
-            deadline = start + self.timeout
+            deadline = start + _TIMEOUT
             while view is None:
                 self._drain_results()
                 view = ring.try_acquire_write()
@@ -498,7 +494,7 @@ class ProcessExecutor:
 
     def wait(self, shard: int) -> BatchResult:
         """Block until the shard's next batch completes."""
-        deadline = time.perf_counter() + self.timeout
+        deadline = time.perf_counter() + _TIMEOUT
         while True:
             result = self.poll(shard)
             if result is not None:

@@ -210,7 +210,7 @@ class TestGatewaySoakAcceptance:
         """The issue's acceptance shape: over-offer, fire, dump, verify."""
         from repro.eval.harness import synthetic_firewall_ruleset
         from repro.net.packet import Packet
-        from repro.serve import IterableSource, ServeConfig, StreamingGateway
+        from repro.serve import ServeConfig, StreamingGateway
 
         rng = np.random.default_rng(3)
         gaps = rng.exponential(1.0 / 50_000.0, size=6000)
@@ -244,7 +244,7 @@ class TestGatewaySoakAcceptance:
                 alert_engine=engine,
                 alert_interval=0.01,
             )
-            result = gateway.run(IterableSource(packets))
+            result = gateway.run(packets)
 
         assert result.shed > 0
         fired_names = {event.name for event in result.alerts}

@@ -414,3 +414,16 @@ class TestServe:
         lines = snapshot.read_text().strip().split("\n")
         names = {json.loads(line)["name"] for line in lines}
         assert "serve_offered_packets_total" in names
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--ring-slots", "0"], "ring_slots must be >= 2"),
+        (["--ring-slots", "1", "--executor", "process"], "ring_slots must be >= 2"),
+        (["--max-batch", "0"], "max_batch must be >= 1"),
+        (["--queue-capacity", "10"], "queue_capacity must be >= max_batch"),
+        (["--packets", "0"], "n_packets must be >= 1"),
+    ], ids=["ring-slots-0", "ring-slots-1", "max-batch", "queue-capacity", "packets"])
+    def test_serve_refuses_bad_settings(self, rules_path, flags, message):
+        """An invalid setting exits with its message, not a traceback."""
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["serve", str(rules_path), "--synthetic", "inet", *flags])
+        assert exc.value.code not in (0, None)

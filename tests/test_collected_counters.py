@@ -24,7 +24,7 @@ from repro import obs
 from repro.dataplane.switch import SwitchStats
 from repro.eval.harness import synthetic_firewall_ruleset
 from repro.net.packet import Packet
-from repro.serve import IterableSource, ServeConfig, StreamingGateway
+from repro.serve import ServeConfig, StreamingGateway
 
 
 def _packets(seed: int, n: int, rate: float = 100_000.0):
@@ -92,7 +92,7 @@ def test_counters_equal_sum_of_soak_results(executor):
     )
     with obs.use_registry(registry):
         results = [
-            gateway.run(IterableSource(_packets(seed, 3000, rate=rate)))
+            gateway.run(_packets(seed, 3000, rate=rate))
             for seed, rate in ((1, 100_000.0), (2, 200_000.0))
         ]
     assert results[0].rule_swaps == 1 and results[1].rule_swaps == 0
@@ -138,7 +138,7 @@ def test_registry_never_pins_a_switch_but_keeps_its_counts():
     registry = obs.Registry(enabled=True)
     with obs.use_registry(registry):
         gateway = StreamingGateway(synthetic_firewall_ruleset())
-        result = gateway.run(IterableSource(_packets(3, 500)))
+        result = gateway.run(_packets(3, 500))
         switch = weakref.ref(gateway.shards[0].switch)
     del gateway
     gc.collect()
@@ -160,7 +160,7 @@ def test_tracked_records_bounded_by_live_objects():
             retrain_hook=hook,
         )
         for run in range(50):
-            received += gateway.run(IterableSource(_packets(run, 300))).stats.received
+            received += gateway.run(_packets(run, 300)).stats.received
     assert hook.swaps >= 100  # every run retired switches mid-run
     gc.collect()
     assert _values(registry, "switch_packets_received_total") == {(): received}
@@ -172,7 +172,7 @@ def test_disabled_registry_tracks_nothing():
     registry = obs.Registry(enabled=False)
     with obs.use_registry(registry):
         gateway = StreamingGateway(synthetic_firewall_ruleset())
-        gateway.run(IterableSource(_packets(4, 200)))
+        gateway.run(_packets(4, 200))
     assert not registry._tracked
     assert registry.snapshot() == {"metrics": []}
     assert gateway.shards[0].switch.stats.received == 200  # stats stay on

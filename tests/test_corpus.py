@@ -160,16 +160,24 @@ class TestSource:
             direct.extend(read_pcap(small_corpus.chunk_path(meta)))
         assert [p.data for p in streamed] == [p.data for p in direct]
 
-    def test_frame_blocks_only_on_recorded_clock(self, small_corpus):
-        source = CorpusSource(small_corpus)
+    @pytest.mark.parametrize("rate", [None, 1e5])
+    def test_frame_blocks_match_packets(self, small_corpus, rate):
+        """Recorded or re-timed, the blocks carry the packets' rows;
+        re-timed ones are cut into large blocks (one here)."""
+        kwargs = dict(rate=rate, burstiness=4.0, seed=3)
+        source = CorpusSource(small_corpus, **kwargs)
+        blocks = list(source.frame_blocks())
         rows = [
             (packet.data, packet.timestamp)
-            for block in source.frame_blocks()
+            for block in blocks
             for packet in block.packets()
         ]
         assert source.chunks_verified == 4
-        assert rows == [(p.data, p.timestamp) for p in CorpusSource(small_corpus)]
-        assert CorpusSource(small_corpus, rate=1e5).frame_blocks() is None
+        assert rows == [
+            (p.data, p.timestamp) for p in CorpusSource(small_corpus, **kwargs)
+        ]
+        if rate is not None:
+            assert len(blocks) == 1
 
     def test_corruption_detected(self, tmp_path):
         manifest = build_corpus(small_spec(), tmp_path / "x")
@@ -219,6 +227,32 @@ class TestSource:
         # ceiling: the 64 KB read block plus stitching copies and one
         # record — far below the 8 MB corpus, and independent of its size
         assert peak < 2_000_000
+
+    def test_retimed_blocks_bounded_memory(self, tmp_path):
+        """Re-timed blocks hold a block of packets at a time, however
+        long the corpus: 4x the packets, the same peak within 10%."""
+        import tracemalloc
+
+        peaks = []
+        for n_packets in (20_000, 80_000):
+            manifest = build_corpus(
+                CorpusSpec(
+                    n_packets=n_packets, chunk_packets=5_000, window=5.0, seed=5
+                ),
+                tmp_path / str(n_packets),
+            )
+            blocks = CorpusSource(
+                manifest, rate=1e5, burstiness=4.0, seed=3
+            ).frame_blocks()
+            rows = 0
+            tracemalloc.start()
+            for block in blocks:
+                rows += len(block)
+            __, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert rows == n_packets
+            peaks.append(peak)
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 class TestRetimeStreaming:
@@ -355,6 +389,20 @@ class TestCli:
         replayed = capsys.readouterr().out
         assert "3 chunks streamed, 3 digests verified" in replayed
         assert "drift→retrain→swap" in replayed
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--shards", "0"], "n_shards must be >= 1"),
+        (["--max-batch", "0"], "max_batch must be >= 1"),
+        (["--queue-capacity", "10"], "queue_capacity must be >= max_batch"),
+    ], ids=["shards", "max-batch", "queue-capacity"])
+    def test_replay_refuses_bad_settings(self, small_corpus, flags, message):
+        """An invalid serve setting exits with its message, not a traceback."""
+        from repro.cli import main
+
+        root = str(small_corpus.root)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(["corpus", "replay", root, *flags])
+        assert exc.value.code not in (0, None)
 
     def test_replay_reports_corruption(self, tmp_path, capsys):
         from repro.cli import main

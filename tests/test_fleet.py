@@ -403,6 +403,40 @@ class TestFleetDifferential:
             assert account.balanced
             assert account.evicted == 0
 
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_retrain_hook_swaps_like_solo(self, executor):
+        """A tenant's retrain hook swaps its rules mid-run in the fleet
+        exactly as it does for the tenant served alone."""
+
+        from tests.test_gateway_golden import _SwapHook
+
+        specs = [
+            _spec("cams", n_rules=10, seed=21, src_prefix="10.1.0.0/16"),
+            _spec("sensors", n_rules=6, seed=22, src_prefix="10.2.0.0/16"),
+        ]
+        packets = _tenant_stream(1_200, [(10, 1), (10, 2)], seed=35)
+        config = ServeConfig(
+            n_shards=2, max_batch=64, max_latency=0.002, queue_capacity=256,
+            service_rate=20_000.0, executor=executor,
+        )
+        result = FleetGateway(
+            specs, config, retrain_hooks={"cams": _SwapHook(200)}
+        ).run(packets)
+        sub = [p for p in packets if TenantRouter(specs).route(p) == "cams"]
+        solo = StreamingGateway(
+            specs[0].rules, config, retrain_hook=_SwapHook(200)
+        ).run(sub)
+        twin = result.per_tenant["cams"]
+        assert twin.rule_swaps == solo.rule_swaps == 1
+        assert result.per_tenant["sensors"].rule_swaps == 0
+        assert [
+            dataclasses.replace(v, tenant=None) for v in twin.verdicts
+        ] == solo.verdicts
+        assert twin.stats == solo.stats
+        assert (twin.offered, twin.processed, twin.shed) == (
+            solo.offered, solo.processed, solo.shed,
+        )
+
     def test_merged_verdicts_cover_every_packet_in_arrival_order(self):
         specs, result, solos, _, _ = _parity_fixture("inline")
         assert len(result.verdicts) == result.offered

@@ -28,7 +28,7 @@ from repro import obs
 from repro.core.rules import ACTION_QUARANTINE, MatchField, Rule
 from repro.eval.harness import synthetic_firewall_ruleset
 from repro.net.packet import Packet
-from repro.serve import FAIL_OPEN, IterableSource, ServeConfig, StreamingGateway
+from repro.serve import FAIL_OPEN, ServeConfig, StreamingGateway
 
 GOLDEN = Path(__file__).parent / "golden" / "gateway_events.json"
 HISTOGRAMS = (
@@ -154,7 +154,7 @@ def observe(
     config = ServeConfig(n_shards=n_shards, executor=executor, **config_kwargs)
     hook = _SwapHook(swap_at, hook_log) if swap_at is not None else None
     if source is None:
-        source = IterableSource(_packets(**packet_kwargs))
+        source = _packets(**packet_kwargs)
     registry = obs.Registry(enabled=True)
     with obs.use_registry(registry):
         gateway = StreamingGateway(

@@ -8,9 +8,11 @@ pcap, must produce equal results both ways, on both executors: every
 field :func:`test_gateway_golden.observe` returns, the packets the
 retrain hook receives, and the flight-recorder dump.
 
-A materialised source (a packet list or tuple, an ``IterableSource``)
-is cut into large blocks of its own packets and never reaches
-``_pack``; it must serve exactly as the same packets read live.
+Every other source object offers blocks too: a packet list or tuple
+is cut into large blocks of its own packets, and a re-timed
+``PcapSource`` or ``CorpusSource`` into large blocks of its re-timed
+packets.  None of them reaches ``_pack``, and each must serve exactly
+as the same packets read live.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.corpus import CorpusSource, CorpusSpec, build_corpus
 from repro.eval.harness import synthetic_firewall_ruleset
 from repro.net.frames import PACK_ROWS, FrameBlock
 from repro.net.packet import Packet
 from repro.net.pcap import iter_pcap_blocks, read_pcap, write_pcap
 from repro.obs import AlertEngine, FlightRecorder, default_serve_alerts
-from repro.serve import IterableSource, PcapSource, ServeConfig, StreamingGateway
+from repro.serve import PcapSource, ServeConfig, StreamingGateway, SyntheticSource
 from repro.serve.shard import flow_shard, flow_shards
 from repro.serve.sources import retime
 
@@ -75,9 +78,7 @@ def _serve(name, n_shards, executor, source, dump_path):
 @pytest.mark.parametrize("name,n_shards", CASES)
 def test_blocks_serve_like_packets(captures, tmp_path, name, n_shards, executor):
     path = captures[name]
-    source = PcapSource(path)
-    assert source.frame_blocks() is not None
-    blocks = _serve(name, n_shards, executor, source, tmp_path / "blocks.jsonl")
+    blocks = _serve(name, n_shards, executor, PcapSource(path), tmp_path / "blocks.jsonl")
     packets = _serve(
         name, n_shards, executor, iter(read_pcap(path)), tmp_path / "packets.jsonl"
     )
@@ -93,8 +94,17 @@ def test_blocks_serve_like_packets(captures, tmp_path, name, n_shards, executor)
     assert blocks[2].count("\n") > 0
 
 
-def test_retimed_pcap_source_offers_no_blocks(captures):
-    assert PcapSource(captures["saturating"], rate=1000.0).frame_blocks() is None
+def test_retimed_pcap_source_offers_blocks(captures):
+    """Re-timed, the capture's packets come as large blocks of the
+    re-timed packets: one per :data:`PACK_ROWS` rows."""
+    source = PcapSource(captures["saturating"], rate=1000.0, loop=3, seed=4)
+    blocks = list(source.frame_blocks())
+    packets = list(source)
+    assert len(packets) > PACK_ROWS
+    assert [len(block) for block in blocks[:-1]] == [PACK_ROWS] * (len(blocks) - 1)
+    assert [
+        (p.data, p.timestamp) for block in blocks for p in block.packets()
+    ] == [(p.data, p.timestamp) for p in packets]
 
 
 @pytest.mark.parametrize("hash_mode", ["bytes", "flow"])
@@ -105,7 +115,7 @@ def test_flow_hash_modes_shard_blocks_like_packets(tmp_path, inet_dataset, hash_
     rules = synthetic_firewall_ruleset(n_rules=8, seed=1)
     config = ServeConfig(n_shards=3, hash_mode=hash_mode, max_batch=64)
     blocks = StreamingGateway(rules, config).run(PcapSource(path))
-    packets = StreamingGateway(rules, config).run(IterableSource(read_pcap(path)))
+    packets = StreamingGateway(rules, config).run(read_pcap(path))
     assert blocks.per_shard == packets.per_shard
     assert blocks.verdicts == packets.verdicts
     assert blocks.flush_reasons == packets.flush_reasons
@@ -291,8 +301,31 @@ def test_any_stamp_order_serves_like_packets(
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
-def test_only_live_sources_are_packed(monkeypatch):
-    """Lists, tuples and ``IterableSource``\\ s (re-timed or not) are
+@pytest.fixture(scope="module")
+def disk(tmp_path_factory, long_inet):
+    """Real IPv4 traffic as a capture, and an on-disk corpus, each more
+    than one :data:`PACK_ROWS` block long."""
+    root = tmp_path_factory.mktemp("disk")
+    write_pcap(root / "inet.pcap", long_inet)
+    corpus = build_corpus(
+        CorpusSpec(n_packets=10_000, chunk_packets=2_500, window=5.0, seed=8),
+        root / "corpus",
+    )
+    return root / "inet.pcap", corpus
+
+
+def _retimed_disk_sources(disk):
+    """Stream-time disk replays: a looped, re-timed capture and a
+    re-timed corpus."""
+    pcap, corpus = disk
+    return (
+        PcapSource(pcap, rate=100_000.0, loop=2, burstiness=4.0, seed=5),
+        CorpusSource(corpus, rate=100_000.0, burstiness=4.0, seed=5),
+    )
+
+
+def test_only_live_sources_are_packed(monkeypatch, disk):
+    """Lists, tuples, ``SyntheticSource`` and re-timed disk replays are
     served as blocks of their packets; only a live iterator is packed."""
     packets = _packets(seed=1, n=3000, rate=1_000_000.0)
 
@@ -305,11 +338,12 @@ def test_only_live_sources_are_packed(monkeypatch):
         ServeConfig(n_shards=3, max_batch=128),
     )
     for source in (
-        packets, tuple(packets), IterableSource(packets),
-        IterableSource(packets, rate=50_000.0),
+        packets, tuple(packets), list(retime(packets, rate=50_000.0)),
+        SyntheticSource(rate=50_000.0, n_packets=3000, duration=5.0),
+        *_retimed_disk_sources(disk),
     ):
         result = gateway.run(source)
-        assert result.offered == result.processed == len(packets)
+        assert result.offered == result.processed == sum(1 for __ in source)
     with pytest.raises(AssertionError, match="packed a source"):
         gateway.run(iter(packets))
 
@@ -343,40 +377,56 @@ def long_inet(inet_dataset):
 
 @pytest.mark.parametrize("executor", ["inline", "process"])
 @pytest.mark.parametrize("hash_mode", ["bytes", "flow"])
-def test_list_serves_like_live_iterator(long_inet, executor, hash_mode):
-    """A list (served as large blocks) and the same packets read live
-    (packed as read) give equal results, alert logs and retrain-hook
-    batches, down to the identity of every packet the hook receives,
-    with a rule swap mid-run and shedding."""
+def test_list_serves_like_live_iterator(long_inet, disk, monkeypatch, executor, hash_mode):
+    """A list and re-timed disk replays (served as large blocks) and the
+    same packets read live (packed as read) give equal results, alert
+    logs and retrain-hook batches, with a rule swap mid-run and
+    shedding.  The hook receives the list's own packet objects."""
     assert len(long_inet) > PACK_ROWS
     config = ServeConfig(
         n_shards=3, hash_mode=hash_mode, executor=executor, max_batch=128,
         max_latency=0.002, queue_capacity=256, service_rate=25_000.0,
     )
-    runs = []
-    for source in (long_inet, iter(long_inet)):
-        registry = obs.Registry(enabled=True)
-        hook_log = []
-        with obs.use_registry(registry):
-            alerts = _LoggedAlerts(registry)
-            gateway = StreamingGateway(
-                _rules(seed=0), config, retrain_hook=_SwapHook(3000, hook_log),
-                alert_engine=alerts, alert_interval=0.005,
+    pack, packed = StreamingGateway._pack, []
+
+    def counted(self, packets):
+        packed.append(1)
+        return pack(self, packets)
+
+    monkeypatch.setattr(StreamingGateway, "_pack", counted)
+    for blocked in (long_inet, *_retimed_disk_sources(disk)):
+        runs = []
+        for source in (blocked, iter(blocked)):
+            packed.clear()
+            registry = obs.Registry(enabled=True)
+            hook_log = []
+            with obs.use_registry(registry):
+                alerts = _LoggedAlerts(registry)
+                gateway = StreamingGateway(
+                    _rules(seed=0), config, retrain_hook=_SwapHook(3000, hook_log),
+                    alert_engine=alerts, alert_interval=0.005,
+                )
+                alerts.gateway = gateway
+                result = gateway.run(source)
+            runs.append((result, alerts.log, hook_log, len(packed)))
+        (listed, listed_alerts, listed_hook, listed_packed), (
+            live, live_alerts, live_hook, live_packed,
+        ) = runs
+        assert (listed_packed, live_packed) == (0, 1)
+        for field in (
+            "verdicts", "stats", "per_shard", "flush_reasons", "latency_p50",
+            "latency_p99", "batcher_wait_p99", "rule_swaps", "alerts",
+        ):
+            assert getattr(listed, field) == getattr(live, field), field
+        assert listed.offered > PACK_ROWS
+        assert listed.rule_swaps == 1 and listed.shed and listed.alerts
+        assert listed_alerts == live_alerts
+        assert [
+            [(p.data, p.timestamp) for p in batch] for batch in listed_hook
+        ] == [[(p.data, p.timestamp) for p in batch] for batch in live_hook]
+        if blocked is long_inet:
+            assert all(
+                a is b
+                for listed_batch, live_batch in zip(listed_hook, live_hook)
+                for a, b in zip(listed_batch, live_batch)
             )
-            alerts.gateway = gateway
-            result = gateway.run(source)
-        runs.append((result, alerts.log, hook_log))
-    (listed, listed_alerts, listed_hook), (live, live_alerts, live_hook) = runs
-    for field in (
-        "verdicts", "stats", "per_shard", "flush_reasons", "latency_p50",
-        "latency_p99", "batcher_wait_p99", "rule_swaps", "alerts",
-    ):
-        assert getattr(listed, field) == getattr(live, field), field
-    assert listed.rule_swaps == 1 and listed.shed and listed.alerts
-    assert listed_alerts == live_alerts
-    assert [len(batch) for batch in listed_hook] == [len(batch) for batch in live_hook]
-    assert all(
-        a is b
-        for listed_batch, live_batch in zip(listed_hook, live_hook)
-        for a, b in zip(listed_batch, live_batch)
-    )

@@ -35,7 +35,6 @@ from repro.net.packet import Packet
 from repro.obs.flight import FlightRecorder
 from repro.serve import (
     FAIL_OPEN,
-    IterableSource,
     ProcessExecutor,
     ServeConfig,
     StreamingGateway,
@@ -222,7 +221,7 @@ class TestDifferentialEquality:
             retrain_hook=hook,
             recorder=recorder,
         )
-        return gateway.run(IterableSource(packets))
+        return gateway.run(packets)
 
     @pytest.mark.parametrize("n_shards", [1, 3])
     def test_soak_bit_identical(self, rng, n_shards):
@@ -294,13 +293,13 @@ class TestDifferentialEquality:
             assert len(rec_inline) == n and inline.flush_reasons["full"] > 0
 
     def test_ring_full_backpressure_keeps_equality(self, rng):
-        # ring_slots=1 clamps to the 2-slot protocol minimum — the
-        # tightest legal ring, so nearly every submit blocks on a full
-        # frame ring.  Ring waits are wall-clock only — stream-time
-        # shedding and verdicts must not move.
+        # ring_slots=2 is the protocol minimum — the tightest legal
+        # ring, so nearly every submit blocks on a full frame ring.
+        # Ring waits are wall-clock only — stream-time shedding and
+        # verdicts must not move.
         packets = _random_packets(rng, 3000)
         inline = self._run(packets, "inline")
-        process = self._run(packets, "process", ring_slots=1)
+        process = self._run(packets, "process", ring_slots=2)
         assert _result_key(process) == _result_key(inline)
         assert process.offered == process.processed + process.shed
 
@@ -314,7 +313,7 @@ class TestWorkerLifecycle:
             executor="process",
         )
         gateway = StreamingGateway(synthetic_firewall_ruleset(), config)
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.processed == result.offered
         assert _shm_segments() == before
         assert gateway._executor is None
@@ -361,7 +360,7 @@ class TestWorkerLifecycle:
         config = ServeConfig(
             n_shards=3, max_batch=128, queue_capacity=256,
             policy=FAIL_OPEN,  # death must force drops anyway
-            executor="process", worker_timeout=10.0,
+            executor="process",
         )
         gateway = StreamingGateway(synthetic_firewall_ruleset(), config)
 
@@ -425,7 +424,7 @@ class TestObservability:
                     executor="process",
                 ),
             )
-            result = gateway.run(IterableSource(packets))
+            result = gateway.run(packets)
         metrics = registry.snapshot()["metrics"]
         names = {m["name"] for m in metrics}
         for required in (
@@ -506,7 +505,7 @@ class TestParallelPerformance:
             gateway = StreamingGateway(rules, config)
             best = np.inf
             for _ in range(2):
-                result = gateway.run(IterableSource(packets))
+                result = gateway.run(packets)
                 best = min(best, result.wall_seconds)
             return len(packets) / best
 

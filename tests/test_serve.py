@@ -13,6 +13,7 @@ p99 batcher wait under the configured bound.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -22,13 +23,12 @@ from repro.core.rules import ACTION_DROP, MatchField, Rule, RuleSet
 from repro.dataplane.switch import SwitchStats, Verdict, VerdictBatch
 from repro.eval.harness import replay_gateway, synthetic_firewall_ruleset
 from repro.net.frames import FrameBlock
-from repro.net.packet import Packet
+from repro.net.packet import Label, Packet
 from repro.serve import (
     FAIL_CLOSED,
     FAIL_OPEN,
     AdaptiveBatcher,
     BoundedQueue,
-    IterableSource,
     ServeConfig,
     StreamingGateway,
     SyntheticSource,
@@ -161,7 +161,6 @@ class TestBoundedQueue:
         assert refused.indices == [5, 6]
         assert refused.timestamps.tolist() == [2.0, 3.0]
         assert refused.packet_list() == batch.packet_list()[2:]
-        assert queue.dropped == 2
 
     def test_offer_when_full_refuses_everything(self):
         queue = BoundedQueue(3)
@@ -252,14 +251,36 @@ class TestSources:
         with pytest.raises(ValueError):
             list(retime([], rate=1.0, burstiness=0.5))
 
-    def test_iterable_source(self, rng):
-        packets = _random_packets(rng, 20)
-        source = IterableSource(packets)
-        assert len(source) == 20
-        assert list(source) == packets
-        retimed = list(IterableSource(packets, rate=1000.0, seed=2))
-        assert len(retimed) == 20
-        assert retimed[0].data == packets[0].data
+    def test_retime_matches_dataclasses_replace(self, rng):
+        """Each re-timed copy equals ``dataclasses.replace(packet,
+        timestamp=...)`` over the same arrival draws, sharing the input's
+        data, label and meta objects."""
+        packets = [
+            Packet(
+                data=p.data,
+                timestamp=p.timestamp,
+                label=Label(category=("syn_flood", "benign")[i % 2], device=f"d{i % 3}"),
+                meta={"ipv4": {"ttl": i}},
+            )
+            for i, p in enumerate(_random_packets(rng, 2000))
+        ]
+        draws = np.random.default_rng(4)
+        now, remaining, expected = 0.5, 0, []
+        for packet in packets:
+            if remaining <= 0:
+                now += float(draws.exponential(4.0 / 1000.0))
+                remaining = int(draws.geometric(1.0 / 4.0))
+            remaining -= 1
+            expected.append(dataclasses.replace(packet, timestamp=now))
+        got = list(retime(packets, rate=1000.0, burstiness=4.0, seed=4, start=0.5))
+        assert got == expected
+        assert [p.timestamp for p in got] == [p.timestamp for p in expected]
+        assert [p.meta for p in got] == [p.meta for p in expected]
+        for copy, packet in zip(got, packets):
+            assert type(copy) is Packet and copy is not packet
+            assert copy.data is packet.data
+            assert copy.label is packet.label
+            assert copy.meta is packet.meta
 
     def test_synthetic_source_deterministic(self):
         a = list(SyntheticSource(rate=5000.0, n_packets=500, duration=5.0))
@@ -312,6 +333,18 @@ class TestServeConfig:
         with pytest.raises(ValueError):
             ServeConfig(service_rate=0.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("ring_slots", 1, "ring_slots must be >= 2"),
+        ("n_shards", 0, "n_shards must be >= 1"),
+        ("max_batch", 0, "max_batch must be >= 1"),
+        ("max_latency", 0.0, "max_latency must be positive"),
+        ("table_capacity", 0, "table_capacity must be >= 1"),
+    ], ids=["ring_slots", "n_shards", "max_batch", "max_latency", "table_capacity"])
+    def test_refuses_out_of_range_settings(self, field, value, message):
+        """Refused where they are set, not clamped or left to a component."""
+        with pytest.raises(ValueError, match=message):
+            ServeConfig(**{field: value})
+
 
 class TestArrivalOrder:
     def test_merges_parts_and_raises_on_a_lost_packet(self):
@@ -345,7 +378,7 @@ class TestStreamingGatewayDifferential:
             rules,
             ServeConfig(n_shards=n_shards, max_batch=256, max_latency=0.002),
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.offered == len(packets)
         assert result.shed == 0
         assert [v.action for v in result.verdicts] == [
@@ -360,7 +393,7 @@ class TestStreamingGatewayDifferential:
         gateway = StreamingGateway(
             rules, ServeConfig(n_shards=3, max_batch=128, max_latency=0.002)
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.stats.received == result.processed == len(packets)
         per_shard_total = sum(row["processed"] for row in result.per_shard)
         assert per_shard_total == result.processed
@@ -374,8 +407,8 @@ class TestStreamingGatewayDifferential:
         rules = synthetic_firewall_ruleset(n_rules=8, seed=3)
         packets = _random_packets(rng, 500)
         gateway = StreamingGateway(rules, ServeConfig(max_batch=64))
-        first = gateway.run(IterableSource(packets))
-        second = gateway.run(IterableSource(packets))
+        first = gateway.run(packets)
+        second = gateway.run(packets)
         assert first.offered == second.offered == 500
         assert first.processed == second.processed
         assert second.stats.received == 500  # not cumulative
@@ -395,7 +428,7 @@ class TestBackpressure:
                 policy=policy,
             ),
         )
-        return gateway.run(IterableSource(packets)), packets
+        return gateway.run(packets), packets
 
     def test_overload_sheds_with_exact_accounting(self, rng):
         result, packets = self._overloaded(rng, FAIL_CLOSED)
@@ -423,7 +456,7 @@ class TestBackpressure:
         gateway = StreamingGateway(
             rules, ServeConfig(max_batch=256, queue_capacity=256)
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.shed == 0 and result.processed == len(packets)
 
     def test_queue_builds_under_constrained_service(self, rng):
@@ -437,7 +470,7 @@ class TestBackpressure:
         packets = _random_packets(rng, 4000, rate=50_000.0)
         fast = StreamingGateway(
             rules, ServeConfig(max_batch=256, max_latency=0.002)
-        ).run(IterableSource(packets))
+        ).run(packets)
         slow = StreamingGateway(
             rules,
             ServeConfig(
@@ -446,7 +479,7 @@ class TestBackpressure:
                 queue_capacity=4096,
                 service_rate=25_000.0,
             ),
-        ).run(IterableSource(packets))
+        ).run(packets)
         assert slow.latency_p99 > fast.latency_p99
 
 
@@ -458,7 +491,7 @@ class TestGracefulDrain:
         gateway = StreamingGateway(
             rules, ServeConfig(n_shards=2, max_batch=256, max_latency=10.0)
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.processed == 10
         assert result.flush_reasons.get("drain", 0) >= 1
         assert all(v is not None for v in result.verdicts)
@@ -472,7 +505,7 @@ class TestGracefulDrain:
                 max_batch=128, queue_capacity=8192, service_rate=5_000.0
             ),
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         assert result.processed + result.shed == 2000
         for shard in gateway.shards:
             assert shard.queue.depth == 0
@@ -519,7 +552,7 @@ class TestAtomicRuleSwap:
             ServeConfig(n_shards=n_shards, max_batch=128, max_latency=0.002),
             retrain_hook=SwapHook(),
         )
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         return result, observed
 
     @pytest.mark.parametrize("n_shards", [1, 3])
@@ -585,7 +618,7 @@ class TestDriftRetrainHook:
             ServeConfig(n_shards=2, max_batch=128, max_latency=0.01),
             retrain_hook=hook,
         )
-        result = gateway.run(IterableSource(stream))
+        result = gateway.run(stream)
         assert result.processed == len(stream)
         assert hook.events, "distribution shift should trigger a retrain"
         assert all(e.reason == "drift" for e in hook.events)
@@ -618,7 +651,7 @@ class TestObservability:
                     service_rate=10_000.0,
                 ),
             )
-            result = gateway.run(IterableSource(packets))
+            result = gateway.run(packets)
         names = {m["name"] for m in registry.snapshot()["metrics"]}
         assert "serve_offered_packets_total" in names
         assert "serve_batch_size" in names
@@ -675,8 +708,8 @@ class TestSoakPerformance:
                 record_verdicts=False,
             ),
         )
-        gateway.run(IterableSource(packets[:2048]))  # warm
-        result = gateway.run(IterableSource(packets))
+        gateway.run(packets[:2048])  # warm
+        result = gateway.run(packets)
         assert result.processed == len(packets)
         assert result.pkts_per_sec >= 0.8 * offline_pps, (
             f"soak {result.pkts_per_sec:,.0f} pkts/s < 80% of offline "
@@ -698,7 +731,7 @@ class TestSoakPerformance:
             ),
         )
         start = time.perf_counter()
-        result = gateway.run(IterableSource(packets))
+        result = gateway.run(packets)
         wall = time.perf_counter() - start
         # sheds, with every packet accounted for, and terminates promptly
         assert result.shed > 0
