@@ -1,7 +1,7 @@
 # Developer convenience targets.
 PYTHON ?= python
 
-.PHONY: test test-fast test-full bench bench-selftest bench-suite examples lint docs-check all
+.PHONY: test test-fast test-full bench bench-selftest bench-suite examples docs-check all
 
 test:
 	$(PYTHON) -m pytest tests/

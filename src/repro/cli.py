@@ -289,6 +289,45 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _serve_config(args, **serve_only):
+    """The :class:`~repro.serve.ServeConfig` of the gateway flags
+    ``serve`` and ``corpus replay`` share, plus ``serve_only`` settings;
+    an out-of-range setting exits with its message."""
+    from repro.serve import ServeConfig
+
+    try:
+        return ServeConfig(
+            n_shards=args.shards,
+            max_batch=args.max_batch,
+            max_latency=args.max_latency_ms / 1000.0,
+            queue_capacity=args.queue_capacity,
+            policy=args.policy,
+            service_rate=args.service_rate,
+            table_capacity=args.table_capacity,
+            record_verdicts=False,
+            executor=args.executor,
+            **serve_only,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
+def _emit_snapshot(args, snapshot, table_lead: str = "\n") -> None:
+    """Write a telemetry snapshot to ``--save`` and print it in
+    ``--format`` (``summary`` prints nothing more)."""
+    from repro import obs
+
+    if args.save:
+        obs.write_jsonl(snapshot, args.save)
+        print(f"wrote {args.save}", file=sys.stderr)
+    if args.format == "jsonl":
+        sys.stdout.write(obs.to_jsonl(snapshot))
+    elif args.format == "prometheus":
+        sys.stdout.write(obs.to_prometheus(snapshot))
+    elif args.format == "table":
+        print(table_lead + obs.render_table(snapshot))
+
+
 def cmd_stats(args) -> int:
     """Replay traffic with observability on and dump the metric registry.
 
@@ -318,15 +357,7 @@ def cmd_stats(args) -> int:
                 table_capacity=args.table_capacity,
             )
         snapshot = registry.snapshot()
-    if args.save:
-        obs.write_jsonl(snapshot, args.save)
-        print(f"wrote {args.save}", file=sys.stderr)
-    if args.format == "jsonl":
-        sys.stdout.write(obs.to_jsonl(snapshot))
-    elif args.format == "prometheus":
-        sys.stdout.write(obs.to_prometheus(snapshot))
-    else:
-        print(obs.render_table(snapshot))
+    _emit_snapshot(args, snapshot, table_lead="")
     return 0
 
 
@@ -357,12 +388,7 @@ def cmd_serve(args) -> int:
     percentiles, shed accounting and the full observability snapshot.
     """
     from repro import obs
-    from repro.serve import (
-        PcapSource,
-        ServeConfig,
-        StreamingGateway,
-        SyntheticSource,
-    )
+    from repro.serve import PcapSource, StreamingGateway, SyntheticSource
 
     if args.rules is None and not args.tenants:
         raise SystemExit("need a rules file (or --tenants)")
@@ -377,27 +403,17 @@ def cmd_serve(args) -> int:
             )
         else:
             source = SyntheticSource(
-                rate=args.rate or 50_000.0,
+                rate=50_000.0 if args.rate is None else args.rate,
                 n_packets=args.packets,
                 stack=args.synthetic or "inet",
                 burstiness=args.burstiness,
                 seed=args.seed,
             )
-        config = ServeConfig(
-            n_shards=args.shards,
-            max_batch=args.max_batch,
-            max_latency=args.max_latency_ms / 1000.0,
-            queue_capacity=args.queue_capacity,
-            policy=args.policy,
-            service_rate=args.service_rate,
-            table_capacity=args.table_capacity,
-            hash_mode=args.hash_mode,
-            record_verdicts=False,
-            executor=args.executor,
-            ring_slots=args.ring_slots,
-        )
     except ValueError as exc:
         raise SystemExit(str(exc))
+    config = _serve_config(
+        args, hash_mode=args.hash_mode, ring_slots=args.ring_slots
+    )
     recorder = None
     engine = None
     if args.flight_dump or args.alerts:
@@ -474,17 +490,7 @@ def cmd_serve(args) -> int:
             f"{row['shed']} shed, queue high-watermark "
             f"{row['queue_high_watermark']}, verdicts {row['verdicts']}"
         )
-    snapshot = registry.snapshot()
-    if args.save:
-        obs.write_jsonl(snapshot, args.save)
-        print(f"wrote {args.save}", file=sys.stderr)
-    if args.format == "jsonl":
-        sys.stdout.write(obs.to_jsonl(snapshot))
-    elif args.format == "prometheus":
-        sys.stdout.write(obs.to_prometheus(snapshot))
-    elif args.format == "table":
-        print()
-        print(obs.render_table(snapshot))
+    _emit_snapshot(args, registry.snapshot())
     return 0
 
 
@@ -608,28 +614,13 @@ def cmd_corpus(args) -> int:
                         f"{meta.last_timestamp:.3f}s] {classes}"
                     )
         elif args.corpus_command == "replay":
-            from repro.serve import ServeConfig
-
             if args.rules:
                 rules = load_ruleset(args.rules)
             else:
                 from repro.eval.harness import synthetic_firewall_ruleset
 
                 rules = synthetic_firewall_ruleset(seed=args.seed)
-            try:
-                config = ServeConfig(
-                    n_shards=args.shards,
-                    max_batch=args.max_batch,
-                    max_latency=args.max_latency_ms / 1000.0,
-                    queue_capacity=args.queue_capacity,
-                    policy=args.policy,
-                    service_rate=args.service_rate,
-                    table_capacity=args.table_capacity,
-                    record_verdicts=False,
-                    executor=args.executor,
-                )
-            except ValueError as exc:
-                raise SystemExit(str(exc))
+            config = _serve_config(args)
             registry = obs.Registry(enabled=True)
             with obs.use_registry(registry):
                 report = replay_corpus(
@@ -644,17 +635,7 @@ def cmd_corpus(args) -> int:
                     swap_after=args.swap_after,
                 )
             print(report.summary())
-            snapshot = registry.snapshot()
-            if args.save:
-                obs.write_jsonl(snapshot, args.save)
-                print(f"wrote {args.save}", file=sys.stderr)
-            if args.format == "jsonl":
-                sys.stdout.write(obs.to_jsonl(snapshot))
-            elif args.format == "prometheus":
-                sys.stdout.write(obs.to_prometheus(snapshot))
-            elif args.format == "table":
-                print()
-                print(obs.render_table(snapshot))
+            _emit_snapshot(args, registry.snapshot())
     except CorpusError as exc:
         raise SystemExit(str(exc))
     return 0
@@ -803,6 +784,77 @@ def build_parser() -> argparse.ArgumentParser:
     add_table_capacity(evaluate)
     evaluate.set_defaults(func=cmd_eval)
 
+    def add_serve_flags(p, *, seed, replayed, rate_help):
+        """The arrival, gateway and telemetry flags ``serve`` and
+        ``corpus replay`` share; ``replayed`` names what ``--loop``
+        repeats."""
+        p.add_argument("--rate", type=float, default=None, help=rate_help)
+        p.add_argument(
+            "--burstiness",
+            type=float,
+            default=1.0,
+            help="arrival burst factor for re-timing; 1.0 = Poisson "
+            "(default)",
+        )
+        p.add_argument(
+            "--loop",
+            type=int,
+            default=1,
+            help=f"replay the {replayed} this many times (requires --rate)",
+        )
+        p.add_argument(
+            "--shards", type=int, default=1, help="switch workers (default 1)"
+        )
+        p.add_argument(
+            "--executor",
+            choices=["inline", "process"],
+            default="inline",
+            help="classification backend: in-process (default) or one "
+            "worker process per shard over shared-memory frame rings",
+        )
+        p.add_argument(
+            "--max-batch",
+            type=int,
+            default=1024,
+            help="adaptive batcher size trigger (default 1024)",
+        )
+        p.add_argument(
+            "--max-latency-ms",
+            type=float,
+            default=5.0,
+            help="batcher deadline in milliseconds of stream time (default 5)",
+        )
+        p.add_argument(
+            "--queue-capacity",
+            type=int,
+            default=8192,
+            help="per-shard bounded queue capacity in packets (default 8192)",
+        )
+        p.add_argument(
+            "--policy",
+            choices=["fail-open", "fail-closed"],
+            default="fail-closed",
+            help="what happens to shed packets (default fail-closed)",
+        )
+        p.add_argument(
+            "--service-rate",
+            type=float,
+            default=None,
+            help="per-shard service capacity in pkts/s of stream time "
+            "(default: unconstrained)",
+        )
+        add_table_capacity(p, default=4096)
+        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument(
+            "--save", help="also write the telemetry snapshot to this JSONL file"
+        )
+        p.add_argument(
+            "--format",
+            choices=["summary", "table", "jsonl", "prometheus"],
+            default="summary",
+            help="telemetry output beyond the run summary (default: none)",
+        )
+
     serve = sub.add_parser(
         "serve",
         help="run a timed streaming soak through the sharded gateway",
@@ -811,6 +863,13 @@ def build_parser() -> argparse.ArgumentParser:
         "rules", nargs="?", help="rules JSON (omit with --tenants)"
     )
     add_input(serve)
+    add_serve_flags(
+        serve,
+        seed=7,
+        replayed="pcap",
+        rate_help="offered load in pkts/s (synthetic default 50000; a pcap "
+        "keeps its capture clock unless set)",
+    )
     serve.add_argument(
         "--tenants",
         help="multi-tenant fleet mode: JSON fleet spec naming each "
@@ -831,39 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet spec",
     )
     serve.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="offered load in pkts/s (synthetic default 50000; a pcap "
-        "keeps its capture clock unless set)",
-    )
-    serve.add_argument(
         "--packets",
         type=int,
         default=50_000,
         help="synthetic stream length (default 50000)",
-    )
-    serve.add_argument(
-        "--burstiness",
-        type=float,
-        default=1.0,
-        help="arrival burst factor; 1.0 = Poisson (default)",
-    )
-    serve.add_argument(
-        "--loop",
-        type=int,
-        default=1,
-        help="read the pcap this many times (requires --rate)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, help="switch workers (default 1)"
-    )
-    serve.add_argument(
-        "--executor",
-        choices=["inline", "process"],
-        default="inline",
-        help="classification backend: in-process (default) or one worker "
-        "process per shard over shared-memory frame rings",
     )
     serve.add_argument(
         "--ring-slots",
@@ -873,44 +903,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 8)",
     )
     serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=1024,
-        help="adaptive batcher size trigger (default 1024)",
-    )
-    serve.add_argument(
-        "--max-latency-ms",
-        type=float,
-        default=5.0,
-        help="batcher deadline in milliseconds of stream time (default 5)",
-    )
-    serve.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=8192,
-        help="per-shard bounded queue capacity in packets (default 8192)",
-    )
-    serve.add_argument(
-        "--policy",
-        choices=["fail-open", "fail-closed"],
-        default="fail-closed",
-        help="what happens to shed packets (default fail-closed)",
-    )
-    serve.add_argument(
-        "--service-rate",
-        type=float,
-        default=None,
-        help="per-shard service capacity in pkts/s of stream time "
-        "(default: unconstrained — pure-throughput soak)",
-    )
-    serve.add_argument(
         "--hash-mode",
         choices=["bytes", "flow"],
         default="bytes",
         help="flow-to-shard hash (default: byte-region CRC)",
     )
-    add_table_capacity(serve, default=4096)
-    serve.add_argument("--seed", type=int, default=7)
     serve.add_argument(
         "--alerts",
         action="store_true",
@@ -942,15 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.01,
         help="fraction of allow verdicts the flight recorder head-samples "
         "(drops/sheds are always kept; default 0.01)",
-    )
-    serve.add_argument(
-        "--save", help="also write the telemetry snapshot to this JSONL file"
-    )
-    serve.add_argument(
-        "--format",
-        choices=["summary", "table", "jsonl", "prometheus"],
-        default="summary",
-        help="telemetry output beyond the soak summary (default: none)",
     )
     serve.set_defaults(func=cmd_serve)
 
@@ -1114,24 +1102,12 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="rules JSON (default: deterministic synthetic soak rule set)",
     )
-    creplay.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="re-time to this offered load in pkts/s (default: corpus "
+    add_serve_flags(
+        creplay,
+        seed=0,
+        replayed="corpus",
+        rate_help="re-time to this offered load in pkts/s (default: corpus "
         "arrival clock)",
-    )
-    creplay.add_argument(
-        "--burstiness",
-        type=float,
-        default=1.0,
-        help="burst factor for --rate re-timing (default 1.0)",
-    )
-    creplay.add_argument(
-        "--loop",
-        type=int,
-        default=1,
-        help="replay the corpus this many times (requires --rate)",
     )
     creplay.add_argument(
         "--no-verify",
@@ -1144,57 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fire one timed drift→retrain→swap after this many serviced "
         "packets",
-    )
-    creplay.add_argument(
-        "--shards", type=int, default=1, help="switch workers (default 1)"
-    )
-    creplay.add_argument(
-        "--executor",
-        choices=["inline", "process"],
-        default="inline",
-        help="classification backend (default inline)",
-    )
-    creplay.add_argument(
-        "--max-batch",
-        type=int,
-        default=1024,
-        help="adaptive batcher size trigger (default 1024)",
-    )
-    creplay.add_argument(
-        "--max-latency-ms",
-        type=float,
-        default=5.0,
-        help="batcher deadline in milliseconds of stream time (default 5)",
-    )
-    creplay.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=8192,
-        help="per-shard bounded queue capacity in packets (default 8192)",
-    )
-    creplay.add_argument(
-        "--policy",
-        choices=["fail-open", "fail-closed"],
-        default="fail-closed",
-        help="what happens to shed packets (default fail-closed)",
-    )
-    creplay.add_argument(
-        "--service-rate",
-        type=float,
-        default=None,
-        help="per-shard service capacity in pkts/s of stream time "
-        "(default: unconstrained)",
-    )
-    add_table_capacity(creplay, default=4096)
-    creplay.add_argument("--seed", type=int, default=0)
-    creplay.add_argument(
-        "--save", help="also write the telemetry snapshot to this JSONL file"
-    )
-    creplay.add_argument(
-        "--format",
-        choices=["summary", "table", "jsonl", "prometheus"],
-        default="summary",
-        help="telemetry output beyond the replay summary (default: none)",
     )
     creplay.set_defaults(func=cmd_corpus)
 

@@ -37,6 +37,7 @@ from repro.datasets import attacks as attacks_mod
 from repro.datasets.generator import TraceConfig, _benign_models
 from repro.net.packet import Packet
 from repro.net.pcap import LINKTYPE_ETHERNET, LINKTYPE_USER0, MAGIC_MICROS
+from repro.serve.sources import check_timing
 
 __all__ = [
     "CorpusError",
@@ -140,10 +141,7 @@ class CorpusSpec:
             raise CorpusError("chunk_packets must be >= 1")
         if not 0.0 <= self.attack_fraction <= 1.0:
             raise CorpusError("attack_fraction must be in [0, 1]")
-        if self.rate <= 0:
-            raise CorpusError("rate must be positive")
-        if self.burstiness < 1.0:
-            raise CorpusError("burstiness must be >= 1.0")
+        check_timing(self.rate, self.burstiness, CorpusError)
         if self.n_devices < 1:
             raise CorpusError("need at least one device")
         if self.window <= 0:

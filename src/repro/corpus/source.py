@@ -10,14 +10,13 @@ chunk's sha256 over the uncompressed byte stream *as it reads*, raising
 with its manifest digest.  Verification is therefore free of a second
 read pass and adds one hash update per block, not per record.
 
-The source also offers its packets as frame blocks
-(:meth:`CorpusSource.frame_blocks`), which the gateway serves whole: on
-the recorded clock (no ``rate``) the blocks it read, without a packet
-object per record; re-timed, large blocks of the re-timed packets.
-
-Re-stamping to a fresh offered load wraps the whole chained stream in
-:func:`repro.serve.retime`, which is itself a streaming generator — a
-chunk is never materialised to be re-timed.
+It is a :class:`~repro.serve.sources.ReplaySource` that supplies only
+those blocks; the shared body checks ``rate``, ``burstiness`` and
+``loop`` before the manifest is read and offers the packets as frame
+blocks, which the gateway serves whole: on the recorded clock (no
+``rate``) the blocks read, without a packet object per record;
+re-timed, large blocks of the packets :func:`repro.serve.retime`
+re-stamps as it streams — a chunk is never materialised to be re-timed.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from typing import Callable, Iterator, Optional, Union
 
 from repro import obs
 from repro.corpus.build import ChunkMeta, CorpusError, CorpusManifest, load_manifest
-from repro.net.frames import FrameBlock, block_packets, pack_blocks
-from repro.net.packet import Packet
+from repro.net.frames import FrameBlock
 from repro.net.pcap import iter_pcap_blocks, open_pcap_stream
-from repro.serve.sources import retime
+from repro.serve.sources import ReplaySource
 
 __all__ = ["CorpusSource"]
 
@@ -49,7 +47,7 @@ class _HashingReader:
         return data
 
 
-class CorpusSource:
+class CorpusSource(ReplaySource):
     """Stream an on-disk corpus through the gateway in bounded memory.
 
     Args:
@@ -69,6 +67,8 @@ class CorpusSource:
             RSS here, at chunk granularity, off the per-packet hot path.
     """
 
+    error = CorpusError
+
     def __init__(
         self,
         root: Union[str, Path, CorpusManifest],
@@ -80,21 +80,14 @@ class CorpusSource:
         loop: int = 1,
         on_chunk: Optional[Callable[[int, ChunkMeta], None]] = None,
     ):
-        if loop < 1:
-            raise CorpusError("loop must be >= 1")
-        if loop > 1 and rate is None:
-            raise CorpusError("looping a corpus requires rate re-timing")
+        super().__init__(rate=rate, burstiness=burstiness, seed=seed, loop=loop)
         if isinstance(root, CorpusManifest):
             self.manifest = root
         else:
             self.manifest = load_manifest(root)
         if not self.manifest.chunks:
             raise CorpusError("corpus manifest lists no chunks")
-        self._rate = rate
-        self._burstiness = burstiness
-        self._seed = seed
         self._verify = verify
-        self._loop = loop
         self._on_chunk = on_chunk
         #: Chunks whose digests verified during the latest iteration.
         self.chunks_verified = 0
@@ -150,21 +143,3 @@ class CorpusSource:
                 counters["packets"].inc(meta.packets)
                 if self._on_chunk is not None:
                     self._on_chunk(index, meta)
-
-    def frame_blocks(self) -> Iterator[FrameBlock]:
-        """The packets of :meth:`__iter__` as frame blocks: the blocks
-        read from the chunks, or large blocks of the re-timed packets."""
-        if self._rate is None:
-            return self._blocks()
-        return pack_blocks(self)
-
-    def __iter__(self) -> Iterator[Packet]:
-        packets = block_packets(self._blocks())
-        if self._rate is None:
-            return packets
-        return retime(
-            packets,
-            rate=self._rate,
-            burstiness=self._burstiness,
-            seed=self._seed,
-        )

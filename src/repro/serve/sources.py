@@ -13,12 +13,14 @@ in-memory source; two classes cover the other serving scenarios:
   materialised, so arbitrarily large files (or loops of a small one)
   feed the gateway in bounded memory.
 
-Every source class (these two and :class:`~repro.corpus.CorpusSource`)
-also offers ``frame_blocks()``: an iterator of
-:class:`~repro.net.frames.FrameBlock`\\ s carrying the same records and
-stamps as its packets.  On the recorded clock a disk source hands over
-the blocks it read, without a ``Packet`` per record; re-timed, and for
-:class:`SyntheticSource`, the re-timed packets are cut into large
+Both, and :class:`~repro.corpus.CorpusSource`, share one re-timing body,
+:class:`ReplaySource`: it owns ``rate``, ``burstiness``, ``seed`` and
+``loop``, refuses a bad value as it is built (:func:`check_timing`, the
+check :func:`retime` runs), and defines ``__iter__`` and
+``frame_blocks()`` once; a subclass supplies only its records.  On the
+recorded clock ``frame_blocks()`` hands over the
+:class:`~repro.net.frames.FrameBlock`\\ s a disk source read, without a
+``Packet`` per record; re-timed, the re-timed packets are cut into large
 blocks (:func:`~repro.net.frames.pack_blocks`).  Reading one block
 ahead is not observable on a stream-time replay.  The gateway packs
 any other iterable (a wall-clock-paced source, a bare iterator) into
@@ -28,17 +30,30 @@ blocks as it reads it, never reading past a packet that triggers work.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Type, Union
 
 import numpy as np
 
 from repro.net.frames import FrameBlock, block_packets, pack_blocks
 from repro.net.packet import Packet
 
-__all__ = ["PcapSource", "SyntheticSource", "retime"]
+__all__ = ["PcapSource", "ReplaySource", "SyntheticSource", "check_timing", "retime"]
 
 _PACKET_NEW = Packet.__new__
 _SETATTR = object.__setattr__
+
+
+def check_timing(
+    rate: Optional[float], burstiness: float, error: Type[ValueError] = ValueError
+) -> None:
+    """Refuse an arrival setting :func:`retime` cannot honour, as ``error``.
+
+    ``rate=None`` (keep the recorded clock) passes.
+    """
+    if rate is not None and rate <= 0:
+        raise error("rate must be positive")
+    if burstiness < 1.0:
+        raise error("burstiness must be >= 1.0")
 
 
 def retime(
@@ -62,10 +77,7 @@ def retime(
     Each copy shares the input's ``data``, ``label`` and ``meta``
     objects, as :func:`dataclasses.replace` would.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if burstiness < 1.0:
-        raise ValueError("burstiness must be >= 1.0")
+    check_timing(rate, burstiness)
     rng = np.random.default_rng(seed)
     now = float(start)
     remaining_in_burst = 0
@@ -86,7 +98,64 @@ def retime(
         yield copy
 
 
-class SyntheticSource:
+class ReplaySource:
+    """One body for replaying a stored stream, on its own clock or re-timed.
+
+    Owns the arrival settings and checks them where they are set:
+    ``rate`` (``None`` keeps the recorded clock), ``burstiness``,
+    ``seed`` and ``loop``.  A subclass supplies its records through one
+    of two hooks: a disk source overrides :meth:`_blocks` (its frame
+    blocks on the recorded clock, ``loop`` times over), an in-memory one
+    overrides :meth:`_packets`.  Errors are raised as ``error``.
+    """
+
+    error = ValueError
+
+    def __init__(
+        self,
+        *,
+        rate: Optional[float],
+        burstiness: float,
+        seed: int,
+        loop: int = 1,
+    ):
+        check_timing(rate, burstiness, self.error)
+        if loop < 1:
+            raise self.error("loop must be >= 1")
+        if loop > 1 and rate is None:
+            raise self.error("looping requires rate re-timing")
+        self._rate = rate
+        self._burstiness = burstiness
+        self._seed = seed
+        self._loop = loop
+
+    def _blocks(self) -> Iterator[FrameBlock]:
+        raise NotImplementedError
+
+    def _packets(self) -> Iterable[Packet]:
+        return block_packets(self._blocks())
+
+    def frame_blocks(self) -> Iterator[FrameBlock]:
+        """The packets of :meth:`__iter__` as frame blocks: the blocks
+        read on the recorded clock, or large blocks of the re-timed
+        packets."""
+        if self._rate is None:
+            return self._blocks()
+        return pack_blocks(self)
+
+    def __iter__(self) -> Iterator[Packet]:
+        packets = self._packets()
+        if self._rate is None:
+            return packets
+        return retime(
+            packets,
+            rate=self._rate,
+            burstiness=self._burstiness,
+            seed=self._seed,
+        )
+
+
+class SyntheticSource(ReplaySource):
     """Seeded synthetic traffic re-timed to a configurable offered load.
 
     Generates one labelled trace via
@@ -118,6 +187,7 @@ class SyntheticSource:
     ):
         from repro.datasets import TraceConfig, generate_trace
 
+        super().__init__(rate=rate, burstiness=burstiness, seed=seed)
         if n_packets < 1:
             raise ValueError("n_packets must be >= 1")
         base = generate_trace(
@@ -127,28 +197,16 @@ class SyntheticSource:
         )
         if not base:
             raise ValueError("generated base trace is empty")
-        self._packets = (base * (n_packets // len(base) + 1))[:n_packets]
-        self._rate = rate
-        self._burstiness = burstiness
-        self._seed = seed
+        self._trace = (base * (n_packets // len(base) + 1))[:n_packets]
 
     def __len__(self) -> int:
-        return len(self._packets)
+        return len(self._trace)
 
-    def __iter__(self) -> Iterator[Packet]:
-        return retime(
-            self._packets,
-            rate=self._rate,
-            burstiness=self._burstiness,
-            seed=self._seed,
-        )
-
-    def frame_blocks(self) -> Iterator[FrameBlock]:
-        """The re-timed packets of :meth:`__iter__`, as large frame blocks."""
-        return pack_blocks(self)
+    def _packets(self) -> List[Packet]:
+        return self._trace
 
 
-class PcapSource:
+class PcapSource(ReplaySource):
     """Stream packets out of a pcap capture without materialising it.
 
     Args:
@@ -171,15 +229,8 @@ class PcapSource:
         burstiness: float = 1.0,
         seed: int = 0,
     ):
-        if loop < 1:
-            raise ValueError("loop must be >= 1")
-        if loop > 1 and rate is None:
-            raise ValueError("looping a capture requires rate re-timing")
+        super().__init__(rate=rate, burstiness=burstiness, seed=seed, loop=loop)
         self.path = Path(path)
-        self._rate = rate
-        self._loop = loop
-        self._burstiness = burstiness
-        self._seed = seed
 
     def _blocks(self) -> Iterator[FrameBlock]:
         from repro.net.pcap import iter_pcap_blocks
@@ -187,21 +238,3 @@ class PcapSource:
         for __ in range(self._loop):
             with open(self.path, "rb") as handle:
                 yield from iter_pcap_blocks(handle)
-
-    def frame_blocks(self) -> Iterator[FrameBlock]:
-        """The packets of :meth:`__iter__` as frame blocks: the blocks
-        read from the capture, or large blocks of the re-timed packets."""
-        if self._rate is None:
-            return self._blocks()
-        return pack_blocks(self)
-
-    def __iter__(self) -> Iterator[Packet]:
-        packets = block_packets(self._blocks())
-        if self._rate is None:
-            return packets
-        return retime(
-            packets,
-            rate=self._rate,
-            burstiness=self._burstiness,
-            seed=self._seed,
-        )

@@ -421,9 +421,86 @@ class TestServe:
         (["--max-batch", "0"], "max_batch must be >= 1"),
         (["--queue-capacity", "10"], "queue_capacity must be >= max_batch"),
         (["--packets", "0"], "n_packets must be >= 1"),
-    ], ids=["ring-slots-0", "ring-slots-1", "max-batch", "queue-capacity", "packets"])
+        (["--rate", "0"], "rate must be positive"),
+        (["--burstiness", "0.5"], "burstiness must be >= 1.0"),
+        (["--pcap", "t.pcap", "--rate", "0"], "rate must be positive"),
+        (["--pcap", "t.pcap", "--loop", "2"], "looping requires rate re-timing"),
+    ], ids=[
+        "ring-slots-0", "ring-slots-1", "max-batch", "queue-capacity",
+        "packets", "synthetic-rate", "synthetic-burstiness", "pcap-rate",
+        "pcap-loop",
+    ])
     def test_serve_refuses_bad_settings(self, rules_path, flags, message):
         """An invalid setting exits with its message, not a traceback."""
         with pytest.raises(SystemExit, match=message) as exc:
             main(["serve", str(rules_path), "--synthetic", "inet", *flags])
         assert exc.value.code not in (0, None)
+
+
+class TestServeFlags:
+    """``serve`` and ``corpus replay`` build their shared flags in one
+    place; each keeps its own defaults and its own extra flags."""
+
+    SHARED = {
+        # flag: (type, choices, serve default, corpus replay default)
+        "--rate": (float, None, None, None),
+        "--burstiness": (float, None, 1.0, 1.0),
+        "--loop": (int, None, 1, 1),
+        "--shards": (int, None, 1, 1),
+        "--executor": (None, ["inline", "process"], "inline", "inline"),
+        "--max-batch": (int, None, 1024, 1024),
+        "--max-latency-ms": (float, None, 5.0, 5.0),
+        "--queue-capacity": (int, None, 8192, 8192),
+        "--policy": (
+            None, ["fail-open", "fail-closed"], "fail-closed", "fail-closed"
+        ),
+        "--service-rate": (float, None, None, None),
+        "--table-capacity": (int, None, 4096, 4096),
+        "--seed": (int, None, 7, 0),
+        "--save": (None, None, None, None),
+        "--format": (
+            None, ["summary", "table", "jsonl", "prometheus"], "summary",
+            "summary",
+        ),
+    }
+    SERVE_ONLY = [
+        "--ring-slots", "--hash-mode", "--tenants", "--alerts",
+        "--flight-dump",
+    ]
+
+    @staticmethod
+    def _flags(*path):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for name in path:
+            sub = next(
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            )
+            parser = sub.choices[name]
+        return {
+            option: action
+            for action in parser._actions
+            for option in action.option_strings
+        }
+
+    def test_shared_flags_keep_their_defaults(self):
+        commands = [self._flags("serve"), self._flags("corpus", "replay")]
+        for flag, (kind, choices, *defaults) in self.SHARED.items():
+            for flags, default in zip(commands, defaults):
+                action = flags[flag]
+                assert action.type is kind, flag
+                assert action.choices == choices, flag
+                assert action.default == default, flag
+
+    def test_serve_only_flags(self):
+        serve = self._flags("serve")
+        replay = self._flags("corpus", "replay")
+        for flag in self.SERVE_ONLY:
+            assert flag in serve
+            assert flag not in replay
+        assert {"--no-verify", "--swap-after"} <= set(replay)
+        assert "--no-verify" not in serve and "--swap-after" not in serve

@@ -199,6 +199,19 @@ class TestSource:
         assert len(list(source)) == 8_000
         assert source.chunks_verified == 8
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"rate": 0.0}, "rate must be positive"),
+        ({"rate": -5.0}, "rate must be positive"),
+        ({"rate": 1e5, "burstiness": 0.5}, "burstiness must be >= 1.0"),
+        ({"burstiness": 0.5}, "burstiness must be >= 1.0"),
+        ({"loop": 0}, "loop must be >= 1"),
+    ], ids=["rate-0", "rate-negative", "burstiness", "burstiness-recorded", "loop-0"])
+    def test_refuses_bad_settings_before_reading(self, tmp_path, settings, message):
+        """Arrival settings are refused as the source is built, before
+        the manifest is read (this root has none)."""
+        with pytest.raises(CorpusError, match=message):
+            CorpusSource(tmp_path / "missing", **settings)
+
     def test_gzip_corpus_streams(self, tmp_path):
         manifest = build_corpus(small_spec(compress=True), tmp_path / "gz")
         source = CorpusSource(manifest)
@@ -394,7 +407,10 @@ class TestCli:
         (["--shards", "0"], "n_shards must be >= 1"),
         (["--max-batch", "0"], "max_batch must be >= 1"),
         (["--queue-capacity", "10"], "queue_capacity must be >= max_batch"),
-    ], ids=["shards", "max-batch", "queue-capacity"])
+        (["--rate", "0"], "rate must be positive"),
+        (["--burstiness", "0.5"], "burstiness must be >= 1.0"),
+        (["--loop", "2"], "looping requires rate re-timing"),
+    ], ids=["shards", "max-batch", "queue-capacity", "rate", "burstiness", "loop"])
     def test_replay_refuses_bad_settings(self, small_corpus, flags, message):
         """An invalid serve setting exits with its message, not a traceback."""
         from repro.cli import main

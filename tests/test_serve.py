@@ -307,6 +307,22 @@ class TestPcapSource:
         with pytest.raises(ValueError):
             PcapSource(tmp_path / "t.pcap", loop=3)
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"rate": 0.0}, "rate must be positive"),
+        ({"rate": -1.0}, "rate must be positive"),
+        ({"rate": 1e5, "burstiness": 0.5}, "burstiness must be >= 1.0"),
+    ], ids=["rate-0", "rate-negative", "burstiness"])
+    def test_sources_refuse_bad_settings(self, tmp_path, settings, message):
+        """Every source refuses what ``retime`` would, as it is built."""
+        from repro.serve import PcapSource, SyntheticSource
+
+        with pytest.raises(ValueError, match=message):
+            PcapSource(tmp_path / "missing.pcap", **settings)
+        with pytest.raises(ValueError, match=message):
+            SyntheticSource(n_packets=10, **settings)
+        with pytest.raises(ValueError, match=message):
+            next(retime([], **settings))
+
     def test_loop_with_rate_repeats(self, tmp_path, rng):
         from repro.net.pcap import write_pcap
         from repro.serve import PcapSource
