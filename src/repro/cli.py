@@ -392,6 +392,8 @@ def cmd_serve(args) -> int:
 
     if args.rules is None and not args.tenants:
         raise SystemExit("need a rules file (or --tenants)")
+    if args.pcap and args.packets is not None:
+        raise SystemExit("--packets sets the --synthetic stream length; not with --pcap")
     try:
         if args.pcap:
             source = PcapSource(
@@ -404,10 +406,11 @@ def cmd_serve(args) -> int:
         else:
             source = SyntheticSource(
                 rate=50_000.0 if args.rate is None else args.rate,
-                n_packets=args.packets,
+                n_packets=50_000 if args.packets is None else args.packets,
                 stack=args.synthetic or "inet",
                 burstiness=args.burstiness,
                 seed=args.seed,
+                loop=args.loop,
             )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -892,8 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--packets",
         type=int,
-        default=50_000,
-        help="synthetic stream length (default 50000)",
+        default=None,
+        help="synthetic trace length, replayed --loop times (default "
+        "50000; --synthetic only)",
     )
     serve.add_argument(
         "--ring-slots",

@@ -35,9 +35,23 @@ The build is O(E) per byte position, never O(E × 256):
   ``hi``; a running OR up the byte values gives "``lo <= b``", one
   down gives "``hi >= b``", and their AND is the LUT.
 
-Results are emitted as :class:`~repro.dataplane.tables.BatchMatchResult`
-and funnelled through the table's own ``_count_batch`` / shadow
-accounting, so verdicts, direct counters, aggregate telemetry, and
+A key's outcome is its *slot*: the winner's match-order index, or
+``-1`` when no entry matched (``frexp`` of a zero word yields it with
+no special case).  Every per-slot array a program carries has one cell
+per entry plus a last one, the *miss slot*, which slot ``-1`` reads:
+
+* ``entry_ids`` and ``priorities`` (``-1`` and 0 on a miss);
+* ``codes``, each entry's verdict code (:data:`ACTION_CODES`, or
+  :data:`NOT_TERMINAL` for an action that does not end the pipeline),
+  built at compile time; the miss cell follows the table's current
+  ``default_action``, which can change without a recompile;
+* ``rows``, each entry's direct-counter row in its table
+  (:data:`~repro.dataplane.tables.DEFAULT_ROW` on a miss).
+
+So the switch resolves a batch's verdicts, entries and counter rows
+with one gather each, and a table counts the batch from the rows with
+two ``np.bincount`` calls (``_count_rows``), with no per-entry work:
+verdicts, direct counters, aggregate telemetry, and
 :class:`~repro.obs.events.DecisionRecord` entry ids are
 indistinguishable from the scalar oracle ``lookup``.
 ``tests/test_compiled_differential.py`` and the hypothesis suites in
@@ -68,6 +82,7 @@ import repro.obs.registry  # noqa: F401  (module handle resolved below)
 _obs_state = sys.modules["repro.obs.registry"]
 
 from repro.dataplane.tables import (
+    DEFAULT_ROW,
     BatchMatchResult,
     ExactTable,
     LpmTable,
@@ -76,11 +91,21 @@ from repro.dataplane.tables import (
 )
 
 __all__ = [
+    "ACTION_CODES",
+    "CODE_ACTIONS",
+    "NOT_TERMINAL",
     "CompileReport",
     "CompiledTable",
     "CompiledClassifier",
     "compile_table",
 ]
+
+#: Verdict action <-> uint8 code, the columnar verdict currency (and the
+#: process backend's wire format).
+CODE_ACTIONS: Tuple[str, ...] = ("allow", "drop", "quarantine")
+ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
+#: Code of a table action that does not end the pipeline.
+NOT_TERMINAL = 255
 
 @dataclasses.dataclass
 class CompileReport:
@@ -119,6 +144,11 @@ def _pack_entries(admits: np.ndarray, words: int) -> np.ndarray:
     return padded.view("<u8").astype(np.uint64, copy=False)
 
 
+def _bit_planes(matrix: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``(width, 8, E)`` bool: bit ``k`` of byte ``j`` of each entry."""
+    return ((np.ascontiguousarray(matrix.T)[:, None, :] >> shifts) & 1).astype(bool)
+
+
 def value_mask_luts(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """``(width, 256, W)`` LUTs for ``(E, width)`` value/mask entries.
 
@@ -131,10 +161,15 @@ def value_mask_luts(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     count, width = values.shape
     words = _words_for(count)
     shifts = np.arange(8, dtype=np.uint8)[None, :, None]
-    care = ((masks.T[:, None, :] >> shifts) & 1).astype(bool)
-    one = ((values.T[:, None, :] >> shifts) & 1).astype(bool)
+    # care[j, k] / one[j, k]: the entries whose mask / value sets bit k
+    # of byte j, packed; free[j, k]: the entries leaving that bit free.
+    # (Packed from C-ordered bits: packbits on a strided array is ~3x
+    # slower.)
+    care = _pack_entries(_bit_planes(masks, shifts), words)
+    one = _pack_entries(_bit_planes(values, shifts), words)
+    free = _pack_entries(np.ones(count, dtype=bool), words) & ~care
     # planes[j, k, x]: the entries admitting bit k of byte j == x.
-    planes = _pack_entries(np.stack([~care | ~one, ~care | one], axis=2), words)
+    planes = np.stack([free | (care & ~one), free | (care & one)], axis=2)
     luts = planes[:, 0]
     for k in range(1, 8):
         luts = (planes[:, k, :, None, :] & luts[:, None, :, :]).reshape(
@@ -162,6 +197,14 @@ def interval_luts(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return luts
 
 
+def _with_miss(values: Sequence, miss, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array, plus the miss slot's ``miss``."""
+    out = np.empty(len(values) + 1, dtype=dtype)
+    out[:-1] = values
+    out[-1] = miss
+    return out
+
+
 @dataclasses.dataclass
 class CompiledTable:
     """One table's rule set, compiled to per-byte LUT bitmaps.
@@ -171,14 +214,18 @@ class CompiledTable:
         entries: installed entry count at compile time.
         words: uint64 words per bitmask (``ceil(entries / 64)``).
         luts: ``(key_width, 256, words)`` uint64 — per-byte entry masks.
-        entry_ids: ``(words * 64,)`` int64 — match-order entry ids,
-            padded with ``-1`` past ``entries``.
-        priorities: ``(words * 64,)`` int64 — match-order priorities
-            (zero for the priority-less exact/LPM kinds), zero-padded.
+        entry_ids: ``(entries + 1,)`` int64 — match-order entry ids,
+            then ``-1`` in the miss slot.
+        priorities: ``(entries + 1,)`` int64 — match-order priorities
+            (zero for the priority-less exact/LPM kinds), then 0.
         entry_actions: match-order action names.
         shadowed: whether multi-match keys count as shadow hits (the
             priority-ordered ternary/range kinds, mirroring the
             scalar path's ``table_shadow_hits_total`` accounting).
+        codes: ``(entries + 1,)`` uint8 — match-order verdict codes,
+            then the default action's (see :meth:`verdict_codes`).
+        rows: ``(entries + 1,)`` intp — match-order direct-counter rows,
+            then the default action's.
     """
 
     key_width: int
@@ -189,6 +236,10 @@ class CompiledTable:
     priorities: np.ndarray
     entry_actions: Tuple[str, ...]
     shadowed: bool
+    codes: np.ndarray
+    rows: np.ndarray
+    #: The default action ``codes``' miss slot holds the code of.
+    _miss_action: Optional[str] = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def from_match_order(
@@ -197,71 +248,72 @@ class CompiledTable:
         entry_ids: Sequence[int],
         priorities: Sequence[int],
         actions: Sequence[str],
+        rows: Sequence[int],
         *,
         shadowed: bool,
     ) -> "CompiledTable":
         """Wrap ``luts`` built over entries listed in match order."""
-        count = len(entry_ids)
         width, __, words = luts.shape
-        padded_ids = np.full(words * 64, -1, dtype=np.int64)
-        padded_ids[:count] = entry_ids
-        padded_pri = np.zeros(words * 64, dtype=np.int64)
-        padded_pri[:count] = priorities
+        code_of = {a: ACTION_CODES.get(a, NOT_TERMINAL) for a in set(actions)}
+        codes = bytearray(map(code_of.__getitem__, actions))
+        codes.append(0)  # the miss slot, set by verdict_codes
         return cls(
             key_width=width,
-            entries=count,
+            entries=len(entry_ids),
             words=words,
             luts=luts,
-            entry_ids=padded_ids,
-            priorities=padded_pri,
+            entry_ids=_with_miss(entry_ids, -1, np.int64),
+            priorities=_with_miss(priorities, 0, np.int64),
             entry_actions=tuple(actions),
             shadowed=shadowed,
+            codes=np.frombuffer(codes, dtype=np.uint8),
+            rows=_with_miss(rows, DEFAULT_ROW, np.intp),
         )
+
+    def verdict_codes(self, default_action: str) -> np.ndarray:
+        """:attr:`codes`, its miss slot holding ``default_action``'s code.
+
+        The default action can change without a recompile, so the miss
+        cell is rewritten whenever it differs from the last one seen.
+        """
+        if default_action != self._miss_action:
+            self.codes[-1] = ACTION_CODES.get(default_action, NOT_TERMINAL)
+            self._miss_action = default_action
+        return self.codes
 
     def classify(
         self, keys: np.ndarray, *, count_shadows: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> Tuple[np.ndarray, int]:
         """Resolve a normalised ``(n, key_width)`` key matrix.
 
-        Returns ``(hit, slot, entry_id, priority, shadow_hits)`` where
-        ``slot`` is the match-order index of the winning entry (0 on
-        miss — callers must mask with ``hit``).
+        Returns ``(slot, shadow_hits)``: ``slot`` is the match-order
+        index of each key's winning entry, ``-1`` (the miss slot of
+        every per-slot array) where none matched.
         """
         n = len(keys)
         if self.entries == 0 or n == 0:
-            zeros = np.zeros(n, dtype=np.int64)
-            return (
-                np.zeros(n, dtype=bool),
-                zeros,
-                np.full(n, -1, dtype=np.int64),
-                zeros.copy(),
-                0,
-            )
+            return np.full(n, -1, dtype=np.intp), 0
         # One gather per selected byte, intersected into survivor masks.
         survivors = np.take(self.luts[0], keys[:, 0], axis=0)
         for j in range(1, self.key_width):
             survivors &= np.take(self.luts[j], keys[:, j], axis=0)
         nonzero = survivors != 0
-        hit = nonzero.any(axis=1)
         # First entry in match order == lowest set bit overall: locate
         # the first nonzero word, then its least significant set bit.
         first_word = nonzero.argmax(axis=1)
         row_words = survivors[np.arange(n), first_word]
         isolated = row_words & (~row_words + np.uint64(1))
-        # log2 of an exact power of two (or of the miss placeholder 1)
-        # is exact in float64 up to 2**63.
-        isolated = np.where(hit, isolated, np.uint64(1))
-        bit = np.log2(isolated.astype(np.float64)).astype(np.int64)
-        slot = first_word * 64 + bit
-        entry_id = np.where(hit, self.entry_ids[slot], -1)
-        priority = np.where(hit, self.priorities[slot], 0)
+        # frexp(2**k) has exponent k + 1 (exact in float64 up to 2**63),
+        # and frexp(0) exponent 0: a key that matched nothing has no
+        # nonzero word (first_word 0), so it lands on slot -1.
+        slot = first_word * 64 + (np.frexp(isolated.astype(np.float64))[1] - 1)
         shadow_hits = 0
         if count_shadows and self.shadowed:
             # A key matched >= 2 entries iff its first nonzero word has
             # a second set bit or a later word is nonzero too.
             crowded = (row_words & (row_words - np.uint64(1))) != 0
             shadow_hits = int((crowded | (nonzero.sum(axis=1) >= 2)).sum())
-        return hit, slot, entry_id, priority, shadow_hits
+        return slot, shadow_hits
 
 
 def _byte_matrix(rows, width: int) -> np.ndarray:
@@ -282,6 +334,7 @@ def compile_table(table) -> CompiledTable:
         ids = [r.entry_id for r in records]
         priorities = [r.priority for r in records]
         actions = [r.action for r in records]
+        rows = [r.row for r in records]
         if isinstance(table, TernaryTable):
             luts = value_mask_luts(
                 _byte_matrix((r.value for r in records), width),
@@ -293,22 +346,24 @@ def compile_table(table) -> CompiledTable:
             ).reshape(-1, width, 2)
             luts = interval_luts(bounds[:, :, 0], bounds[:, :, 1])
         return CompiledTable.from_match_order(
-            luts, ids, priorities, actions, shadowed=True
+            luts, ids, priorities, actions, rows, shadowed=True
         )
     if isinstance(table, ExactTable):
         items = list(table._entries.items())
         keys = np.array([key for key, __ in items], dtype=np.intp)
         keys = keys.reshape(len(items), width)
+        ids = [eid for __, (eid, __a) in items]
         return CompiledTable.from_match_order(
             interval_luts(keys, keys),
-            [eid for __, (eid, __a) in items],
+            ids,
             [0] * len(items),
             [action for __, (__e, action) in items],
+            [table._rows[eid] for eid in ids],
             shadowed=False,
         )
     if isinstance(table, LpmTable):
         total_bits = 8 * width
-        values, masks, ids, actions = [], [], [], []
+        values, masks, ids, actions, rows = [], [], [], [], []
         # Longest prefix first == match order (one match per length max).
         for prefix_len in sorted(table._by_length, reverse=True):
             mask = table._prefix_mask(prefix_len)
@@ -318,6 +373,7 @@ def compile_table(table) -> CompiledTable:
                 masks.append(mask)
                 ids.append(entry_id)
                 actions.append(action)
+                rows.append(table._rows[entry_id])
         value_matrix = np.frombuffer(b"".join(values), dtype=np.uint8)
         mask_matrix = np.array(masks, dtype=np.uint8).reshape(-1, width)
         return CompiledTable.from_match_order(
@@ -325,6 +381,7 @@ def compile_table(table) -> CompiledTable:
             ids,
             [0] * len(ids),
             actions,
+            rows,
             shadowed=False,
         )
     raise TypeError(f"cannot compile table kind {type(table).__name__}")
@@ -444,31 +501,40 @@ class CompiledClassifier:
             program = self._programs[id(table)][2]
         return program
 
+    def match(self, table, keys: np.ndarray) -> Tuple[CompiledTable, np.ndarray, int]:
+        """Classify an ``(n, width)`` key matrix on ``table``'s program.
+
+        Counts nothing in the table.  Returns ``(program, slot,
+        shadow_hits)``: the up-to-date program, each key's slot in it
+        (``-1``, the miss slot, where no entry matched), and the keys
+        whose winner shadowed another (counted only when the table's
+        observability is on).
+        """
+        program = self.program_for(table)
+        keys = table._check_batch_keys(keys)
+        slot, shadow_hits = program.classify(keys, count_shadows=table._obs_on)
+        if self._obs_on:
+            self._obs_batches.inc()
+        return program, slot, shadow_hits
+
     def lookup_batch(
         self, table, keys: np.ndarray, packet_sizes: Optional[np.ndarray] = None
     ) -> BatchMatchResult:
         """Batch equivalent of ``table.lookup`` over an ``(n, width)`` matrix.
 
-        Validates inputs with the table's own helpers and funnels the
-        result through ``table._count_batch``, so direct counters and
+        Validates inputs with the table's own helpers and counts the
+        batch with ``table._count_rows``, so direct counters and
         aggregate telemetry stay bit-identical to the scalar path.
         """
-        program = self.program_for(table)
         keys = table._check_batch_keys(keys)
         sizes = table._batch_sizes(len(keys), packet_sizes)
-        hit, slot, entry_id, priority, shadow_hits = program.classify(
-            keys, count_shadows=table._obs_on
-        )
-        if self._obs_on:
-            self._obs_batches.inc()
-        if table._obs_on and shadow_hits:
-            table._obs_shadow.inc(shadow_hits)
-        result = BatchMatchResult(
+        program, slot, shadow_hits = self.match(table, keys)
+        hit = slot >= 0
+        table._count_rows(program.rows[slot], sizes, shadow_hits)
+        return BatchMatchResult(
             hit=hit,
-            entry_id=entry_id,
+            entry_id=program.entry_ids[slot],
             action_code=np.where(hit, slot + 1, 0),
             actions=(table.default_action,) + program.entry_actions,
-            priority=priority,
+            priority=program.priorities[slot],
         )
-        table._count_batch(result, sizes)
-        return result

@@ -212,8 +212,7 @@ class GatewayController:
 
     def hit_counts(self) -> List[int]:
         """Per-entry packet hit counters, in install order."""
-        table = self.switch.table(FIREWALL_TABLE)
-        return [table.hit_count(entry_id) for entry_id in self._entry_ids]
+        return self.switch.table(FIREWALL_TABLE).hit_counts(self._entry_ids)
 
     def rule_hit_counts(self) -> List[int]:
         """Per-*rule* packet hits (entry counters aggregated per rule).

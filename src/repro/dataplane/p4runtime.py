@@ -281,6 +281,8 @@ class SwitchAgent:
     def _serve_read(self, request: ReadRequest) -> ReadResponse:
         if request.table != self._table.name:
             return ReadResponse(ok=False, error=f"unknown table {request.table!r}")
+        records = self._table.entries()
+        hits = self._table.hit_counts([record.entry_id for record in records])
         entries = tuple(
             {
                 "entry_id": record.entry_id,
@@ -288,9 +290,9 @@ class SwitchAgent:
                 "mask": list(record.mask),
                 "priority": record.priority,
                 "action": record.action,
-                "hits": self._table.hit_count(record.entry_id),
+                "hits": count,
             }
-            for record in self._table.entries()
+            for record, count in zip(records, hits)
         )
         return ReadResponse(ok=True, entries=entries)
 

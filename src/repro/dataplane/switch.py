@@ -37,7 +37,7 @@ import collections.abc
 import dataclasses
 import operator
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,8 +52,15 @@ _obs_state = sys.modules["repro.obs.registry"]
 from repro.obs.events import KIND_DECISION, DecisionRecord
 from repro.net.frames import FrameRows
 from repro.net.packet import Packet
-from repro.dataplane.compiled import CompiledClassifier, CompileReport
+from repro.dataplane.compiled import (
+    ACTION_CODES,
+    CODE_ACTIONS,
+    NOT_TERMINAL,
+    CompiledClassifier,
+    CompileReport,
+)
 from repro.dataplane.tables import (
+    SKIP_ROW,
     ExactTable,
     LpmTable,
     MatchResult,
@@ -68,6 +75,7 @@ __all__ = [
     "Switch",
     "Verdict",
     "VerdictBatch",
+    "TableHits",
     "ClassifiedArrays",
     "Register",
 ]
@@ -78,13 +86,7 @@ AnyTable = Union[ExactTable, TernaryTable, RangeTable, LpmTable]
 #: a dedicated inspection port instead of the normal egress.
 TERMINAL_ACTIONS = ("drop", "allow", "quarantine")
 
-#: Verdict action <-> uint8 code, the columnar verdict currency (and the
-#: process backend's wire format).
-CODE_ACTIONS: Tuple[str, ...] = ("allow", "drop", "quarantine")
-ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
 _DROP, _QUARANTINE = ACTION_CODES["drop"], ACTION_CODES["quarantine"]
-#: Code of a table action that does not end the pipeline.
-_NOT_TERMINAL = 255
 
 
 @dataclasses.dataclass
@@ -217,6 +219,27 @@ class VerdictBatch(collections.abc.Sequence):
     def counts(self) -> np.ndarray:
         """Packets per action code, ``(len(CODE_ACTIONS),)`` int64."""
         return np.bincount(self.codes, minlength=len(CODE_ACTIONS))
+
+
+class TableHits(NamedTuple):
+    """Where one classified batch landed in each table it reached.
+
+    What :meth:`Switch.classify_keys` returns besides the verdicts, and
+    what :meth:`Switch.account` counts the tables' direct counters and
+    ``table_*`` series from (the process backend ships it back from
+    the worker).  Entry ``t`` of each field belongs to pipeline table
+    ``t``; tables past the last one consulted are left out.
+
+    Attributes:
+        rows: per table, ``(n,)`` intp — the direct-counter row each
+            key reached there (:data:`~repro.dataplane.tables.SKIP_ROW`
+            where an earlier table had decided the key).
+        shadows: per table, the keys whose winning entry shadowed
+            another (counted only with observability on).
+    """
+
+    rows: Sequence[np.ndarray]
+    shadows: Sequence[int]
 
 
 class ClassifiedArrays(collections.abc.Sequence):
@@ -676,53 +699,70 @@ class Switch:
         """
         self._sync_obs()
         start_time = time.perf_counter() if self._obs_on else 0.0
-        verdicts = self.classify_keys(keys, sizes)
+        verdicts, hits = self.classify_keys(keys)
         if self._obs_on:
             self._obs_batch_seconds.observe(time.perf_counter() - start_time)
-        self.account(verdicts, keys, sizes, stamps_of=stamps_of, seqs=seqs)
+        self.account(verdicts, hits, keys, sizes, stamps_of=stamps_of, seqs=seqs)
         return ClassifiedArrays(verdicts)
 
-    def classify_keys(self, keys: np.ndarray, sizes: np.ndarray) -> VerdictBatch:
+    def classify_keys(self, keys: np.ndarray) -> Tuple[VerdictBatch, TableHits]:
         """Verdicts of a ``(n, key_width)`` key matrix, and nothing else.
 
-        No stats, no records: the process-parallel serve backend's
-        workers run just this, and the parent then calls
-        :meth:`account` on its own switch with the same arrays.
+        No stats, no counters, no records: the process-parallel serve
+        backend's workers run just this, and the parent then calls
+        :meth:`account` on its own switch with the same arrays and the
+        returned :class:`TableHits`.
+
+        Each table's program maps a key's slot to its verdict code,
+        entry id and counter row with one gather each.  Keys an earlier
+        table decided are not looked up again (first-table-wins, as in
+        :meth:`process`); while every key is pending the matrix is
+        classified as it is, with no copy.
         """
         n = keys.shape[0]
         classifier = self._compiled
         classifier.refresh(self._pipeline)
+        # No table: every key takes the default allow.
         codes = np.zeros(n, dtype=np.uint8)
         table_idx = np.full(n, -1, dtype=np.int16)
         entries = np.full(n, -1, dtype=np.int64)
-        pending = np.arange(n)
+        rows: List[np.ndarray] = []
+        shadows: List[int] = []
+        pending = None  # every key
         for position, table in enumerate(self._pipeline):
+            program, slot, shadow_hits = classifier.match(
+                table, keys if pending is None else keys[pending]
+            )
+            slot_codes = program.verdict_codes(table.default_action)[slot]
+            terminal = slot_codes != NOT_TERMINAL
+            shadows.append(shadow_hits)
+            if pending is None:
+                rows.append(program.rows[slot])
+                if terminal.all():
+                    # The usual pipeline: the first table decides every key.
+                    codes = slot_codes
+                    table_idx = np.full(n, position, dtype=np.int16)
+                    entries = program.entry_ids[slot]
+                    break
+                pending = np.arange(n)
+            else:
+                reached = np.full(n, SKIP_ROW, dtype=np.intp)
+                reached[pending] = program.rows[slot]
+                rows.append(reached)
+            decided = pending[terminal]
+            codes[decided] = slot_codes[terminal]
+            table_idx[decided] = position
+            entries[decided] = program.entry_ids[slot[terminal]]
+            pending = pending[~terminal]
             if not pending.size:
                 break
-            result = classifier.lookup_batch(
-                table, keys[pending], packet_sizes=sizes[pending]
-            )
-            # Resolve codes per distinct table action, not per entry:
-            # a batch hits a few actions of a possibly huge table.
-            actions, inverse = np.unique(result.action_code, return_inverse=True)
-            verdict_codes = np.array(
-                [
-                    ACTION_CODES.get(result.actions[code], _NOT_TERMINAL)
-                    for code in actions.tolist()
-                ],
-                dtype=np.uint8,
-            )[inverse]
-            terminal = verdict_codes != _NOT_TERMINAL
-            decided = pending[terminal]
-            codes[decided] = verdict_codes[terminal]
-            table_idx[decided] = position
-            entries[decided] = result.entry_id[terminal]
-            pending = pending[~terminal]
-        return VerdictBatch(codes, table_idx, entries, self._pipeline_names())
+        verdicts = VerdictBatch(codes, table_idx, entries, self._pipeline_names())
+        return verdicts, TableHits(rows, shadows)
 
     def account(
         self,
         verdicts: VerdictBatch,
+        hits: TableHits,
         keys: np.ndarray,
         sizes: np.ndarray,
         *,
@@ -731,10 +771,12 @@ class Switch:
     ) -> None:
         """Count one classified batch and record its decisions.
 
-        The one place a batch reaches :attr:`stats` and the recorder,
-        whichever executor classified it.
+        The one place a batch reaches :attr:`stats`, the tables' direct
+        counters and ``table_*`` series, and the recorder, whichever
+        executor classified it.
 
         Args:
+            hits: what :meth:`classify_keys` returned with ``verdicts``.
             stamps_of: maps the sorted rows a recorder keeps to their
                 float64 stream timestamps (an array's ``take``, or
                 :meth:`~repro.net.frames.FrameRows.stamps`); required
@@ -743,6 +785,8 @@ class Switch:
                 (defaults to the switch's running counter).
         """
         self.stats.count_batch(verdicts.codes, sizes)
+        for table, rows, shadow_hits in zip(self._pipeline, hits.rows, hits.shadows):
+            table._count_rows(rows, sizes, shadow_hits)
         if self.recorder is None:
             return
         if stamps_of is None:

@@ -26,25 +26,39 @@ into the scoped registry.  With observability disabled (the default)
 the handles are shared no-ops and the shadow scan is skipped entirely,
 so the hot lookup paths pay one branch.
 
+Direct counters are two int64 arrays per table, packets and bytes,
+with one *counter row* per live entry, as a P4 ``direct_counter`` is a
+cell per table entry.  Row :data:`DEFAULT_ROW` counts the default
+action and row :data:`SKIP_ROW` absorbs batch keys a table never saw
+(decided by an earlier table); entries take rows from 2 on.  A row
+freed by ``remove`` or ``clear`` is zeroed and handed to the next
+``add``, so the arrays stay sized at ``max_entries`` however many
+entry ids a table allocates over its life.  ``counters``,
+``default_counter`` and :meth:`_BaseTable.hit_count` are read from the
+arrays.
+
 Each table's :meth:`lookup` is the scalar reference path, one key at a
 time, written for clarity and used as the oracle by the differential
 test suites.  Batches are classified by the compiled LUT program
 (:mod:`repro.dataplane.compiled`), which the tables feed through their
-``generation`` counter and whose results they count in aggregate
-(:meth:`_BaseTable._count_batch`), so both paths leave a table in the
-same state.
+``generation`` counter and which maps every match-order slot to its
+entry's counter row.  A classified batch is counted by
+:meth:`_BaseTable._count_rows` from the row each key reached: two
+``np.bincount`` calls, so both paths leave a table in the same state.
 
 The priority-ordered kinds (ternary, range) keep their entries sorted
-by ``(-priority, insertion order)``: an install is one ``bisect.insort``
-and a remove one id-map lookup plus a bisect, so deploying ``E``
-entries costs O(E log E) comparisons, not a re-sort per insert.
+by ``(-priority, insertion order)``, with those sort keys in a parallel
+list: an install is one bisect of the keys and two list inserts, and a
+remove one id-map lookup plus a bisect, so deploying ``E`` entries costs
+O(E log E) tuple comparisons in C, not a re-sort (or a Python key call
+per probe) per insert.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +70,8 @@ import sys
 _obs_state = sys.modules["repro.obs.registry"]
 
 __all__ = [
+    "DEFAULT_ROW",
+    "SKIP_ROW",
     "TableFullError",
     "EntryExistsError",
     "MatchResult",
@@ -65,6 +81,14 @@ __all__ = [
     "RangeTable",
     "LpmTable",
 ]
+
+
+#: Direct-counter row of the default action (every miss).
+DEFAULT_ROW = 0
+#: Direct-counter row of batch keys a table did not look up.
+SKIP_ROW = 1
+#: Counter rows every table reserves before its entries' rows.
+_RESERVED_ROWS = 2
 
 
 class TableFullError(RuntimeError):
@@ -108,12 +132,10 @@ class BatchMatchResult:
 
 @dataclasses.dataclass
 class _Counter:
+    """One direct counter, as read from a table's counter arrays."""
+
     packets: int = 0
     bytes: int = 0
-
-    def bump(self, size: int) -> None:
-        self.packets += 1
-        self.bytes += size
 
 
 class _BaseTable:
@@ -135,9 +157,16 @@ class _BaseTable:
         self.key_width = key_width
         self.max_entries = max_entries
         self.default_action = default_action
-        self.counters: Dict[int, _Counter] = {}
-        self.default_counter = _Counter()
         self._next_id = 0
+        #: Direct counters, indexed by counter row (see module docstring).
+        self._packets = np.zeros(max_entries + _RESERVED_ROWS, dtype=np.int64)
+        self._bytes = np.zeros(max_entries + _RESERVED_ROWS, dtype=np.int64)
+        #: entry id -> counter row, for every live entry.
+        self._rows: Dict[int, int] = {}
+        self._next_row = _RESERVED_ROWS
+        #: Rows freed (and zeroed) by ``remove``, handed out again
+        #: before new ones.
+        self._free_rows: List[int] = []
         #: monotone entry-mutation counter — every install/remove bumps
         #: it, so the LUT programs in :mod:`repro.dataplane.compiled`
         #: detect staleness with one int compare.
@@ -201,14 +230,40 @@ class _BaseTable:
     def free_entries(self) -> int:
         return self.max_entries - len(self)
 
-    def _allocate_id(self) -> int:
+    def _allocate_id(self) -> Tuple[int, int]:
+        """A new entry's id and counter row."""
         if len(self) >= self.max_entries:
             raise TableFullError(
                 f"table {self.name!r} is full ({self.max_entries} entries)"
             )
         self._next_id += 1
-        self.counters[self._next_id] = _Counter()
-        return self._next_id
+        if self._free_rows:
+            row = self._free_rows.pop()
+        else:
+            row = self._next_row
+            self._next_row += 1
+        self._rows[self._next_id] = row
+        return self._next_id, row
+
+    def _release(self, entry_id: int) -> None:
+        """Zero a removed entry's counter row and free it for the next ``add``."""
+        row = self._rows.pop(entry_id)
+        self._packets[row] = self._bytes[row] = 0
+        self._free_rows.append(row)
+
+    def clear(self) -> None:
+        """Remove every entry and counter at once (controller rollbacks)."""
+        self._drop_entries()
+        self._rows.clear()
+        self._free_rows.clear()
+        self._packets[_RESERVED_ROWS : self._next_row] = 0
+        self._bytes[_RESERVED_ROWS : self._next_row] = 0
+        self._next_row = _RESERVED_ROWS
+        self._entries_changed()
+
+    def _drop_entries(self) -> None:
+        raise NotImplementedError
+
 
     def _check_key(self, key: Sequence[int]) -> Tuple[int, ...]:
         # _sync_obs inlined: first call on every scalar lookup/add path,
@@ -224,19 +279,41 @@ class _BaseTable:
             raise ValueError("key bytes must be in [0, 255]")
         return key
 
-    def _count(self, result: MatchResult, packet_size: int) -> None:
-        """Bump the direct counter for a scalar lookup outcome."""
-        if result.hit and result.entry_id is not None:
-            self.counters[result.entry_id].bump(packet_size)
-        else:
-            self.default_counter.bump(packet_size)
+    def _count(self, row: int, packet_size: int) -> None:
+        """Bump counter row ``row`` for one scalar lookup."""
+        self._packets[row] += 1
+        self._bytes[row] += packet_size
         if self._obs_on:
             self._obs_lookups.inc()
-            (self._obs_hits if result.hit else self._obs_misses).inc()
+            (self._obs_misses if row == DEFAULT_ROW else self._obs_hits).inc()
+
+    def _counter(self, row: int) -> _Counter:
+        return _Counter(int(self._packets[row]), int(self._bytes[row]))
+
+    @property
+    def counters(self) -> Dict[int, _Counter]:
+        """``{entry_id: counter}`` of every live entry (a read-only copy)."""
+        rows = list(self._rows.values())
+        return {
+            entry_id: _Counter(packets, size)
+            for entry_id, packets, size in zip(
+                self._rows, self._packets[rows].tolist(), self._bytes[rows].tolist()
+            )
+        }
+
+    @property
+    def default_counter(self) -> _Counter:
+        """The default action's counter: every lookup that missed."""
+        return self._counter(DEFAULT_ROW)
 
     def hit_count(self, entry_id: int) -> int:
         """Packets that hit ``entry_id`` so far."""
-        return self.counters[entry_id].packets
+        return self._counter(self._rows[entry_id]).packets
+
+    def hit_counts(self, entry_ids: Sequence[int]) -> List[int]:
+        """Packets that hit each of ``entry_ids`` so far, in order."""
+        rows = [self._rows[entry_id] for entry_id in entry_ids]
+        return self._packets[rows].tolist()
 
     # -- batch support -----------------------------------------------------
 
@@ -275,31 +352,33 @@ class _BaseTable:
             raise ValueError(f"packet_sizes must be ({n},), got {sizes.shape}")
         return sizes
 
-    def _count_batch(self, result: BatchMatchResult, sizes: np.ndarray) -> None:
-        """Aggregate-counter equivalent of per-key :meth:`_count` calls."""
-        if self._obs_on:
-            n = len(result.hit)
-            hits = int(result.hit.sum())
-            self._obs_lookups.inc(n)
-            self._obs_hits.inc(hits)
-            self._obs_misses.inc(n - hits)
-        miss = ~result.hit
-        if miss.any():
-            self.default_counter.packets += int(miss.sum())
-            self.default_counter.bytes += int(sizes[miss].sum())
-        hit_ids = result.entry_id[result.hit]
-        if hit_ids.size:
-            ids, slots, counts = np.unique(
-                hit_ids, return_inverse=True, return_counts=True
-            )
-            totals = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(totals, slots, sizes[result.hit])
-            for entry_id, count, total in zip(
-                ids.tolist(), counts.tolist(), totals.tolist()
-            ):
-                counter = self.counters[entry_id]
-                counter.packets += count
-                counter.bytes += total
+    def _count_rows(
+        self, rows: np.ndarray, sizes: np.ndarray, shadow_hits: int = 0
+    ) -> None:
+        """Count one batch: per-key :meth:`_count` calls, as arrays.
+
+        Args:
+            rows: ``(n,)`` the counter row each key of the batch reached
+                (:data:`DEFAULT_ROW` on a miss, :data:`SKIP_ROW` for a
+                key an earlier table decided).
+            sizes: ``(n,)`` int64 packet sizes.
+            shadow_hits: keys whose winning entry shadowed another
+                (counted into ``table_shadow_hits_total``).
+        """
+        packets = np.bincount(rows)
+        span = len(packets)
+        self._packets[:span] += packets
+        # Per-batch byte sums are far below 2**53, so float64 is exact.
+        self._bytes[:span] += np.bincount(rows, weights=sizes).astype(np.int64)
+        self._sync_obs()
+        if self._obs_on and span:
+            misses = int(packets[DEFAULT_ROW])
+            lookups = len(rows) - (int(packets[SKIP_ROW]) if span > SKIP_ROW else 0)
+            self._obs_lookups.inc(lookups)
+            self._obs_hits.inc(lookups - misses)
+            self._obs_misses.inc(misses)
+            if shadow_hits:
+                self._obs_shadow.inc(shadow_hits)
 
 
 class ExactTable(_BaseTable):
@@ -317,7 +396,7 @@ class ExactTable(_BaseTable):
         key = self._check_key(key)
         if key in self._entries:
             raise EntryExistsError(f"duplicate exact key {key}")
-        entry_id = self._allocate_id()
+        entry_id, __ = self._allocate_id()
         self._entries[key] = (entry_id, action)
         self._entries_changed()
         return entry_id
@@ -327,21 +406,23 @@ class ExactTable(_BaseTable):
         for key, (eid, __) in list(self._entries.items()):
             if eid == entry_id:
                 del self._entries[key]
-                del self.counters[entry_id]
+                self._release(entry_id)
                 self._entries_changed()
                 return
         raise KeyError(f"no entry {entry_id}")
+
+    def _drop_entries(self) -> None:
+        self._entries.clear()
 
     def lookup(self, key: Sequence[int], packet_size: int = 0) -> MatchResult:
         """Exact hash lookup, bumping the matched/default direct counter."""
         key = self._check_key(key)
         found = self._entries.get(key)
         if found is None:
-            result = MatchResult(False, self.default_action)
-        else:
-            result = MatchResult(True, found[1], entry_id=found[0])
-        self._count(result, packet_size)
-        return result
+            self._count(DEFAULT_ROW, packet_size)
+            return MatchResult(False, self.default_action)
+        self._count(self._rows[found[0]], packet_size)
+        return MatchResult(True, found[1], entry_id=found[0])
 
 
 @dataclasses.dataclass
@@ -352,6 +433,7 @@ class _TernaryEntryRecord:
     priority: int
     action: str
     order: int  # insertion order, used as the tie-break
+    row: int  # direct-counter row
 
 
 @dataclasses.dataclass
@@ -361,6 +443,7 @@ class _RangeEntryRecord:
     priority: int
     action: str
     order: int
+    row: int
 
 
 def _match_order(record) -> Tuple[int, int]:
@@ -377,6 +460,8 @@ class _PriorityTable(_BaseTable):
     def __init__(self, name: str, key_width: int, **kwargs):
         super().__init__(name, key_width, **kwargs)
         self._entries: list = []
+        #: ``_match_order`` of each of ``_entries``, in the same order.
+        self._keys: List[Tuple[int, int]] = []
         self._by_id: dict = {}
         self._order = 0
 
@@ -388,7 +473,10 @@ class _PriorityTable(_BaseTable):
         return self._order
 
     def _install(self, record) -> int:
-        bisect.insort(self._entries, record, key=_match_order)
+        key = _match_order(record)
+        index = bisect.bisect_right(self._keys, key)
+        self._keys.insert(index, key)
+        self._entries.insert(index, record)
         self._by_id[record.entry_id] = record
         self._entries_changed()
         return record.entry_id
@@ -398,19 +486,16 @@ class _PriorityTable(_BaseTable):
         record = self._by_id.pop(entry_id, None)
         if record is None:
             raise KeyError(f"no entry {entry_id}")
-        index = bisect.bisect_left(
-            self._entries, _match_order(record), key=_match_order
-        )
+        index = bisect.bisect_left(self._keys, _match_order(record))
+        del self._keys[index]
         del self._entries[index]
-        del self.counters[entry_id]
+        self._release(entry_id)
         self._entries_changed()
 
-    def clear(self) -> None:
-        """Remove every entry and counter at once (controller rollbacks)."""
+    def _drop_entries(self) -> None:
         self._entries.clear()
+        self._keys.clear()
         self._by_id.clear()
-        self.counters.clear()
-        self._entries_changed()
 
     def entries(self) -> list:
         """Current entries in match order (for inspection/tests)."""
@@ -425,7 +510,7 @@ class _PriorityTable(_BaseTable):
                     True, record.action, entry_id=record.entry_id,
                     priority=record.priority,
                 )
-                self._count(result, packet_size)
+                self._count(record.row, packet_size)
                 # The shadow scan looks past the winner, so it only runs
                 # with observability on; verdicts are unaffected.
                 if self._obs_on and any(
@@ -434,9 +519,8 @@ class _PriorityTable(_BaseTable):
                 ):
                     self._obs_shadow.inc()
                 return result
-        result = MatchResult(False, self.default_action)
-        self._count(result, packet_size)
-        return result
+        self._count(DEFAULT_ROW, packet_size)
+        return MatchResult(False, self.default_action)
 
 
 class TernaryTable(_PriorityTable):
@@ -468,10 +552,10 @@ class TernaryTable(_PriorityTable):
         """Install a value/mask entry; higher ``priority`` wins overlaps."""
         value = self._check_key(value)
         mask = self._check_key(mask)
+        entry_id, row = self._allocate_id()
         return self._install(
             _TernaryEntryRecord(
-                self._allocate_id(), value, mask, priority, action,
-                self._next_order(),
+                entry_id, value, mask, priority, action, self._next_order(), row
             )
         )
 
@@ -506,10 +590,11 @@ class RangeTable(_PriorityTable):
         for lo, hi in ranges:
             if not 0 <= lo <= hi <= 255:
                 raise ValueError(f"invalid byte range [{lo}, {hi}]")
+        entry_id, row = self._allocate_id()
         return self._install(
             _RangeEntryRecord(
-                self._allocate_id(), tuple((int(l), int(h)) for l, h in ranges),
-                priority, action, self._next_order(),
+                entry_id, tuple((int(l), int(h)) for l, h in ranges),
+                priority, action, self._next_order(), row,
             )
         )
 
@@ -540,7 +625,7 @@ class LpmTable(_BaseTable):
         bucket = self._by_length.setdefault(prefix_len, {})
         if value in bucket:
             raise EntryExistsError(f"duplicate prefix {value}/{prefix_len}")
-        entry_id = self._allocate_id()
+        entry_id, __ = self._allocate_id()
         bucket[value] = (entry_id, action)
         self._entries_changed()
         return entry_id
@@ -550,10 +635,13 @@ class LpmTable(_BaseTable):
             for value, (eid, __) in list(bucket.items()):
                 if eid == entry_id:
                     del bucket[value]
-                    del self.counters[entry_id]
+                    self._release(entry_id)
                     self._entries_changed()
                     return
         raise KeyError(f"no entry {entry_id}")
+
+    def _drop_entries(self) -> None:
+        self._by_length.clear()
 
     def lookup(self, key: Sequence[int], packet_size: int = 0) -> MatchResult:
         """Longest-prefix scalar lookup, bumping direct counters."""
@@ -565,12 +653,10 @@ class LpmTable(_BaseTable):
             value = key_int >> (total_bits - prefix_len) if prefix_len else 0
             found = bucket.get(value)
             if found is not None:
-                result = MatchResult(True, found[1], entry_id=found[0])
-                self._count(result, packet_size)
-                return result
-        result = MatchResult(False, self.default_action)
-        self._count(result, packet_size)
-        return result
+                self._count(self._rows[found[0]], packet_size)
+                return MatchResult(True, found[1], entry_id=found[0])
+        self._count(DEFAULT_ROW, packet_size)
+        return MatchResult(False, self.default_action)
 
     def _prefix_mask(self, prefix_len: int) -> np.ndarray:
         """Byte mask with the leading ``prefix_len`` bits set."""

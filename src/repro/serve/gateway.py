@@ -801,7 +801,7 @@ class StreamingGateway:
             # The worker only classified: count and record the batch on
             # the parent's shard switch, as the inline switch did itself.
             shard.switch.account(
-                verdicts, result.keys, result.sizes,
+                verdicts, result.hits, result.keys, result.sizes,
                 stamps_of=batch.timestamps.take, seqs=batch.indices,
             )
             if self._obs_on:

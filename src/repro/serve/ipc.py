@@ -17,9 +17,10 @@ Two pieces live here, both deliberately free of any serve-layer policy:
 * Frame / result block packing — the wire format for one batch.  A
   *frame* block is the parent→worker payload (packed key-byte matrix
   and packet sizes); a *result* block is the worker→parent payload
-  (verdict codes, table indices, entry ids, and the batch's
-  classification time).  Workers only classify, so nothing else
-  crosses: the parent counts and records each batch itself.  All
+  (verdict codes, table indices, entry ids, the direct-counter row
+  each key reached per table and the tables' shadow hits, and the
+  batch's classification time).  Workers only classify, so nothing
+  else crosses: the parent counts and records each batch itself.  All
   fixed-width regions are 8-byte aligned so numpy views over the
   shared buffer are cheap and portable.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 from multiprocessing import shared_memory
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,20 +273,25 @@ def unpack_frame(view: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 # -- result blocks (worker -> parent) --------------------------------------
 #
-# Layout::
+# Layout (t = tables the batch reached)::
 #
 #     0   int64       n
 #     8   float64     process_seconds
-#     16  int64[n]    entry ids (-1 = none)
+#     16  int64       t
+#     24  int64[n]    entry ids (-1 = none)
 #     +   int16[n]    table index into the pipeline (-1 = none)
 #     +   uint8[n]    verdict codes (0=allow 1=drop 2=quarantine)
+#     +   pad to 8
+#     +   int64[t]    shadow hits per table
+#     +   int64[t*n]  direct-counter row per table and key, row-major
 
-_RESULT_HEADER = 16
+_RESULT_HEADER = 24
 
 
-def result_slot_bytes(max_batch: int) -> int:
-    """Slot size for results of up to ``max_batch`` verdicts."""
-    return _align8(_RESULT_HEADER + max_batch * (8 + 2 + 1))
+def result_slot_bytes(max_batch: int, tables: int = 0) -> int:
+    """Slot size for results of up to ``max_batch`` verdicts that reach
+    up to ``tables`` tables."""
+    return _align8(_RESULT_HEADER + max_batch * (8 + 2 + 1)) + 8 * tables * (1 + max_batch)
 
 
 def pack_result(
@@ -295,42 +301,65 @@ def pack_result(
     entries: np.ndarray,
     *,
     process_seconds: float,
+    rows: Sequence[np.ndarray] = (),
+    shadows: Sequence[int] = (),
 ) -> None:
-    """Pack one batch's verdicts and classification time into a result slot."""
+    """Pack one batch's verdicts, table hits (per table, each key's
+    counter row and the shadow-hit count: a
+    :class:`~repro.dataplane.switch.TableHits`) and classification
+    time into a result slot."""
     n = codes.shape[0]
-    need = _RESULT_HEADER + n * (8 + 2 + 1)
+    t = len(rows)
+    need = result_slot_bytes(n, t)
     if need > view.shape[0]:
         raise ValueError(
-            f"result of {n} needs {need} bytes, slot holds {view.shape[0]}"
+            f"result of {n} x {t} tables needs {need} bytes, "
+            f"slot holds {view.shape[0]}"
         )
-    view[:8].view(np.int64)[0] = n
-    view[8:_RESULT_HEADER].view(np.float64)[0] = process_seconds
+    header = view[:_RESULT_HEADER]
+    header[:8].view(np.int64)[0] = n
+    header[8:16].view(np.float64)[0] = process_seconds
+    header[16:].view(np.int64)[0] = t
     o = _RESULT_HEADER
     view[o : o + 8 * n].view(np.int64)[:] = entries
     o += 8 * n
     view[o : o + 2 * n].view(np.int16)[:] = table_idx
     o += 2 * n
     view[o : o + n] = codes
+    o = _align8(o + n)
+    view[o : o + 8 * t].view(np.int64)[:] = shadows
+    o += 8 * t
+    table_rows = view[o : o + 8 * t * n].view(np.int64).reshape(t, n)
+    for out, table in zip(table_rows, rows):
+        out[:] = table
 
 
 def unpack_result(view: np.ndarray) -> dict:
     """Decode a result slot into owned (copied) arrays.
 
     Copies, unlike :func:`unpack_frame`: the parent keeps results
-    around after freeing the slot.
+    around after freeing the slot.  ``rows`` is ``(t, n)`` intp and
+    ``shadows`` a list of ``t`` ints.
     """
     n = int(view[:8].view(np.int64)[0])
-    process_seconds = float(view[8:_RESULT_HEADER].view(np.float64)[0])
+    process_seconds = float(view[8:16].view(np.float64)[0])
+    t = int(view[16:_RESULT_HEADER].view(np.int64)[0])
     o = _RESULT_HEADER
     entries = view[o : o + 8 * n].view(np.int64).copy()
     o += 8 * n
     table_idx = view[o : o + 2 * n].view(np.int16).copy()
     o += 2 * n
     codes = view[o : o + n].copy()
+    o = _align8(o + n)
+    shadows = view[o : o + 8 * t].view(np.int64).tolist()
+    o += 8 * t
+    rows = view[o : o + 8 * t * n].view(np.int64).reshape(t, n).astype(np.intp)
     return {
         "n": n,
         "codes": codes,
         "table_idx": table_idx,
         "entries": entries,
+        "rows": rows,
+        "shadows": shadows,
         "process_seconds": process_seconds,
     }

@@ -29,8 +29,9 @@ blocks as it reads it, never reading past a packet that triggers work.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Type, Union
+from typing import Iterable, Iterator, Optional, Type, Union
 
 import numpy as np
 
@@ -168,10 +169,12 @@ class SyntheticSource(ReplaySource):
 
     Args:
         rate: offered load in packets per second.
-        n_packets: stream length; the base trace is tiled if shorter.
+        n_packets: trace length; the base trace is tiled if shorter.
         stack: protocol stack for the generated trace.
         burstiness: arrival burst factor (1.0 = Poisson).
         seed: one seed drives both trace bytes and arrival process.
+        loop: replay the trace this many times, so the stream holds
+            ``loop * n_packets`` packets.
     """
 
     def __init__(
@@ -182,12 +185,13 @@ class SyntheticSource(ReplaySource):
         stack: str = "inet",
         burstiness: float = 1.0,
         seed: int = 7,
+        loop: int = 1,
         duration: float = 30.0,
         n_devices: int = 3,
     ):
         from repro.datasets import TraceConfig, generate_trace
 
-        super().__init__(rate=rate, burstiness=burstiness, seed=seed)
+        super().__init__(rate=rate, burstiness=burstiness, seed=seed, loop=loop)
         if n_packets < 1:
             raise ValueError("n_packets must be >= 1")
         base = generate_trace(
@@ -200,10 +204,10 @@ class SyntheticSource(ReplaySource):
         self._trace = (base * (n_packets // len(base) + 1))[:n_packets]
 
     def __len__(self) -> int:
-        return len(self._trace)
+        return len(self._trace) * self._loop
 
-    def _packets(self) -> List[Packet]:
-        return self._trace
+    def _packets(self) -> Iterable[Packet]:
+        return itertools.chain.from_iterable(itertools.repeat(self._trace, self._loop))
 
 
 class PcapSource(ReplaySource):

@@ -15,7 +15,9 @@ in the event-loop process, on the shard's own switch, at submit time.
 shard, each fed by its own pair of :class:`~repro.serve.ipc.ShmRing`
 rings — a *frame* ring (parent → worker: packed key-byte matrices and
 packet sizes) and a *result* ring (worker → parent: verdict codes,
-table indices, entry ids and the batch's classification time).  A
+table indices, entry ids, the table hits — per table, the
+direct-counter row each key reached and the shadow-hit count — and
+the batch's classification time).  A
 duplex pipe per worker carries only rare control traffic: startup
 handshake, versioned rule swaps, shutdown, and error reports.
 
@@ -27,12 +29,16 @@ Division of labour (and why verdicts stay bit-identical to inline):
   process in both backends.  It also counts and records every batch,
   on its own shard switch, with
   :meth:`~repro.dataplane.switch.Switch.account`: the code the inline
-  backend runs after classifying.
+  backend runs after classifying.  That includes the tables' direct
+  counters and ``table_*`` series, counted from the worker's table
+  hits; the parent's tables hand out counter rows exactly as the
+  worker's do, since both apply the same installs and removes.
 * The **worker** only classifies: it builds its shard's switch from a
   serialized RuleSet, services its frame ring with
   :meth:`~repro.dataplane.switch.Switch.classify_keys` on the
   shared-memory key matrix (zero-copy — the batch is classified in
-  place before the slot is released), and ships verdict arrays back.
+  place before the slot is released), and ships verdict arrays and
+  table hits back.
 * **Rule swaps** fan out through :meth:`ProcessExecutor.install` only
   when no frame is in flight anywhere, so no batch ever straddles two
   rule versions; each worker applies the swap between batches and
@@ -65,6 +71,8 @@ from repro.dataplane.controller import GatewayController
 from repro.dataplane.switch import (
     ACTION_CODES,
     CODE_ACTIONS,
+    SwitchConfig,
+    TableHits,
     VerdictBatch,
 )
 from repro.serve.ipc import (
@@ -102,6 +110,10 @@ _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 #: Minimum key-matrix width a frame slot is sized for, so rule swaps
 #: that widen the parser (more offsets) still fit without re-ringing.
 _MIN_KEY_WIDTH = 32
+
+#: Most tables a worker's switch can consult per batch: result slots
+#: are sized for this many tables' hits.
+_MAX_TABLES = SwitchConfig.pipeline_depth
 
 
 class WorkerDiedError(RuntimeError):
@@ -169,7 +181,8 @@ def worker_main(
             view = frames.try_acquire_read()
             if view is not None:
                 start = time.perf_counter()
-                verdicts = worker.switch.classify_keys(*unpack_frame(view))
+                keys, __ = unpack_frame(view)
+                verdicts, hits = worker.switch.classify_keys(keys)
                 frames.commit_read()
                 out = results.try_acquire_write()
                 while out is None:
@@ -181,6 +194,8 @@ def worker_main(
                     verdicts.table_idx,
                     verdicts.entries,
                     process_seconds=time.perf_counter() - start,
+                    rows=hits.rows,
+                    shadows=hits.shadows,
                 )
                 results.commit_write()
                 continue
@@ -216,15 +231,16 @@ class BatchResult:
     Attributes:
         outcome: the batch's columnar verdicts.
         process_seconds: wall-clock seconds the classification took.
-        keys / sizes: the key matrix and packet sizes the batch was
-            submitted with (process backend, whose workers only
-            classify: the parent counts and records the batch on its
-            own shard switch from them; ``None`` inline, where the
-            switch already did).
+        hits / keys / sizes: the worker's table hits, and the key
+            matrix and packet sizes the batch was submitted with
+            (process backend, whose workers only classify: the parent
+            counts and records the batch on its own shard switch from
+            them; ``None`` inline, where the switch already did).
     """
 
     outcome: VerdictBatch
     process_seconds: float
+    hits: Optional[TableHits] = None
     keys: Optional[np.ndarray] = None
     sizes: Optional[np.ndarray] = None
 
@@ -324,7 +340,7 @@ class ProcessExecutor:
         frame_spec = RingSpec(
             ring_slots, frame_slot_bytes(max_batch, self.key_width_cap)
         )
-        result_spec = RingSpec(ring_slots, result_slot_bytes(max_batch))
+        result_spec = RingSpec(ring_slots, result_slot_bytes(max_batch, _MAX_TABLES))
         init = {
             "ruleset": ruleset_to_dict(rules),
             "table_capacity": table_capacity,
@@ -472,6 +488,7 @@ class ProcessExecutor:
                             self.table_names,
                         ),
                         process_seconds=raw["process_seconds"],
+                        hits=TableHits(raw["rows"], raw["shadows"]),
                         keys=keys,
                         sizes=sizes,
                     )

@@ -348,6 +348,17 @@ class TestServe:
         assert "shard 0" in out and "shard 1" in out
         assert "latency" in out
 
+    def test_serve_synthetic_loop_replays_the_trace(self, rules_path, capsys):
+        """``--loop 3`` offers the ``--packets`` trace three times over."""
+        code = main(
+            [
+                "serve", str(rules_path), "--synthetic", "inet",
+                "--packets", "1000", "--loop", "3", "--rate", "100000",
+            ]
+        )
+        assert code == 0
+        assert "processed 3000 pkts" in capsys.readouterr().out
+
     def test_serve_pcap_with_overload(self, rules_path, pcap_and_labels, capsys):
         pcap, __, ___ = pcap_and_labels
         code = main(
@@ -425,10 +436,15 @@ class TestServe:
         (["--burstiness", "0.5"], "burstiness must be >= 1.0"),
         (["--pcap", "t.pcap", "--rate", "0"], "rate must be positive"),
         (["--pcap", "t.pcap", "--loop", "2"], "looping requires rate re-timing"),
+        (["--loop", "0"], "loop must be >= 1"),
+        (
+            ["--pcap", "t.pcap", "--rate", "50000", "--packets", "1000"],
+            "--packets sets the --synthetic stream length; not with --pcap",
+        ),
     ], ids=[
         "ring-slots-0", "ring-slots-1", "max-batch", "queue-capacity",
         "packets", "synthetic-rate", "synthetic-burstiness", "pcap-rate",
-        "pcap-loop",
+        "pcap-loop", "synthetic-loop-0", "pcap-packets",
     ])
     def test_serve_refuses_bad_settings(self, rules_path, flags, message):
         """An invalid setting exits with its message, not a traceback."""

@@ -181,6 +181,30 @@ class TestBlockFormats:
         assert np.array_equal(out["entries"], entries)
         assert out["process_seconds"] == 0.125
 
+    def test_result_round_trip_with_table_hits(self, rng):
+        n, tables = 29, 3
+        view = np.zeros(result_slot_bytes(64, tables), dtype=np.uint8)
+        codes = rng.integers(0, 3, size=n).astype(np.uint8)
+        table_idx = rng.integers(-1, 3, size=n).astype(np.int16)
+        entries = rng.integers(-1, 1000, size=n).astype(np.int64)
+        rows = rng.integers(0, 500, size=(tables, n))
+        pack_result(
+            view, codes, table_idx, entries, process_seconds=0.5,
+            rows=list(rows), shadows=[3, 0, 7],
+        )
+        out = unpack_result(view)
+        assert np.array_equal(out["codes"], codes)
+        assert np.array_equal(out["table_idx"], table_idx)
+        assert np.array_equal(out["entries"], entries)
+        assert np.array_equal(out["rows"], rows)
+        assert out["shadows"] == [3, 0, 7]
+        with pytest.raises(ValueError):
+            pack_result(
+                np.zeros(result_slot_bytes(64), dtype=np.uint8), codes,
+                table_idx, entries, process_seconds=0.5, rows=list(rows),
+                shadows=[0, 0, 0],
+            )
+
 
 class _SwapHook:
     """Swap to ``rules`` once ``at`` packets have been serviced."""
@@ -451,6 +475,64 @@ class TestObservability:
         assert by_verdict.get("quarantine", 0) == result.stats.quarantined
         batches = [m for m in metrics if m["name"] == "worker_batches_total"]
         assert sum(m["value"] for m in batches) == result.batches
+
+
+class TestTableCounters:
+    """Direct counters and ``table_*`` series are backend-independent.
+
+    The parent counts them in ``Switch.account`` from the table hits
+    the worker ships back, as the inline switch counts its own.
+    """
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_table_counters_match_inline(self, rng, swap):
+        from repro import obs
+
+        packets = _random_packets(rng, 4000)
+        series = (
+            "table_lookups_total",
+            "table_hits_total",
+            "table_misses_total",
+            "table_shadow_hits_total",
+        )
+
+        def run(executor):
+            registry = obs.Registry(enabled=True)
+            hook = _SwapHook(1500, synthetic_firewall_ruleset(seed=9)) if swap else None
+            with obs.use_registry(registry):
+                gateway = StreamingGateway(
+                    synthetic_firewall_ruleset(),
+                    ServeConfig(
+                        n_shards=2, max_batch=128, queue_capacity=512,
+                        executor=executor,
+                    ),
+                    retrain_hook=hook,
+                )
+                result = gateway.run(packets)
+            assert result.rule_swaps == int(swap)
+            tables = [shard.switch.table("firewall") for shard in gateway.shards]
+            metrics = {
+                m["name"]: m["value"]
+                for m in registry.snapshot()["metrics"]
+                if m["name"] in series
+            }
+            return (
+                [shard.controller.hit_counts() for shard in gateway.shards],
+                [(t.default_counter.packets, t.default_counter.bytes) for t in tables],
+                [{e: (c.packets, c.bytes) for e, c in t.counters.items()} for t in tables],
+                metrics,
+            )
+
+        inline = run("inline")
+        process = run("process")
+        assert process == inline
+        hits, defaults, __, metrics = inline
+        assert all(sum(shard) > 0 for shard in hits)
+        assert metrics["table_lookups_total"] == len(packets)
+        assert metrics["table_lookups_total"] == (
+            metrics["table_hits_total"] + metrics["table_misses_total"]
+        )
+        assert metrics["table_misses_total"] == sum(p for p, __ in defaults)
 
 
 class TestServeCLI:
