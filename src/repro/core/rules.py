@@ -6,15 +6,18 @@ set of packet offsets and carrying an action (``drop`` / ``allow``).  The
 set can
 
 * classify packets directly (reference semantics, used in tests),
-* expand to TCAM-style :class:`TernaryEntry` lists via prefix expansion
-  (what actually goes into a P4 ternary table), and
+* expand to TCAM-style entries via prefix expansion (what actually goes
+  into a P4 ternary table): :meth:`RuleSet.expand` builds them as
+  arrays in one vectorised pass over all rules, and
+  :meth:`RuleSet.to_ternary` lists the same entries as
+  :class:`TernaryEntry` objects, and
 * report its data-plane resource cost.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import functools
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +32,9 @@ __all__ = [
     "KNOWN_ACTIONS",
     "MatchField",
     "Rule",
+    "RULE_ACTIONS",
     "TernaryEntry",
+    "TernaryArrays",
     "RuleSet",
     "rules_from_leaves",
 ]
@@ -40,6 +45,17 @@ ACTION_DROP = "drop"
 ACTION_QUARANTINE = "quarantine"
 
 KNOWN_ACTIONS = frozenset({ACTION_ALLOW, ACTION_DROP, ACTION_QUARANTINE})
+#: Action code -> action name of :attr:`TernaryArrays.actions` (and of
+#: the data plane's verdict codes).
+RULE_ACTIONS: Tuple[str, ...] = (ACTION_ALLOW, ACTION_DROP, ACTION_QUARANTINE)
+_ACTION_CODE = {action: code for code, action in enumerate(RULE_ACTIONS)}
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_bytes(lo: int, hi: int) -> bytes:
+    """The (value, mask) pairs covering the byte range ``[lo, hi]``,
+    interleaved as bytes (a wildcard is the one pair ``(0, 0)``)."""
+    return bytes(b for pair in iter_prefix_ranges(lo, hi, 8) for b in pair)
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -69,7 +85,8 @@ class MatchField:
 
     def ternary_pairs(self) -> List[Tuple[int, int]]:
         """(value, mask) pairs covering the range (prefix expansion)."""
-        return list(iter_prefix_ranges(self.lo, self.hi, 8))
+        pairs = _prefix_bytes(self.lo, self.hi)
+        return list(zip(pairs[::2], pairs[1::2]))
 
     def __str__(self) -> str:
         if self.is_wildcard:
@@ -122,8 +139,7 @@ class Rule:
         """Entries after range→prefix expansion (product over fields)."""
         count = 1
         for field in self.matches:
-            if not field.is_wildcard:
-                count *= len(field.ternary_pairs())
+            count *= len(_prefix_bytes(field.lo, field.hi)) // 2
         return count
 
     def __str__(self) -> str:
@@ -153,6 +169,35 @@ class TernaryEntry:
         return all(
             (k & m) == (v & m) for k, v, m in zip(key, self.value, self.mask)
         )
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class TernaryArrays:
+    """A rule set's TCAM entries as arrays, one row per entry.
+
+    Rows are in :meth:`RuleSet.to_ternary` order: each rule's entries
+    contiguously, rules in match order.
+
+    Attributes:
+        values: ``(E, width)`` uint8 entry values.
+        masks: ``(E, width)`` uint8 entry masks.
+        priorities: ``(E,)`` int64, each entry's rule priority.
+        actions: ``(E,)`` uint8 action codes into :data:`RULE_ACTIONS`.
+        counts: ``(R,)`` int64 entries per rule (each at least 1).
+    """
+
+    values: np.ndarray
+    masks: np.ndarray
+    priorities: np.ndarray
+    actions: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.priorities)
+
+    def action_names(self, rows=slice(None)) -> List[str]:
+        """Action names of the entries ``rows`` selects."""
+        return [RULE_ACTIONS[code] for code in self.actions[rows].tolist()]
 
 
 class RuleSet:
@@ -271,54 +316,102 @@ class RuleSet:
 
     # -- data-plane compilation ----------------------------------------------
 
-    def to_ternary(self) -> List[TernaryEntry]:
-        """Expand every rule into TCAM entries over the selected bytes."""
-        entries: List[TernaryEntry] = []
+    def expand(self) -> TernaryArrays:
+        """Expand every rule into TCAM entries over the selected bytes.
+
+        One Python step per field (its prefix pairs and its stride in
+        the rule's cross product), then a single numpy scatter across
+        all rules: entry ``e`` of a rule takes pair
+        ``(e // stride) % count`` of each of its fields, so the last
+        field varies fastest, the :func:`itertools.product` order.  A
+        wildcard field is the one pair ``(0, 0)``, so it changes
+        nothing, and a rule with no other field is one all-wildcard
+        entry.
+        """
         width = len(self.offsets)
         position = {offset: idx for idx, offset in enumerate(self.offsets)}
-        for rule in self.rules:
-            per_field: List[List[Tuple[int, int, int]]] = []
-            for field in rule.matches:
-                if field.is_wildcard:
-                    continue
-                pairs = field.ternary_pairs()
-                per_field.append(
-                    [(position[field.offset], v, m) for v, m in pairs]
-                )
-            if not per_field:
-                entries.append(
-                    TernaryEntry((0,) * width, (0,) * width, rule.action, rule.priority)
-                )
-                continue
-            for combination in itertools.product(*per_field):
-                value = [0] * width
-                mask = [0] * width
-                for idx, v, m in combination:
-                    value[idx] = v
-                    mask[idx] = m
-                entries.append(
-                    TernaryEntry(tuple(value), tuple(mask), rule.action, rule.priority)
-                )
-        return entries
+        counts: List[int] = []
+        columns: List[int] = []  # per field
+        strides: List[int] = []
+        sizes: List[int] = []
+        owners: List[int] = []  # the field's rule
+        chunks: List[bytes] = []  # the field's pairs
+        for index, rule in enumerate(self.rules):
+            count = 1
+            for field in reversed(rule.matches):
+                chunk = _prefix_bytes(field.lo, field.hi)
+                columns.append(position[field.offset])
+                strides.append(count)
+                sizes.append(len(chunk) // 2)
+                chunks.append(chunk)
+                count *= len(chunk) // 2
+            owners.extend([index] * len(rule.matches))
+            counts.append(count)
+        rule_counts = np.array(counts, dtype=np.int64)
+        total = int(rule_counts.sum())
+        values = np.zeros((total, width), dtype=np.uint8)
+        masks = np.zeros((total, width), dtype=np.uint8)
+        if chunks:
+            starts = np.cumsum(rule_counts) - rule_counts
+            owner = np.array(owners, dtype=np.intp)
+            size = np.array(sizes, dtype=np.int64)
+            # One cell per (field, entry of the field's rule).
+            per_field = rule_counts[owner]
+            field = np.repeat(np.arange(len(owner)), per_field)
+            local = np.arange(len(field)) - np.repeat(
+                np.cumsum(per_field) - per_field, per_field
+            )
+            pair = (np.cumsum(size) - size)[field] + (
+                local // np.array(strides, dtype=np.int64)[field]
+            ) % size[field]
+            entry = starts[owner][field] + local
+            column = np.array(columns, dtype=np.intp)[field]
+            table = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(-1, 2)
+            values[entry, column] = table[pair, 0]
+            masks[entry, column] = table[pair, 1]
+        return TernaryArrays(
+            values=values,
+            masks=masks,
+            priorities=np.repeat(
+                np.array([r.priority for r in self.rules], dtype=np.int64),
+                rule_counts,
+            ),
+            actions=np.repeat(
+                np.array(
+                    [_ACTION_CODE[r.action] for r in self.rules], dtype=np.uint8
+                ),
+                rule_counts,
+            ),
+            counts=rule_counts,
+        )
 
-    def resource_report(
-        self, entries: Optional[Sequence[TernaryEntry]] = None
-    ) -> Dict[str, int]:
+    def to_ternary(self) -> List[TernaryEntry]:
+        """:meth:`expand`'s entries as :class:`TernaryEntry` objects."""
+        arrays = self.expand()
+        return [
+            TernaryEntry(tuple(value), tuple(mask), action, priority)
+            for value, mask, action, priority in zip(
+                arrays.values.tolist(),
+                arrays.masks.tolist(),
+                arrays.action_names(),
+                arrays.priorities.tolist(),
+            )
+        ]
+
+    def resource_report(self) -> Dict[str, int]:
         """Data-plane cost: rules, TCAM entries, match width, TCAM bits.
 
-        Args:
-            entries: this rule set's :meth:`to_ternary` expansion, when
-                the caller already has it (the expansion is the cost).
+        Entries are counted per rule (:meth:`Rule.ternary_entry_count`),
+        not expanded.
         """
-        if entries is None:
-            entries = self.to_ternary()
+        entries = sum(rule.ternary_entry_count() for rule in self.rules)
         width_bits = 8 * len(self.offsets)
         return {
             "rules": len(self.rules),
-            "ternary_entries": len(entries),
+            "ternary_entries": entries,
             "match_width_bits": width_bits,
             # value + mask both occupy TCAM
-            "tcam_bits": 2 * width_bits * len(entries),
+            "tcam_bits": 2 * width_bits * entries,
         }
 
     def describe(self) -> str:

@@ -76,6 +76,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
+from repro.core.rules import RULE_ACTIONS
 import repro.obs.registry  # noqa: F401  (module handle resolved below)
 
 # See switch.py: the package rebinds `repro.obs.registry` to a function.
@@ -101,8 +102,8 @@ __all__ = [
 ]
 
 #: Verdict action <-> uint8 code, the columnar verdict currency (and the
-#: process backend's wire format).
-CODE_ACTIONS: Tuple[str, ...] = ("allow", "drop", "quarantine")
+#: process backend's wire format): the rule set's action codes.
+CODE_ACTIONS: Tuple[str, ...] = RULE_ACTIONS
 ACTION_CODES: Dict[str, int] = {a: i for i, a in enumerate(CODE_ACTIONS)}
 #: Code of a table action that does not end the pipeline.
 NOT_TERMINAL = 255

@@ -5,6 +5,12 @@ the :class:`~repro.core.rules.RuleSet` produced by the learning pipeline,
 expands it into ternary entries, and programs the switch's firewall table,
 supporting atomic re-deployment (the "dynamically reconfigurable" property
 the abstract highlights) and rollback on capacity overflow.
+
+The install path works on arrays end to end: the rule set's
+:meth:`~repro.core.rules.RuleSet.expand` arrays, one packed row key per
+installed entry for the diff, and the table's batch
+:meth:`~repro.dataplane.tables.TernaryTable.add_many` /
+:meth:`~repro.dataplane.tables._PriorityTable.remove_many`.
 """
 
 from __future__ import annotations
@@ -12,13 +18,80 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.rules import Rule, RuleSet, TernaryEntry
+import numpy as np
+
+from repro.core.rules import Rule, RuleSet, TernaryArrays
 from repro.dataplane.switch import Switch, SwitchConfig
 from repro.dataplane.tables import TableFullError, TernaryTable
 
 __all__ = ["GatewayController", "DeploymentReport", "UpdateReport"]
 
 FIREWALL_TABLE = "firewall"
+
+
+def _row_keys(arrays: TernaryArrays) -> np.ndarray:
+    """One packed key per entry: value | mask | priority | action code.
+
+    A ``(E,)`` void array whose items are equal exactly when the entries'
+    :class:`~repro.core.rules.TernaryEntry` objects are.
+    """
+    count, width = arrays.values.shape
+    packed = np.empty((count, 2 * width + 9), dtype=np.uint8)
+    packed[:, :width] = arrays.values
+    packed[:, width : 2 * width] = arrays.masks
+    packed[:, 2 * width : -1] = arrays.priorities.view(np.uint8).reshape(count, 8)
+    packed[:, -1] = arrays.actions
+    return packed.view(np.dtype((np.void, packed.shape[1]))).reshape(count)
+
+
+def _match_installed(
+    installed: np.ndarray, new: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair new entries with equal installed ones, as multisets.
+
+    Args:
+        installed: ``(m,)`` row keys of the installed entries, in
+            install order.
+        new: ``(n,)`` row keys of the entries to serve, in order.
+
+    Returns:
+        ``(source, stale)``: ``source[i]`` is the installed position the
+        ``i``-th new entry keeps (``-1``: it is added); ``stale`` lists
+        the installed positions to remove, in removal order.
+
+    Among equal entries the ``k``-th new one keeps the ``k``-th last
+    installed one.  The installed ones left over are removed group by
+    group, groups in order of their first installed member, members in
+    install order.  That is the pairing of a dict from entry to its
+    installed ids, popped from the back, with the leftovers removed in
+    the dict's order.
+    """
+    m = len(installed)
+    joint = np.concatenate([installed, new])
+    # Stable: among equal keys the installed ones come first, each side
+    # in its own order.
+    order = np.argsort(joint, kind="stable")
+    ranked = joint[order]
+    head = np.ones(len(joint), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    group = np.cumsum(head) - 1
+    first = np.flatnonzero(head)
+    is_old = order < m
+    olds = np.bincount(group[is_old], minlength=len(first))
+    news = np.diff(np.append(first, len(joint))) - olds
+    rank = np.arange(len(joint)) - first[group]  # within the group
+    own = olds[group]
+
+    source = np.full(len(new), -1, dtype=np.intp)
+    reuse = rank - own  # the new entry's rank among the new
+    keeps = ~is_old & (reuse < own)
+    source[order[keeps] - m] = order[(first[group] + own - 1 - reuse)[keeps]]
+
+    leftover = is_old & (rank < own - np.minimum(own, news[group]))
+    positions = order[leftover]
+    group_first = order[first[group[leftover]]]
+    stale = positions[np.lexsort((positions, group_first))]
+    return source, stale
 
 
 @dataclasses.dataclass
@@ -64,9 +137,32 @@ class GatewayController:
     def __init__(self, switch: Switch, *, table_capacity: int = 4096):
         self.switch = switch
         self.table_capacity = table_capacity
+        self._forget()
+
+    def _forget(self) -> None:
+        """Record an empty firewall table."""
         self._deployed: Optional[RuleSet] = None
-        self._entry_ids: List[int] = []
-        self._installed: List[Tuple[TernaryEntry, int]] = []
+        #: Installed entries in expansion order: ids and packed row keys.
+        self._entry_ids = np.empty(0, dtype=np.int64)
+        self._keys = np.empty(0, dtype=np.dtype((np.void, 1)))
+        #: Exclusive end position of each deployed rule's entries.
+        self._rule_ends = np.empty(0, dtype=np.int64)
+        #: entry id -> position, built on first use after an install.
+        self._positions: Optional[Dict[int, int]] = None
+
+    def _record(
+        self,
+        ruleset: RuleSet,
+        arrays: TernaryArrays,
+        entry_ids: np.ndarray,
+        keys: np.ndarray,
+    ) -> None:
+        """Record what the firewall table now holds."""
+        self._deployed = ruleset
+        self._entry_ids = entry_ids
+        self._keys = keys
+        self._rule_ends = np.cumsum(arrays.counts)
+        self._positions = None
 
     @classmethod
     def for_ruleset(
@@ -93,8 +189,17 @@ class GatewayController:
         table.default_action = default_action
         return table
 
+    def _check_offsets(self, ruleset: RuleSet) -> None:
+        if tuple(ruleset.offsets) != self.switch.config.key_offsets:
+            raise ValueError(
+                f"ruleset offsets {ruleset.offsets} != switch parser "
+                f"{self.switch.config.key_offsets}"
+            )
+
     def deploy(self, ruleset: RuleSet) -> DeploymentReport:
         """Atomically replace the firewall contents with ``ruleset``.
+
+        One ``clear`` and one ``add_many`` of the whole expansion.
 
         Raises:
             ValueError: if the rule set's offsets don't match the switch
@@ -102,36 +207,23 @@ class GatewayController:
             TableFullError: if the expansion exceeds capacity — the
                 previous deployment is restored first.
         """
-        if tuple(ruleset.offsets) != self.switch.config.key_offsets:
-            raise ValueError(
-                f"ruleset offsets {ruleset.offsets} != switch parser "
-                f"{self.switch.config.key_offsets}"
-            )
+        self._check_offsets(ruleset)
         table = self._ensure_table(ruleset.default_action)
         previous = self._deployed
+        arrays = ruleset.expand()
         table.clear()
-        self._entry_ids = []
-        self._installed = []
-        entries = ruleset.to_ternary()
+        self._forget()
         try:
-            for entry in entries:
-                entry_id = table.add(
-                    entry.value, entry.mask, entry.action,
-                    priority=entry.priority,
-                )
-                self._entry_ids.append(entry_id)
-                self._installed.append((entry, entry_id))
+            entry_ids = table.add_many(
+                arrays.values, arrays.masks, arrays.action_names(), arrays.priorities
+            )
         except TableFullError:
             # Roll back to the previous rule set (or empty).
-            table.clear()
-            self._entry_ids = []
-            self._installed = []
-            self._deployed = None
             if previous is not None:
                 self.deploy(previous)
             raise
-        self._deployed = ruleset
-        report = ruleset.resource_report(entries)
+        self._record(ruleset, arrays, entry_ids, _row_keys(arrays))
+        report = ruleset.resource_report()
         return DeploymentReport(
             rules=report["rules"],
             ternary_entries=report["ternary_entries"],
@@ -149,6 +241,17 @@ class GatewayController:
         :meth:`deploy` when nothing is deployed yet or the default action
         changes (which cannot be expressed as entry churn).
 
+        The diff runs on arrays: the new expansion's packed row keys
+        (value, mask, priority, action) are sorted together with the
+        installed ones, and each new entry keeps an equal installed
+        entry's id where one is left (the most recently listed of
+        them); the installed entries no new one keeps are removed with
+        one ``remove_many``, in order of each equal group's first
+        installed member, then the new entries that kept nothing are
+        added with one ``add_many``, in expansion order.  Entry ids,
+        counter rows and tie-break order come out as the per-entry
+        dict diff with one ``remove``/``add`` per entry gave them.
+
         Raises:
             TableFullError: if the adds overflow capacity; the previous
                 deployment is restored first.
@@ -160,50 +263,33 @@ class GatewayController:
             before = len(self._entry_ids)
             self.deploy(ruleset)
             return UpdateReport(added=len(self._entry_ids), removed=before, kept=0)
-        if tuple(ruleset.offsets) != self.switch.config.key_offsets:
-            raise ValueError(
-                f"ruleset offsets {ruleset.offsets} != switch parser "
-                f"{self.switch.config.key_offsets}"
-            )
+        self._check_offsets(ruleset)
         table = self._ensure_table(ruleset.default_action)
         previous = self._deployed
-
-        available: Dict[TernaryEntry, List[int]] = {}
-        for entry, entry_id in self._installed:
-            available.setdefault(entry, []).append(entry_id)
-
-        new_entries = ruleset.to_ternary()
-        reused: List[Tuple[TernaryEntry, Optional[int]]] = []
-        to_add: List[TernaryEntry] = []
-        for entry in new_entries:
-            ids = available.get(entry)
-            if ids:
-                reused.append((entry, ids.pop()))
-            else:
-                reused.append((entry, None))
-                to_add.append(entry)
-        stale_ids = [eid for ids in available.values() for eid in ids]
-        for entry_id in stale_ids:
-            table.remove(entry_id)
-        installed: List[Tuple[TernaryEntry, int]] = []
+        arrays = ruleset.expand()
+        keys = _row_keys(arrays)
+        source, stale = _match_installed(self._keys, keys)
+        fresh = np.flatnonzero(source < 0)
+        table.remove_many(self._entry_ids[stale])
         try:
-            for entry, entry_id in reused:
-                if entry_id is None:
-                    entry_id = table.add(
-                        entry.value, entry.mask, entry.action,
-                        priority=entry.priority,
-                    )
-                installed.append((entry, entry_id))
+            added = table.add_many(
+                arrays.values[fresh],
+                arrays.masks[fresh],
+                arrays.action_names(fresh),
+                arrays.priorities[fresh],
+            )
         except TableFullError:
             self.deploy(previous)  # restore
             raise
-        self._installed = installed
-        self._entry_ids = [entry_id for __, entry_id in installed]
-        self._deployed = ruleset
+        entry_ids = np.empty(len(arrays), dtype=np.int64)
+        kept = source >= 0
+        entry_ids[kept] = self._entry_ids[source[kept]]
+        entry_ids[fresh] = added
+        self._record(ruleset, arrays, entry_ids, keys)
         return UpdateReport(
-            added=len(to_add),
-            removed=len(stale_ids),
-            kept=len(new_entries) - len(to_add),
+            added=len(fresh),
+            removed=len(stale),
+            kept=len(arrays) - len(fresh),
         )
 
     @property
@@ -212,49 +298,45 @@ class GatewayController:
 
     def hit_counts(self) -> List[int]:
         """Per-entry packet hit counters, in install order."""
-        return self.switch.table(FIREWALL_TABLE).hit_counts(self._entry_ids)
+        return self.switch.table(FIREWALL_TABLE).hit_counts(self._entry_ids.tolist())
 
     def rule_hit_counts(self) -> List[int]:
         """Per-*rule* packet hits (entry counters aggregated per rule).
 
-        ``to_ternary`` emits each rule's expansion contiguously in rule
-        order, so entry counters can be folded back onto the rules the
-        operator actually wrote.
+        ``expand`` emits each rule's expansion contiguously in rule
+        order, so entry counters fold back onto the rules the operator
+        actually wrote with one ``np.add.reduceat`` over the rules'
+        first entries.
         """
-        if self._deployed is None:
+        if self._deployed is None or not len(self._rule_ends):
             return []
-        entry_hits = self.hit_counts()
-        counts: List[int] = []
-        cursor = 0
-        for rule in self._deployed.rules:
-            width = rule.ternary_entry_count()
-            counts.append(sum(entry_hits[cursor : cursor + width]))
-            cursor += width
-        return counts
+        entry_hits = np.array(self.hit_counts(), dtype=np.int64)
+        starts = np.concatenate([[0], self._rule_ends[:-1]])
+        return np.add.reduceat(entry_hits, starts).tolist()
 
     def rule_for_entry(self, entry_id: int) -> Rule:
         """The deployed rule whose ternary expansion installed ``entry_id``.
 
         The inverse of the expansion :meth:`rule_hit_counts` folds over:
-        ``to_ternary`` emits each rule's entries contiguously in rule
-        order, so the entry's position in the install list locates the
-        originating rule — and through :attr:`Rule.provenance`, the
-        Stage-2 tree path it distills from.
+        the entry's install position (from an id → position map built
+        on first use after each install) locates the originating rule
+        by one ``np.searchsorted`` over the rules' entry ends — and
+        through :attr:`Rule.provenance`, the Stage-2 tree path it
+        distills from.
 
         Raises:
             KeyError: when ``entry_id`` is not currently installed.
         """
         if self._deployed is not None:
-            try:
-                position = self._entry_ids.index(entry_id)
-            except ValueError:
-                position = -1
-            if position >= 0:
-                cursor = 0
-                for rule in self._deployed.rules:
-                    cursor += rule.ternary_entry_count()
-                    if position < cursor:
-                        return rule
+            if self._positions is None:
+                self._positions = {
+                    entry_id: position
+                    for position, entry_id in enumerate(self._entry_ids.tolist())
+                }
+            position = self._positions.get(entry_id)
+            if position is not None:
+                index = int(np.searchsorted(self._rule_ends, position, side="right"))
+                return self._deployed.rules[index]
         raise KeyError(f"no installed entry {entry_id}")
 
     def undeploy(self) -> None:
@@ -263,6 +345,4 @@ class GatewayController:
             self._deployed.default_action if self._deployed else "allow"
         )
         table.clear()
-        self._deployed = None
-        self._entry_ids = []
-        self._installed = []
+        self._forget()

@@ -48,16 +48,36 @@ entry's counter row.  A classified batch is counted by
 
 The priority-ordered kinds (ternary, range) keep their entries sorted
 by ``(-priority, insertion order)``, with those sort keys in a parallel
-list: an install is one bisect of the keys and two list inserts, and a
-remove one id-map lookup plus a bisect, so deploying ``E`` entries costs
-O(E log E) tuple comparisons in C, not a re-sort (or a Python key call
-per probe) per insert.
+list.  A scalar ``add`` is one bisect of the keys and two list inserts,
+and a scalar ``remove`` one id-map lookup plus a bisect; they remain
+the oracle and serve single-entry writes.  Rule sets are installed in
+batches, as arrays:
+
+* :meth:`TernaryTable.add_many` checks the ``k`` new keys with two
+  numpy range checks (no per-key ``_check_key``) and capacity before
+  any change, hands out ids, counter rows and orders as ranges, sorts
+  only the new entries (one stable ``argsort`` of their priorities)
+  and merges them into match order with one bisect per distinct new
+  priority plus list slices: a new entry sorts after every installed
+  entry of its priority, so the installed entries' sort keys are
+  neither rebuilt nor compared again.
+* :meth:`_PriorityTable.remove_many` keeps the survivors with one pass
+  over the entries (a set lookup each) and ``itertools.compress``.
+
+So a change set of ``k`` adds on ``E`` installed entries costs one
+record per new entry, O(k log k) numpy work and O(E) list copying in
+C, a remove set one set lookup per installed entry, and each batch
+one ``generation`` bump, where per-entry calls paid a key check, a
+list insert or delete and a bump each.  Both batch calls leave the
+table as loops of the scalar calls would (ids, rows, free-row order,
+tie-break order), which ``tests/test_install_arrays.py`` checks.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -245,6 +265,30 @@ class _BaseTable:
         self._rows[self._next_id] = row
         return self._next_id, row
 
+    def _allocate_ids(self, count: int) -> Tuple[range, List[int]]:
+        """``count`` new entries' ids and counter rows, as ``count``
+        :meth:`_allocate_id` calls would hand them out.
+
+        Raises:
+            TableFullError: before any change, if ``count`` more
+                entries do not fit.
+        """
+        if len(self) + count > self.max_entries:
+            raise TableFullError(
+                f"table {self.name!r} is full ({self.max_entries} entries)"
+            )
+        ids = range(self._next_id + 1, self._next_id + count + 1)
+        self._next_id += count
+        free = self._free_rows
+        reused = min(count, len(free))
+        rows = free[len(free) - reused :][::-1]  # popped from the end
+        del free[len(free) - reused :]
+        fresh = count - reused
+        rows.extend(range(self._next_row, self._next_row + fresh))
+        self._next_row += fresh
+        self._rows.update(zip(ids, rows))
+        return ids, rows
+
     def _release(self, entry_id: int) -> None:
         """Zero a removed entry's counter row and free it for the next ``add``."""
         row = self._rows.pop(entry_id)
@@ -278,6 +322,29 @@ class _BaseTable:
         if min(key) < 0 or max(key) > 255:
             raise ValueError("key bytes must be in [0, 255]")
         return key
+
+    def _check_keys(self, keys, count: int) -> np.ndarray:
+        """:meth:`_check_key` for ``count`` keys at once.
+
+        Returns them as a ``(count, key_width)`` uint8 matrix; raises
+        the errors :meth:`_check_key` raises, with its messages.
+        """
+        keys = np.asarray(keys)
+        if count == 0 and keys.size == 0:
+            return np.empty((0, self.key_width), dtype=np.uint8)
+        if keys.ndim != 2 or len(keys) != count:
+            raise ValueError(
+                f"table {self.name!r}: expected {count} keys, got shape {keys.shape}"
+            )
+        if keys.shape[1] != self.key_width:
+            raise ValueError(
+                f"table {self.name!r}: key width {keys.shape[1]} != {self.key_width}"
+            )
+        if keys.dtype != np.uint8:
+            if keys.min() < 0 or keys.max() > 255:
+                raise ValueError("key bytes must be in [0, 255]")
+            keys = keys.astype(np.uint8)
+        return keys
 
     def _count(self, row: int, packet_size: int) -> None:
         """Bump counter row ``row`` for one scalar lookup."""
@@ -481,6 +548,67 @@ class _PriorityTable(_BaseTable):
         self._entries_changed()
         return record.entry_id
 
+    def _install_many(self, records: list, priorities: np.ndarray) -> None:
+        """Merge ``records``, each newer than every installed entry, into
+        match order, as one :meth:`_install` per record would."""
+        ranked = np.argsort(-priorities, kind="stable")
+        new = [records[i] for i in ranked.tolist()]
+        keys, entries = self._keys, self._entries
+        merged_keys: List[Tuple[int, int]] = []
+        merged: list = []
+        done = 0
+        # One bisect per distinct priority: a new entry goes after every
+        # installed entry of equal or higher priority.
+        band = priorities[ranked]
+        bounds = [0, *(np.flatnonzero(band[1:] != band[:-1]) + 1).tolist(), len(new)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            priority = new[lo].priority
+            cut = bisect.bisect_left(keys, (1 - priority,))
+            merged_keys += keys[done:cut]
+            merged += entries[done:cut]
+            group = new[lo:hi]
+            merged_keys += [(-priority, record.order) for record in group]
+            merged += group
+            done = cut
+        merged_keys += keys[done:]
+        merged += entries[done:]
+        self._keys, self._entries = merged_keys, merged
+        self._by_id.update((record.entry_id, record) for record in records)
+        self._entries_changed()
+
+    def remove_many(self, entry_ids) -> None:
+        """Delete entries (and their counters) by id, in order.
+
+        Leaves the table as one :meth:`remove` per id would, with one
+        ``generation`` bump.
+
+        Raises:
+            KeyError: before any change, for an id that is not
+                installed or is listed twice.
+        """
+        ids = np.asarray(entry_ids, dtype=np.int64).tolist()
+        if not ids:
+            return
+        by_id = self._by_id
+        doomed = set(ids)
+        if len(doomed) != len(ids) or not doomed <= by_id.keys():
+            seen = set()
+            for entry_id in ids:
+                if entry_id not in by_id or entry_id in seen:
+                    raise KeyError(f"no entry {entry_id}")
+                seen.add(entry_id)
+        for entry_id in ids:
+            del by_id[entry_id]
+        # One filter pass keeps the survivors in match order.
+        keep = [record.entry_id not in doomed for record in self._entries]
+        self._keys = list(itertools.compress(self._keys, keep))
+        self._entries = list(itertools.compress(self._entries, keep))
+        rows = [self._rows.pop(entry_id) for entry_id in ids]
+        self._packets[rows] = 0
+        self._bytes[rows] = 0
+        self._free_rows.extend(rows)
+        self._entries_changed()
+
     def remove(self, entry_id: int) -> None:
         """Delete an entry (and its counter) by id."""
         record = self._by_id.pop(entry_id, None)
@@ -558,6 +686,58 @@ class TernaryTable(_PriorityTable):
                 entry_id, value, mask, priority, action, self._next_order(), row
             )
         )
+
+    def add_many(
+        self,
+        values,
+        masks,
+        actions: Sequence[str],
+        priorities,
+    ) -> np.ndarray:
+        """Install entries as one batch; returns their ids, in order.
+
+        Args:
+            values / masks: ``(E, key_width)`` key matrices.
+            actions: ``E`` action names.
+            priorities: ``E`` priorities.
+
+        Leaves the table as one :meth:`add` per entry in order would
+        (entry ids, counter rows, tie-break order), but validates the
+        keys once and bumps ``generation`` once.
+
+        Raises:
+            ValueError: for a key :meth:`add` would refuse, with its
+                message, before any change.
+            TableFullError: before any change, if the entries do not
+                all fit.
+        """
+        count = len(actions)
+        values = self._check_keys(values, count)
+        masks = self._check_keys(masks, count)
+        priorities = np.asarray(priorities, dtype=np.int64).reshape(-1)
+        if len(priorities) != count:
+            raise ValueError(
+                f"table {self.name!r}: {len(priorities)} priorities for {count} entries"
+            )
+        if count == 0:
+            return np.empty(0, dtype=np.int64)
+        ids, rows = self._allocate_ids(count)
+        orders = range(self._order + 1, self._order + count + 1)
+        self._order += count
+        records = list(
+            map(
+                _TernaryEntryRecord,
+                ids,
+                map(tuple, values.tolist()),
+                map(tuple, masks.tolist()),
+                priorities.tolist(),
+                actions,
+                orders,
+                rows,
+            )
+        )
+        self._install_many(records, priorities)
+        return np.arange(ids.start, ids.stop, dtype=np.int64)
 
     @staticmethod
     def _matches(key, record) -> bool:

@@ -15,11 +15,12 @@ Two pieces live here, both deliberately free of any serve-layer policy:
   fast path.
 
 * Frame / result block packing — the wire format for one batch.  A
-  *frame* block is the parent→worker payload (packed key-byte matrix
-  and packet sizes); a *result* block is the worker→parent payload
-  (verdict codes, table indices, entry ids, the direct-counter row
-  each key reached per table and the tables' shadow hits, and the
-  batch's classification time).  Workers only classify, so nothing
+  *frame* block is the parent→worker payload (the packed key-byte
+  matrix; the parent keeps the packet sizes it counts with); a
+  *result* block is the worker→parent payload (verdict codes, table
+  indices, entry ids, the direct-counter row each key reached per
+  table and the tables' shadow hits, and the batch's classification
+  time).  Workers only classify, so nothing
   else crosses: the parent counts and records each batch itself.  All
   fixed-width regions are 8-byte aligned so numpy views over the
   shared buffer are cheap and portable.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 from multiprocessing import shared_memory
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -228,21 +229,20 @@ class ShmRing:
 # Layout (offsets in bytes, n = packets, k = key width)::
 #
 #     0   int64[2]    n, k
-#     16  int64[n]    packet sizes
-#     +   uint8[n*k]  key-byte matrix, row-major
+#     16  uint8[n*k]  key-byte matrix, row-major
 
 _FRAME_HEADER = 16
 
 
 def frame_slot_bytes(max_batch: int, key_width: int) -> int:
     """Slot size for frames of up to ``max_batch`` x ``key_width``."""
-    return _align8(_FRAME_HEADER + max_batch * (8 + key_width))
+    return _align8(_FRAME_HEADER + max_batch * key_width)
 
 
-def pack_frame(view: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> None:
-    """Pack one batch into a frame slot (no allocation beyond views)."""
+def pack_frame(view: np.ndarray, keys: np.ndarray) -> None:
+    """Pack one batch's key matrix into a frame slot (no allocation beyond views)."""
     n, k = keys.shape
-    need = _FRAME_HEADER + n * (8 + k)
+    need = _FRAME_HEADER + n * k
     if need > view.shape[0]:
         raise ValueError(
             f"frame of {n}x{k} needs {need} bytes, slot holds {view.shape[0]}"
@@ -250,25 +250,18 @@ def pack_frame(view: np.ndarray, keys: np.ndarray, sizes: np.ndarray) -> None:
     header = view[:_FRAME_HEADER].view(np.int64)
     header[0] = n
     header[1] = k
-    o = _FRAME_HEADER
-    view[o : o + 8 * n].view(np.int64)[:] = sizes
-    o += 8 * n
-    view[o : o + n * k] = keys.reshape(-1)
+    view[_FRAME_HEADER : _FRAME_HEADER + n * k] = keys.reshape(-1)
 
 
-def unpack_frame(view: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Views ``(keys, sizes)`` over a frame slot.
+def unpack_frame(view: np.ndarray) -> np.ndarray:
+    """A view of the ``(n, k)`` key matrix in a frame slot.
 
-    Zero-copy: the arrays alias the shared slot and are valid only
+    Zero-copy: the array aliases the shared slot and is valid only
     until the consumer's ``commit_read``.
     """
     header = view[:_FRAME_HEADER].view(np.int64)
     n, k = int(header[0]), int(header[1])
-    o = _FRAME_HEADER
-    sizes = view[o : o + 8 * n].view(np.int64)
-    o += 8 * n
-    keys = view[o : o + n * k].reshape(n, k)
-    return keys, sizes
+    return view[_FRAME_HEADER : _FRAME_HEADER + n * k].reshape(n, k)
 
 
 # -- result blocks (worker -> parent) --------------------------------------

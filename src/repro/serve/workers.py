@@ -13,8 +13,8 @@ in the event-loop process, on the shard's own switch, at submit time.
 :class:`ProcessExecutor` is the multiprocessing backend behind
 ``ServeConfig(executor="process")``.  Topology: one OS process per
 shard, each fed by its own pair of :class:`~repro.serve.ipc.ShmRing`
-rings — a *frame* ring (parent → worker: packed key-byte matrices and
-packet sizes) and a *result* ring (worker → parent: verdict codes,
+rings — a *frame* ring (parent → worker: packed key-byte matrices;
+the parent keeps the packet sizes) and a *result* ring (worker → parent: verdict codes,
 table indices, entry ids, the table hits — per table, the
 direct-counter row each key reached and the shadow-hit count — and
 the batch's classification time).  A
@@ -181,7 +181,7 @@ def worker_main(
             view = frames.try_acquire_read()
             if view is not None:
                 start = time.perf_counter()
-                keys, __ = unpack_frame(view)
+                keys = unpack_frame(view)
                 verdicts, hits = worker.switch.classify_keys(keys)
                 frames.commit_read()
                 out = results.try_acquire_write()
@@ -453,7 +453,7 @@ class ProcessExecutor:
                     raise WorkerDiedError(shard, "frame-ring timeout")
                 time.sleep(_POLL)
             self.ring_full_wait_seconds += time.perf_counter() - start
-        pack_frame(view, keys, sizes)
+        pack_frame(view, keys)
         ring.commit_write()
         self._inflight[shard] += 1
         self._submitted[shard].append((keys, sizes))

@@ -156,17 +156,15 @@ class TestBlockFormats:
         n, k = 37, 6
         view = np.zeros(frame_slot_bytes(64, k), dtype=np.uint8)
         keys = rng.integers(0, 256, size=(n, k), dtype=np.uint8)
-        sizes = rng.integers(40, 1500, size=n).astype(np.int64)
-        pack_frame(view, keys, sizes)
-        out_keys, out_sizes = unpack_frame(view)
-        assert np.array_equal(out_keys, keys)
-        assert np.array_equal(out_sizes, sizes)
+        pack_frame(view, keys)
+        assert np.array_equal(unpack_frame(view), keys)
+        assert frame_slot_bytes(64, k) == 16 + 64 * k  # header + keys only
 
     def test_frame_too_large_raises(self, rng):
         view = np.zeros(frame_slot_bytes(16, 4), dtype=np.uint8)
         keys = rng.integers(0, 256, size=(32, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            pack_frame(view, keys, np.zeros(32, np.int64))
+            pack_frame(view, keys)
 
     def test_result_round_trip(self, rng):
         n = 29
