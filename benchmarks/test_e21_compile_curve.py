@@ -1,8 +1,11 @@
 """E21 (extension) — Compile curve of the LUT-bitmap classifier.
 
-Regenerates: compile milliseconds, LUT bytes and classify microseconds
-per packet for one ternary table of 100 to 50k entries over a 6-byte
-key, classified at the gateway batch size (1024).  Entries carry
+Regenerates: compile milliseconds, LUT bytes, class cells and classify
+microseconds per packet for one ternary table of 10 to 50k entries
+over a 6-byte key, classified at the gateway batch size (1024).  Class
+cells are the cross-product cells of the table's class chain, 0 where
+the table stays on its LUT bitmaps, so the column shows where tables
+leave the class path.  Entries carry
 random values, per-byte masks drawn from {0x00, 0xF0, 0xFF} (wildcard,
 nibble, exact) and random priorities; keys are random bytes.  Compile
 time is the best of three ``Switch.compile()`` calls and classify time
@@ -19,7 +22,7 @@ from repro.dataplane import Switch, SwitchConfig, TernaryTable
 from repro.eval.harness import GATEWAY_BATCH_SIZE
 from repro.eval.report import format_series
 
-SIZES = [100, 1_000, 5_000, 10_000, 50_000]
+SIZES = [10, 30, 100, 1_000, 5_000, 10_000, 50_000]
 WIDTH = 6
 
 
@@ -49,7 +52,7 @@ def test_e21_compile_curve(benchmark):
     rng = np.random.default_rng(1)
     keys = rng.integers(0, 256, size=(GATEWAY_BATCH_SIZE, WIDTH), dtype=np.uint8)
     sizes = np.full(GATEWAY_BATCH_SIZE, 64, dtype=np.int64)
-    compile_ms, lut_bytes, classify_us = [], [], []
+    compile_ms, lut_bytes, class_cells, classify_us = [], [], [], []
     timed = None
     for n_entries in SIZES:
         switch = _filled_switch(n_entries)
@@ -57,6 +60,7 @@ def test_e21_compile_curve(benchmark):
         report = switch.compile()
         assert report.lut_bytes == WIDTH * 256 * (-(-n_entries // 64)) * 8
         lut_bytes.append(report.lut_bytes)
+        class_cells.append(report.class_cells)
         seconds = _best(lambda: switch.classify_arrays(keys, sizes), 5)
         classify_us.append(round(1e6 * seconds / GATEWAY_BATCH_SIZE, 2))
         if n_entries == 5_000:
@@ -68,6 +72,7 @@ def test_e21_compile_curve(benchmark):
             {
                 "compile_ms": compile_ms,
                 "lut_bytes": lut_bytes,
+                "class_cells": class_cells,
                 "classify_us_per_pkt": classify_us,
             },
             x_name="ternary_entries",

@@ -1,9 +1,14 @@
-"""Compiled per-byte LUT-bitmap classification (the DPDK-ACL trick).
+"""Compiled classification: per-byte LUT bitmaps and cross-producted classes.
 
 This is the switch's batch classifier.  Each table's installed rule set
 compiles to **per-selected-byte 256-slot lookup tables whose values are
-entry bitmasks**, so classifying a batch is one gather per key byte
-plus a bitwise-AND intersection:
+entry bitmasks** (the DPDK-ACL trick), so a key's matching entries are
+the AND of one LUT row per key byte.  Where the table is small enough,
+those rows are folded further into **equivalence classes** (Recursive
+Flow Classification, Gupta and McKeown, SIGCOMM 1999), and a key is
+classified by a few small integer gathers with no bitmap work at all.
+
+The bitmaps:
 
 * Entries are laid out in *match order* — the exact order the scalar
   reference path scans them (ternary/range: priority descending, then
@@ -20,9 +25,43 @@ plus a bitwise-AND intersection:
   entry in match order) — bit-identical to the scalar scan, including
   the equal-priority insertion-order tie-break.
 
-Per batch the cost is ``key_width`` gathers of ``(n, W)`` words plus
-the intersections and one find-first-set pass — independent of the
-entry count except through ``W`` (64 entries per word).
+On bitmaps, a batch costs ``key_width`` gathers of ``(n, W)`` words
+plus the intersections and one find-first-set pass — independent of
+the entry count except through ``W`` (64 entries per word).
+
+The classes (:class:`ClassChain`, built by :func:`class_chain`):
+
+* A byte value's *class* at position ``j`` is its distinct LUT row:
+  values with equal rows are indistinguishable to every entry.  A
+  distilled rule set has a handful per byte (2–15 on the bench's
+  learned table, against 256 values).
+* Classes are found from one uint64 signature per row
+  (:func:`_signatures`) and one sort, then checked row for row; a
+  signature collision falls back to an exact sort of the rows.
+* Key bytes are cross-producted left to right: the classes of bytes
+  ``0..j-1`` times the classes of byte ``j`` form a product table whose
+  cells are the ANDs of the two rows, and its distinct cells are the
+  classes of bytes ``0..j``.  A cell's index is ``c * P + p`` for
+  prefix class ``p`` of ``P`` and byte class ``c``, so the walk is one
+  gather of the byte's premultiplied class, an add, and one gather of
+  the product table per byte.
+* The last product is not reduced: its cells are the *final* cells,
+  and the **final tables** map each to its winning slot (the find-first
+  set of its row) and, on a shadowed table, to a *crowded* flag (two or
+  more entries match), which counts the batch's shadow hits.
+* The budget: no product may exceed :data:`CLASS_BUDGET` cells.  Each
+  product's size is known from the class counts before its rows are
+  ANDed, so an over-budget table stops before forming it, and a table
+  of ``CLASS_BUDGET`` entries or more (whose final cells would number
+  at least its winnable entries) is not tried at all.  Such a table
+  stays on its bitmaps: the bitmap AND is the no-grouping case of the
+  same program, not a second classifier.  ``wide_table``'s 5,202
+  entries, with 155–168 classes per byte, are one.
+
+A table on classes costs ``key_width`` gathers of small int arrays per
+batch; the bench's learned table (11 rules, 1,076 entries, 6 bytes)
+builds products of 99, 518, 346, 1,557 and 3,075 cells.  The LUTs stay
+the classes' source and part of every program.
 
 The build is O(E) per byte position, never O(E × 256):
 
@@ -55,19 +94,26 @@ verdicts, direct counters, aggregate telemetry, and
 :class:`~repro.obs.events.DecisionRecord` entry ids are
 indistinguishable from the scalar oracle ``lookup``.
 ``tests/test_compiled_differential.py`` and the hypothesis suites in
-``tests/test_tables_property.py`` lock that equivalence.
+``tests/test_tables_property.py`` lock that equivalence, and
+``tests/test_class_tables.py`` holds classes, bitmaps and the scalar
+scan equal on both sides of the budget.
 
 Lifecycle (see docs/ARCHITECTURE.md, "Compiled classification"): a
 program is derived state.  Every entry install/remove bumps the owning
 table's ``generation``; before each batch the classifier rebuilds only
-the tables whose generation moved since their program was built.
+the tables whose generation moved since their program was built.  LUTs
+and classes depend on nothing but the entries' match-order bytes, so a
+lazy rebuild of a table on classes whose bytes equal one of the table's
+last two programs' (a rule set swapped back in) reuses that program's
+LUTs and chain and rebuilds only the per-slot arrays.
 :meth:`repro.dataplane.switch.Switch.compile` builds every table's
-program now, for callers that want the cost up front.
+program now, from scratch, for callers that want the cost up front.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import sys
 import time
@@ -117,13 +163,16 @@ class CompileReport:
     entries: int
     words: int
     lut_bytes: int
+    #: Cross-product cells of the class chains built (0: all on bitmaps).
+    class_cells: int
     seconds: float
 
     def __str__(self) -> str:
         return (
             f"gen {self.generation}: {self.tables} tables, "
             f"{self.entries} entries in {self.words} words "
-            f"({self.lut_bytes} LUT bytes), {self.seconds * 1e3:.2f} ms"
+            f"({self.lut_bytes} LUT bytes, {self.class_cells} class cells), "
+            f"{self.seconds * 1e3:.2f} ms"
         )
 
 
@@ -137,7 +186,7 @@ def _pack_entries(admits: np.ndarray, words: int) -> np.ndarray:
     Bit ``e % 64`` of word ``e // 64`` is set where ``admits[..., e]``
     is true.  Little-endian bit and byte order puts entry 0 in the
     least significant bit of word 0 — the find-first-set resolve in
-    :meth:`CompiledTable.classify` depends on exactly this layout.
+    :func:`_resolve` depends on exactly this layout.
     """
     packed = np.packbits(admits, axis=-1, bitorder="little")
     padded = np.zeros(admits.shape[:-1] + (words * 8,), dtype=np.uint8)
@@ -198,6 +247,155 @@ def interval_luts(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return luts
 
 
+def _resolve(masks: np.ndarray, shadowed: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Each ``(m, W)`` mask's winner, and whether two or more bits are set.
+
+    Returns ``(slot, crowded)``: ``slot`` is the lowest set bit's entry
+    index (``-1`` for an empty mask); ``crowded`` is computed only when
+    ``shadowed`` (else ``None``).
+    """
+    nonzero = masks != 0
+    # First entry in match order == lowest set bit overall: locate the
+    # first nonzero word, then its least significant set bit.
+    first_word = nonzero.argmax(axis=1)
+    row_words = masks[np.arange(len(masks)), first_word]
+    isolated = row_words & (~row_words + np.uint64(1))
+    # frexp(2**k) has exponent k + 1 (exact in float64 up to 2**63),
+    # and frexp(0) exponent 0: a mask with no set bit has no nonzero
+    # word (first_word 0), so it lands on slot -1.
+    slot = first_word * 64 + (np.frexp(isolated.astype(np.float64))[1] - 1)
+    if not shadowed:
+        return slot, None
+    # Two or more set bits: the first nonzero word has a second one, or
+    # a later word is nonzero too.
+    crowded = (row_words & (row_words - np.uint64(1))) != 0
+    return slot, crowded | (nonzero.sum(axis=1) >= 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _multipliers(words: int) -> np.ndarray:
+    """Odd per-word multipliers of :func:`_signatures` (read-only)."""
+    multipliers = np.arange(words, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    multipliers |= np.uint64(1)
+    multipliers.flags.writeable = False
+    return multipliers
+
+
+def _signatures(rows: np.ndarray) -> np.ndarray:
+    """One uint64 per ``(..., W)`` mask, equal for equal masks.
+
+    Each word goes through a bijective xor-shift and a per-word odd
+    multiplier, and the words are summed mod 2**64, so one-word masks
+    never collide and wider ones rarely do; :func:`_classes` checks
+    every grouping it takes from them.
+    """
+    mixed = rows >> np.uint64(29)
+    mixed ^= rows
+    return np.einsum("...w,w->...", mixed, _multipliers(rows.shape[-1]))
+
+
+def _classes(rows: np.ndarray, signatures: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an ``(m, W)`` mask array: ``(inverse, reps)``.
+
+    ``reps`` holds one row per class and ``rows[i] == reps[inverse[i]]``.
+    Rows are grouped by ``signatures`` and the grouping is checked row
+    for row; should two distinct rows share a signature, it is redone
+    exactly over the rows' bytes.
+    """
+    order = signatures.argsort(kind="stable")
+    ranked = signatures[order]
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    reps = rows[order[head]]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    if not (reps.take(inverse, axis=0) == rows).all():
+        raw = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))
+        __, first, inverse = np.unique(raw.ravel(), return_index=True, return_inverse=True)
+        reps = rows[first]
+    return inverse, reps
+
+
+#: Most cells one cross-product table may hold.
+CLASS_BUDGET = 4096
+
+
+@dataclasses.dataclass
+class ClassChain:
+    """A table's key bytes cross-producted into one chain of classes.
+
+    A key's *final cell* comes from one walk: its first byte's class,
+    ``first[b]``; then, for each later byte ``j``, the product cell
+    ``cls + index[j - 1][b]`` (the byte's class premultiplied by the
+    classes so far), which ``tables`` maps to the class of the bytes so
+    far, except for the last byte, whose product cell is the final
+    cell.  A one-byte key's byte is its final cell.
+
+    Attributes:
+        first: ``(256,)`` intp class of key byte 0 (``None`` at width 1).
+        index: ``(key_width - 1, 256)`` intp premultiplied classes of
+            key bytes 1 onwards.
+        tables: intp cell -> class maps, one per product but the last.
+        slot_of: intp winning slot of each final cell (``-1``: miss).
+        crowded_of: whether two or more entries match each final cell
+            (shadowed tables only, else ``None``).
+    """
+
+    first: Optional[np.ndarray]
+    index: np.ndarray
+    tables: Tuple[np.ndarray, ...]
+    slot_of: np.ndarray
+    crowded_of: Optional[np.ndarray]
+
+    @property
+    def cells(self) -> int:
+        """Cells of the chain's tables, the final one included."""
+        return sum(len(table) for table in self.tables) + len(self.slot_of)
+
+    def walk(self, keys: np.ndarray) -> np.ndarray:
+        """The final cell of each row of a ``(n, key_width)`` key matrix."""
+        if self.first is None:
+            return keys[:, 0]
+        cls = self.first.take(keys[:, 0])
+        for j, table in enumerate(self.tables, 1):
+            cls = table.take(cls + self.index[j - 1].take(keys[:, j]))
+        return cls + self.index[-1].take(keys[:, -1])
+
+
+def class_chain(luts: np.ndarray, entries: int, *, shadowed: bool) -> Optional[ClassChain]:
+    """Cross-product ``(width, 256, W)`` LUTs into a :class:`ClassChain`.
+
+    Returns ``None`` — the table stays on its bitmaps — when any
+    product would exceed :data:`CLASS_BUDGET` cells.  That is decided
+    before forming a product: a key's final cell fixes its winner, so
+    a table of ``CLASS_BUDGET`` entries or more is not tried at all,
+    and each product's size is known from the class counts before its
+    masks are ANDed.
+    """
+    width, __, words = luts.shape
+    if entries >= CLASS_BUDGET:
+        return None
+    if width == 1:
+        return ClassChain(None, np.empty((0, 256), dtype=np.intp), (), *_resolve(luts[0], shadowed))
+    signatures = _signatures(luts)
+    first, reps = _classes(luts[0], signatures[0])
+    index, tables = [], []
+    for j in range(1, width):
+        byte_of, byte_reps = _classes(luts[j], signatures[j])
+        if len(reps) * len(byte_reps) > CLASS_BUDGET:
+            return None
+        index.append(byte_of * len(reps))
+        # Cell c * len(reps) + p: prefix class p, byte class c.
+        product = (byte_reps[:, None, :] & reps[None, :, :]).reshape(-1, words)
+        if j == width - 1:
+            slot_of, crowded_of = _resolve(product, shadowed)
+        else:
+            cls, reps = _classes(product, _signatures(product))
+            tables.append(cls)
+    return ClassChain(first, np.stack(index), tuple(tables), slot_of, crowded_of)
+
+
 def _with_miss(values: Sequence, miss, dtype) -> np.ndarray:
     """``values`` as a ``dtype`` array, plus the miss slot's ``miss``."""
     out = np.empty(len(values) + 1, dtype=dtype)
@@ -208,7 +406,8 @@ def _with_miss(values: Sequence, miss, dtype) -> np.ndarray:
 
 @dataclasses.dataclass
 class CompiledTable:
-    """One table's rule set, compiled to per-byte LUT bitmaps.
+    """One table's rule set, compiled to per-byte LUT bitmaps and, within
+    the budget, a class chain that classifies without them.
 
     Attributes:
         key_width: bytes per key (LUT count).
@@ -227,6 +426,10 @@ class CompiledTable:
             then the default action's (see :meth:`verdict_codes`).
         rows: ``(entries + 1,)`` intp — match-order direct-counter rows,
             then the default action's.
+        chain: the key's byte classes (:func:`class_chain`), or
+            ``None`` for a table left on its bitmaps.
+        source: the match-order entry bytes ``luts`` and ``chain`` were
+            built from, which fix them.
     """
 
     key_width: int
@@ -239,21 +442,45 @@ class CompiledTable:
     shadowed: bool
     codes: np.ndarray
     rows: np.ndarray
+    chain: Optional[ClassChain]
+    source: bytes = dataclasses.field(repr=False)
     #: The default action ``codes``' miss slot holds the code of.
     _miss_action: Optional[str] = dataclasses.field(default=None, repr=False)
 
     @classmethod
     def from_match_order(
         cls,
-        luts: np.ndarray,
+        build,
+        first: np.ndarray,
+        second: np.ndarray,
         entry_ids: Sequence[int],
         priorities: Sequence[int],
         actions: Sequence[str],
         rows: Sequence[int],
         *,
         shadowed: bool,
+        recent: Sequence["CompiledTable"] = (),
     ) -> "CompiledTable":
-        """Wrap ``luts`` built over entries listed in match order."""
+        """Compile entries listed in match order.
+
+        ``build(first, second)`` makes the LUTs from the entries' two
+        ``(E, width)`` byte matrices (:func:`value_mask_luts` or
+        :func:`interval_luts`).  A program in ``recent`` (earlier
+        programs of the same table) with a class chain, built from
+        equal matrices, lends its LUTs and chain instead, so a rule set
+        swapped back in is not rebuilt.  A table on bitmaps rebuilds
+        its LUTs as before: there reuse would save only the LUT build,
+        and its batches gather from the LUTs (a reused wide-table LUT
+        classified 3-5% slower than a fresh one in probes).
+        """
+        source = first.tobytes() + second.tobytes()
+        for program in recent:
+            if program.chain is not None and program.source == source:
+                luts, chain = program.luts, program.chain
+                break
+        else:
+            luts = build(first, second)
+            chain = class_chain(luts, len(entry_ids), shadowed=shadowed)
         width, __, words = luts.shape
         code_of = {a: ACTION_CODES.get(a, NOT_TERMINAL) for a in set(actions)}
         codes = bytearray(map(code_of.__getitem__, actions))
@@ -269,6 +496,8 @@ class CompiledTable:
             shadowed=shadowed,
             codes=np.frombuffer(codes, dtype=np.uint8),
             rows=_with_miss(rows, DEFAULT_ROW, np.intp),
+            chain=chain,
+            source=source,
         )
 
     def verdict_codes(self, default_action: str) -> np.ndarray:
@@ -294,26 +523,18 @@ class CompiledTable:
         n = len(keys)
         if self.entries == 0 or n == 0:
             return np.full(n, -1, dtype=np.intp), 0
+        count = count_shadows and self.shadowed
+        chain = self.chain
+        if chain is not None:
+            cell = chain.walk(keys)
+            shadow_hits = int(np.count_nonzero(chain.crowded_of[cell])) if count else 0
+            return chain.slot_of[cell], shadow_hits
         # One gather per selected byte, intersected into survivor masks.
         survivors = np.take(self.luts[0], keys[:, 0], axis=0)
         for j in range(1, self.key_width):
             survivors &= np.take(self.luts[j], keys[:, j], axis=0)
-        nonzero = survivors != 0
-        # First entry in match order == lowest set bit overall: locate
-        # the first nonzero word, then its least significant set bit.
-        first_word = nonzero.argmax(axis=1)
-        row_words = survivors[np.arange(n), first_word]
-        isolated = row_words & (~row_words + np.uint64(1))
-        # frexp(2**k) has exponent k + 1 (exact in float64 up to 2**63),
-        # and frexp(0) exponent 0: a key that matched nothing has no
-        # nonzero word (first_word 0), so it lands on slot -1.
-        slot = first_word * 64 + (np.frexp(isolated.astype(np.float64))[1] - 1)
-        shadow_hits = 0
-        if count_shadows and self.shadowed:
-            # A key matched >= 2 entries iff its first nonzero word has
-            # a second set bit or a later word is nonzero too.
-            crowded = (row_words & (row_words - np.uint64(1))) != 0
-            shadow_hits = int((crowded | (nonzero.sum(axis=1) >= 2)).sum())
+        slot, crowded = _resolve(survivors, count)
+        shadow_hits = int(np.count_nonzero(crowded)) if count else 0
         return slot, shadow_hits
 
 
@@ -323,8 +544,11 @@ def _byte_matrix(rows, width: int) -> np.ndarray:
     return np.frombuffer(flat, dtype=np.uint8).reshape(-1, width)
 
 
-def compile_table(table) -> CompiledTable:
-    """Compile one table's installed entries to LUT bitmaps.
+def compile_table(table, recent: Sequence[CompiledTable] = ()) -> CompiledTable:
+    """Compile one table's installed entries to LUT bitmaps and classes.
+
+    ``recent`` are earlier programs of the same table whose LUTs and
+    class chain may be reused (see :meth:`CompiledTable.from_match_order`).
 
     Raises:
         TypeError: for a table kind the compiler does not know.
@@ -337,17 +561,18 @@ def compile_table(table) -> CompiledTable:
         actions = [r.action for r in records]
         rows = [r.row for r in records]
         if isinstance(table, TernaryTable):
-            luts = value_mask_luts(
-                _byte_matrix((r.value for r in records), width),
-                _byte_matrix((r.mask for r in records), width),
-            )
+            build = value_mask_luts
+            first = _byte_matrix((r.value for r in records), width)
+            second = _byte_matrix((r.mask for r in records), width)
         else:
+            build = interval_luts
             bounds = np.array(
                 [r.ranges for r in records], dtype=np.intp
             ).reshape(-1, width, 2)
-            luts = interval_luts(bounds[:, :, 0], bounds[:, :, 1])
+            first, second = bounds[:, :, 0], bounds[:, :, 1]
         return CompiledTable.from_match_order(
-            luts, ids, priorities, actions, rows, shadowed=True
+            build, first, second, ids, priorities, actions, rows,
+            shadowed=True, recent=recent,
         )
     if isinstance(table, ExactTable):
         items = list(table._entries.items())
@@ -355,12 +580,15 @@ def compile_table(table) -> CompiledTable:
         keys = keys.reshape(len(items), width)
         ids = [eid for __, (eid, __a) in items]
         return CompiledTable.from_match_order(
-            interval_luts(keys, keys),
+            interval_luts,
+            keys,
+            keys,
             ids,
             [0] * len(items),
             [action for __, (__e, action) in items],
             [table._rows[eid] for eid in ids],
             shadowed=False,
+            recent=recent,
         )
     if isinstance(table, LpmTable):
         total_bits = 8 * width
@@ -378,12 +606,15 @@ def compile_table(table) -> CompiledTable:
         value_matrix = np.frombuffer(b"".join(values), dtype=np.uint8)
         mask_matrix = np.array(masks, dtype=np.uint8).reshape(-1, width)
         return CompiledTable.from_match_order(
-            value_mask_luts(value_matrix.reshape(-1, width), mask_matrix),
+            value_mask_luts,
+            value_matrix.reshape(-1, width),
+            mask_matrix,
             ids,
             [0] * len(ids),
             actions,
             rows,
             shadowed=False,
+            recent=recent,
         )
     raise TypeError(f"cannot compile table kind {type(table).__name__}")
 
@@ -405,9 +636,12 @@ class CompiledClassifier:
 
     def __init__(self) -> None:
         self.generation = 0
-        #: ``id(table) -> (table, generation built at, program)``; the
-        #: table reference pins the id so it cannot be reused.
-        self._programs: Dict[int, Tuple[object, int, CompiledTable]] = {}
+        #: ``id(table) -> (table, generation built at, program, the
+        #: program before it if on classes)``; the table reference pins
+        #: the id so it cannot be reused.
+        self._programs: Dict[
+            int, Tuple[object, int, CompiledTable, Optional[CompiledTable]]
+        ] = {}
         # Instruments are resolved by the first build (see _sync_obs):
         # every lookup is preceded by one, and switches that never
         # classify never pay for the registration.
@@ -455,17 +689,29 @@ class CompiledClassifier:
         return cached[2]
 
     def compile(self, tables: Sequence) -> CompileReport:
-        """Build every table's program now, stale or not."""
+        """Build every table's program now, stale or not, from scratch."""
+        return self._build(tables, reuse=False)
+
+    def _build(self, tables: Sequence, *, reuse: bool) -> CompileReport:
+        """Build ``tables``' programs; ``reuse`` lets each borrow the LUTs
+        and classes of its table's last two programs where the entries
+        match (a rule set swapped back in)."""
         self._sync_obs()
         start = time.perf_counter()
         recompiles = 0
         built = []
         for table in tables:
             cached = self._programs.get(id(table))
-            if cached is not None and cached[1] != table.generation:
-                recompiles += 1
-            program = compile_table(table)
-            self._programs[id(table)] = (table, table.generation, program)
+            recent = ()
+            if cached is not None:
+                if cached[1] != table.generation:
+                    recompiles += 1
+                if reuse:
+                    recent = [p for p in cached[2:] if p is not None]
+            program = compile_table(table, recent)
+            # Keep the program before for reuse only if it has classes.
+            previous = cached[2] if cached and cached[2].chain is not None else None
+            self._programs[id(table)] = (table, table.generation, program, previous)
             built.append(program)
         seconds = time.perf_counter() - start
         self.generation += 1
@@ -475,7 +721,7 @@ class CompiledClassifier:
             self._obs_recompiles.inc(recompiles)
             self._obs_tables.set(len(self._programs))
             self._obs_entries.set(
-                sum(program.entries for __, __g, program in self._programs.values())
+                sum(entry[2].entries for entry in self._programs.values())
             )
         return CompileReport(
             generation=self.generation,
@@ -483,6 +729,7 @@ class CompiledClassifier:
             entries=sum(p.entries for p in built),
             words=sum(p.words for p in built),
             lut_bytes=sum(p.luts.nbytes for p in built),
+            class_cells=sum(p.chain.cells for p in built if p.chain is not None),
             seconds=seconds,
         )
 
@@ -492,13 +739,13 @@ class CompiledClassifier:
         Returns the build report, or ``None`` when nothing was stale.
         """
         stale = [table for table in tables if self._current(table) is None]
-        return self.compile(stale) if stale else None
+        return self._build(stale, reuse=True) if stale else None
 
     def program_for(self, table) -> CompiledTable:
         """``table``'s up-to-date program, building it if stale."""
         program = self._current(table)
         if program is None:
-            self.compile([table])
+            self._build([table], reuse=True)
             program = self._programs[id(table)][2]
         return program
 

@@ -24,7 +24,7 @@ from repro.core.rules import Rule, RuleSet, TernaryArrays
 from repro.dataplane.switch import Switch, SwitchConfig
 from repro.dataplane.tables import TableFullError, TernaryTable
 
-__all__ = ["GatewayController", "DeploymentReport", "UpdateReport"]
+__all__ = ["Expansion", "GatewayController", "DeploymentReport", "UpdateReport"]
 
 FIREWALL_TABLE = "firewall"
 
@@ -94,6 +94,33 @@ def _match_installed(
     return source, stale
 
 
+class Expansion:
+    """A rule set's expansion, shared by every controller that installs it.
+
+    Holds the :meth:`~repro.core.rules.RuleSet.expand` arrays and their
+    packed row keys, and the diff against each installed key array it
+    meets.  Controllers record the expansion's own key array, so
+    controllers that installed the same expansion share one installed
+    array and one diff: an N-shard swap expands and diffs once.
+    """
+
+    def __init__(self, ruleset: RuleSet):
+        self.ruleset = ruleset
+        self.arrays = ruleset.expand()
+        self.keys = _row_keys(self.arrays)
+        #: ``id(installed) -> (installed, source, stale)``; the array
+        #: reference pins the id.
+        self._diffs: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def diff(self, installed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`_match_installed` of ``installed`` against this expansion."""
+        cached = self._diffs.get(id(installed))
+        if cached is None:
+            cached = (installed, *_match_installed(installed, self.keys))
+            self._diffs[id(installed)] = cached
+        return cached[1], cached[2]
+
+
 @dataclasses.dataclass
 class DeploymentReport:
     """What a deployment did."""
@@ -152,16 +179,14 @@ class GatewayController:
 
     def _record(
         self,
-        ruleset: RuleSet,
-        arrays: TernaryArrays,
+        expansion: Expansion,
         entry_ids: np.ndarray,
-        keys: np.ndarray,
     ) -> None:
         """Record what the firewall table now holds."""
-        self._deployed = ruleset
+        self._deployed = expansion.ruleset
         self._entry_ids = entry_ids
-        self._keys = keys
-        self._rule_ends = np.cumsum(arrays.counts)
+        self._keys = expansion.keys
+        self._rule_ends = np.cumsum(expansion.arrays.counts)
         self._positions = None
 
     @classmethod
@@ -196,10 +221,13 @@ class GatewayController:
                 f"{self.switch.config.key_offsets}"
             )
 
-    def deploy(self, ruleset: RuleSet) -> DeploymentReport:
+    def deploy(
+        self, ruleset: RuleSet, *, expansion: Optional[Expansion] = None
+    ) -> DeploymentReport:
         """Atomically replace the firewall contents with ``ruleset``.
 
-        One ``clear`` and one ``add_many`` of the whole expansion.
+        One ``clear`` and one ``add_many`` of the whole expansion
+        (``expansion``, when given, is ``ruleset``'s, already made).
 
         Raises:
             ValueError: if the rule set's offsets don't match the switch
@@ -210,7 +238,8 @@ class GatewayController:
         self._check_offsets(ruleset)
         table = self._ensure_table(ruleset.default_action)
         previous = self._deployed
-        arrays = ruleset.expand()
+        expansion = expansion or Expansion(ruleset)
+        arrays = expansion.arrays
         table.clear()
         self._forget()
         try:
@@ -222,7 +251,7 @@ class GatewayController:
             if previous is not None:
                 self.deploy(previous)
             raise
-        self._record(ruleset, arrays, entry_ids, _row_keys(arrays))
+        self._record(expansion, entry_ids)
         report = ruleset.resource_report()
         return DeploymentReport(
             rules=report["rules"],
@@ -232,7 +261,9 @@ class GatewayController:
             default_action=ruleset.default_action,
         )
 
-    def update(self, ruleset: RuleSet) -> UpdateReport:
+    def update(
+        self, ruleset: RuleSet, *, expansion: Optional[Expansion] = None
+    ) -> UpdateReport:
         """Incrementally move the table to ``ruleset`` (minimal churn).
 
         Computes the entry-level diff against the current deployment and
@@ -252,6 +283,10 @@ class GatewayController:
         counter rows and tie-break order come out as the per-entry
         dict diff with one ``remove``/``add`` per entry gave them.
 
+        ``expansion``, when given, is ``ruleset``'s
+        :class:`Expansion`: controllers that installed the same
+        expansion last then share its expansion and its diff.
+
         Raises:
             TableFullError: if the adds overflow capacity; the previous
                 deployment is restored first.
@@ -261,14 +296,14 @@ class GatewayController:
             or self._deployed.default_action != ruleset.default_action
         ):
             before = len(self._entry_ids)
-            self.deploy(ruleset)
+            self.deploy(ruleset, expansion=expansion)
             return UpdateReport(added=len(self._entry_ids), removed=before, kept=0)
         self._check_offsets(ruleset)
         table = self._ensure_table(ruleset.default_action)
         previous = self._deployed
-        arrays = ruleset.expand()
-        keys = _row_keys(arrays)
-        source, stale = _match_installed(self._keys, keys)
+        expansion = expansion or Expansion(ruleset)
+        arrays = expansion.arrays
+        source, stale = expansion.diff(self._keys)
         fresh = np.flatnonzero(source < 0)
         table.remove_many(self._entry_ids[stale])
         try:
@@ -285,7 +320,7 @@ class GatewayController:
         kept = source >= 0
         entry_ids[kept] = self._entry_ids[source[kept]]
         entry_ids[fresh] = added
-        self._record(ruleset, arrays, entry_ids, keys)
+        self._record(expansion, entry_ids)
         return UpdateReport(
             added=len(fresh),
             removed=len(stale),

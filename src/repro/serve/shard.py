@@ -41,7 +41,7 @@ import collections
 import numpy as np
 
 from repro.core.rules import RuleSet
-from repro.dataplane.controller import GatewayController
+from repro.dataplane.controller import Expansion, GatewayController
 from repro.dataplane.switch import CODE_ACTIONS, SwitchStats, VerdictBatch
 from repro.net.frames import FrameBlock
 from repro.net.packet import Packet
@@ -144,7 +144,10 @@ class BoundedQueue:
 
 
 def swap_controller(
-    controller: Optional[GatewayController], rules: RuleSet, table_capacity: int
+    controller: Optional[GatewayController],
+    rules: RuleSet,
+    table_capacity: int,
+    expansion: Optional[Expansion] = None,
 ) -> GatewayController:
     """The controller that serves ``rules`` after a swap from ``controller``.
 
@@ -152,13 +155,15 @@ def swap_controller(
     incremental :meth:`GatewayController.update` (minimal entry churn);
     changed offsets, or no controller yet → a freshly deployed one (a
     new parser, as on hardware).  Both executors swap by this rule, so
-    entry ids stay equal across them.
+    entry ids stay equal across them.  ``expansion`` is ``rules``'
+    :class:`~repro.dataplane.controller.Expansion` when one is shared
+    across shards.
     """
     if controller is not None and controller.switch.config.key_offsets == rules.offsets:
-        controller.update(rules)
+        controller.update(rules, expansion=expansion)
         return controller
     fresh = GatewayController.for_ruleset(rules, table_capacity=table_capacity)
-    fresh.deploy(rules)
+    fresh.deploy(rules, expansion=expansion)
     return fresh
 
 
@@ -236,10 +241,11 @@ class ShardSet:
         )
         self.rules = rules
         self._retired: List[SwitchStats] = []
+        expansion = Expansion(rules)
         self.shards: List[Shard] = [
             Shard(
                 i,
-                swap_controller(None, rules, table_capacity),
+                swap_controller(None, rules, table_capacity, expansion),
                 **self._build_args,
             )
             for i in range(n_shards)
@@ -268,14 +274,18 @@ class ShardSet:
 
         Called only between batches by the gateway loop, so no packet
         is ever matched against a half-installed rule set.  Each shard
-        swaps by :func:`swap_controller`; a changed-offsets swap keeps
-        batcher/queue contents untouched (they hold raw packets, not
-        parsed keys).  Each changed table's LUT program is rebuilt by
-        the next batch that shard classifies.
+        swaps by :func:`swap_controller`, all from one expansion of
+        ``rules`` and, while the shards hold the same entries, one diff;
+        a changed-offsets swap keeps batcher/queue contents untouched
+        (they hold raw packets, not parsed keys).  Each changed table's
+        LUT program is rebuilt by the next batch that shard classifies.
         """
         swap_start = time.perf_counter()
+        expansion = Expansion(rules)
         for shard in self.shards:
-            controller = swap_controller(shard.controller, rules, self.table_capacity)
+            controller = swap_controller(
+                shard.controller, rules, self.table_capacity, expansion
+            )
             if controller is not shard.controller:
                 # A parser change retires the old switch; keep its
                 # counts so aggregate stats survive the swap.

@@ -450,3 +450,83 @@ def test_single_entry_rules_map_back():
         assert controller.rule_for_entry(entry_id) is ruleset.rules[min(position, 3)]
     controller.switch.process_batch([Packet(bytes(key)) for key in ([7, 0], [9, 1], [3, 3])])
     assert controller.rule_hit_counts() == [1, 2, 0, 0]
+
+
+# -- one expansion per shard-set install ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=scenarios(), seed=st.integers(0, 2**16))
+def test_shard_set_install_matches_per_shard_update(scenario, seed):
+    """A 3-shard install shares one expansion and one diff; every shard's
+    entries, ids, rows and counters equal a per-shard ``update``."""
+    from repro.serve.shard import ShardSet, swap_controller
+
+    offsets, steps, __ = scenario
+    first = RuleSet(offsets, steps[0][1], default_action=steps[0][2])
+    shards = ShardSet(first, n_shards=3)
+    own = [swap_controller(None, first, 4096) for __ in range(3)]
+    packets = packets_for(offsets, np.random.default_rng(seed))
+    for __m, chosen, default in steps[1:] + steps[:1]:
+        ruleset = RuleSet(offsets, chosen, default_action=default)
+        shards.install(ruleset)
+        own = [swap_controller(controller, ruleset, 4096) for controller in own]
+        for shard, controller in zip(shards, own):
+            table = shard.switch.table(FIREWALL_TABLE)
+            twin = controller.switch.table(FIREWALL_TABLE)
+            assert table_state(table, False) == table_state(twin, False)
+            assert shard.controller._entry_ids.tolist() == controller._entry_ids.tolist()
+            got = shard.switch.process_batch(packets)
+            want = controller.switch.process_batch(packets)
+            assert got.entries.tolist() == want.entries.tolist()
+            assert table._packets.tolist() == twin._packets.tolist()
+    # Shards that installed the same expansion share its key array.
+    assert len({id(shard.controller._keys) for shard in shards}) == 1
+
+
+def test_shard_set_install_with_new_offsets_deploys_one_expansion():
+    from repro.serve.shard import ShardSet
+
+    shards = ShardSet(RuleSet((0, 1), [Rule((MatchField(0, 1, 6),), "drop")]), n_shards=3)
+    moved = RuleSet((2, 5), [Rule((MatchField(5, 9, 9),), "quarantine")])
+    shards.install(moved)
+    keys = {id(shard.controller._keys) for shard in shards}
+    assert len(keys) == 1
+    for shard in shards:
+        assert shard.switch.config.key_offsets == (2, 5)
+        verdict = shard.switch.process_batch([Packet(bytes([0] * 5 + [9]))])[0]
+        assert verdict.action == "quarantine"
+
+
+def test_installs_never_compile_until_a_batch_is_classified():
+    """Set-up, ``update`` and ``ShardSet.install`` leave compiling to the
+    first batch after them (so ``setup_s`` and ``swap_ms`` never time it)."""
+    from repro.serve import ServeConfig, StreamingGateway
+
+    offsets = (0, 1, 2)
+    first = RuleSet(offsets, [Rule((MatchField(0, 1, 6),), "drop", priority=1)])
+    second = RuleSet(offsets, [Rule((MatchField(1, 9, 9),), "quarantine", priority=2)])
+    gateway = StreamingGateway(first, ServeConfig(n_shards=2))
+    switches = [shard.switch for shard in gateway.shards]
+    assert [s.compiled_generation for s in switches] == [0, 0]
+    packets = [Packet(bytes([3, 9, 0])), Packet(bytes([0, 9, 0]))]
+    for switch in switches:
+        switch.process_batch(packets)
+    assert [s.compiled_generation for s in switches] == [1, 1]
+
+    gateway.shards[0].controller.update(second)
+    assert switches[0].compiled_generation == 1
+    assert [v.action for v in switches[0].process_batch(packets)] == ["quarantine"] * 2
+    assert switches[0].compiled_generation == 2
+
+    gateway.shards.install(second)  # no churn on shard 0: nothing to rebuild
+    assert [s.compiled_generation for s in switches] == [2, 1]
+    for switch in switches:
+        switch.process_batch(packets)
+    assert [s.compiled_generation for s in switches] == [2, 2]
+
+    gateway.shards.install(first)
+    assert [s.compiled_generation for s in switches] == [2, 2]
+    for switch in switches:
+        assert [v.action for v in switch.process_batch(packets)] == ["drop", "allow"]
+    assert [s.compiled_generation for s in switches] == [3, 3]
