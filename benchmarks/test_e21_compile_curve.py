@@ -1,11 +1,14 @@
 """E21 (extension) — Compile curve of the LUT-bitmap classifier.
 
-Regenerates: compile milliseconds, LUT bytes, class cells and classify
-microseconds per packet for one ternary table of 10 to 50k entries
-over a 6-byte key, classified at the gateway batch size (1024).  Class
-cells are the cross-product cells of the table's class chain, 0 where
-the table stays on its LUT bitmaps, so the column shows where tables
-leave the class path.  Entries carry
+Regenerates: compile milliseconds, LUT bytes, class cells, boxes and
+classify microseconds per packet for one ternary table of 10 to 50k
+entries over a 6-byte key, classified at the gateway batch size (1024).
+Class cells are the cross-product cells of the table's class chain, 0
+where the table stays on its LUT bitmaps, so the column shows where
+tables leave the class path.  Boxes count the runs of entries that are
+exact products, 0 unless the table classifies over them (its boxes
+pack into fewer words than its entries); random entries form no
+products, so these tables stay on entry bitmaps.  Entries carry
 random values, per-byte masks drawn from {0x00, 0xF0, 0xFF} (wildcard,
 nibble, exact) and random priorities; keys are random bytes.  Compile
 time is the best of three ``Switch.compile()`` calls and classify time
@@ -52,7 +55,7 @@ def test_e21_compile_curve(benchmark):
     rng = np.random.default_rng(1)
     keys = rng.integers(0, 256, size=(GATEWAY_BATCH_SIZE, WIDTH), dtype=np.uint8)
     sizes = np.full(GATEWAY_BATCH_SIZE, 64, dtype=np.int64)
-    compile_ms, lut_bytes, class_cells, classify_us = [], [], [], []
+    compile_ms, lut_bytes, class_cells, boxes, classify_us = [], [], [], [], []
     timed = None
     for n_entries in SIZES:
         switch = _filled_switch(n_entries)
@@ -61,6 +64,7 @@ def test_e21_compile_curve(benchmark):
         assert report.lut_bytes == WIDTH * 256 * (-(-n_entries // 64)) * 8
         lut_bytes.append(report.lut_bytes)
         class_cells.append(report.class_cells)
+        boxes.append(report.boxes)
         seconds = _best(lambda: switch.classify_arrays(keys, sizes), 5)
         classify_us.append(round(1e6 * seconds / GATEWAY_BATCH_SIZE, 2))
         if n_entries == 5_000:
@@ -73,6 +77,7 @@ def test_e21_compile_curve(benchmark):
                 "compile_ms": compile_ms,
                 "lut_bytes": lut_bytes,
                 "class_cells": class_cells,
+                "boxes": boxes,
                 "classify_us_per_pkt": classify_us,
             },
             x_name="ternary_entries",

@@ -1,4 +1,4 @@
-"""Compiled classification: per-byte LUT bitmaps and cross-producted classes.
+"""Compiled classification: LUT bitmaps, cross-producted classes, boxes.
 
 This is the switch's batch classifier.  Each table's installed rule set
 compiles to **per-selected-byte 256-slot lookup tables whose values are
@@ -7,6 +7,9 @@ the AND of one LUT row per key byte.  Where the table is small enough,
 those rows are folded further into **equivalence classes** (Recursive
 Flow Classification, Gupta and McKeown, SIGCOMM 1999), and a key is
 classified by a few small integer gathers with no bitmap work at all.
+A wider value/mask table may instead classify over **boxes**, runs of
+entries that are the product of a few per-byte member sets, with one
+bit per box rather than per entry.
 
 The bitmaps:
 
@@ -54,14 +57,48 @@ The classes (:class:`ClassChain`, built by :func:`class_chain`):
   ANDed, so an over-budget table stops before forming it, and a table
   of ``CLASS_BUDGET`` entries or more (whose final cells would number
   at least its winnable entries) is not tried at all.  Such a table
-  stays on its bitmaps: the bitmap AND is the no-grouping case of the
-  same program, not a second classifier.  ``wide_table``'s 5,202
-  entries, with 155–168 classes per byte, are one.
+  stays on its bitmaps (or its boxes, below): the bitmap AND is the
+  no-grouping case of the same program, not a second classifier.
+  ``wide_table``'s 5,202 entries, with 155–168 classes per byte, are
+  one.
 
 A table on classes costs ``key_width`` gathers of small int arrays per
 batch; the bench's learned table (11 rules, 1,076 entries, 6 bytes)
 builds products of 99, 518, 346, 1,557 and 3,075 cells.  The LUTs stay
 the classes' source and part of every program.
+
+The boxes (:class:`BoxIndex`, built by :func:`box_index`):
+
+* A TCAM needs each range rule expanded into the cross product of its
+  fields' prefix sets (``RuleSet.expand``), and the bitmaps pay for it:
+  ``wide_table``'s 256 rules are 5,202 entries, 82 words a key byte.
+  A *box* is a run of consecutive match-order entries that is exactly
+  the product of its per-byte ``(value, mask)`` member sets, each set's
+  members admitting disjoint byte values; so at most one entry of a
+  box matches any key.  An entry in no larger box is a box of one.
+* Boxes are found in the table's own entries, not in the rules they
+  came from, so single writes and partial update diffs stay correct:
+  candidate passes (:func:`_box_starts`) merge runs of neighbouring
+  boxes whose member sets differ at one byte, and an exact check
+  (:func:`_box_members`) keeps a candidate only if it lists its product
+  in nested order (each byte cycles through its members with a fixed
+  stride, the strides chaining up to the box's size) with disjoint
+  members; a candidate that fails falls back to the previous pass's.
+  A product in any other order is cut into smaller boxes.  The build is
+  vectorised, with no Python loop per box.
+* Classification ANDs box bitmaps (``ceil(B / 64)`` words, 4 on
+  ``wide_table``) and takes the find-first-set box, as over entries;
+  then one gather per byte that varies in some box, from a small
+  ``(boxes + 1, 256)`` table of each member's rank times its stride,
+  sums to the winning entry's offset in its box, so the slot is the
+  box's first slot plus that.  Two or more matching boxes are a
+  shadow hit.
+* A table without a class chain classifies over boxes when they pack
+  into fewer bitmap words than its entries; ``luts``, ``words`` and
+  ``chain`` keep their entry-level meaning, so tables on chains (the
+  learned table) and one-word tables never build boxes.  A table on
+  boxes never reads its entry LUTs, so they are built only if asked
+  for (:attr:`CompiledTable.luts`).
 
 The build is O(E) per byte position, never O(E × 256):
 
@@ -94,18 +131,20 @@ verdicts, direct counters, aggregate telemetry, and
 :class:`~repro.obs.events.DecisionRecord` entry ids are
 indistinguishable from the scalar oracle ``lookup``.
 ``tests/test_compiled_differential.py`` and the hypothesis suites in
-``tests/test_tables_property.py`` lock that equivalence, and
+``tests/test_tables_property.py`` lock that equivalence,
 ``tests/test_class_tables.py`` holds classes, bitmaps and the scalar
-scan equal on both sides of the budget.
+scan equal on both sides of the budget, and ``tests/test_box_tables.py``
+holds boxes, bitmaps and the scalar scan equal.
 
 Lifecycle (see docs/ARCHITECTURE.md, "Compiled classification"): a
 program is derived state.  Every entry install/remove bumps the owning
 table's ``generation``; before each batch the classifier rebuilds only
-the tables whose generation moved since their program was built.  LUTs
-and classes depend on nothing but the entries' match-order bytes, so a
-lazy rebuild of a table on classes whose bytes equal one of the table's
-last two programs' (a rule set swapped back in) reuses that program's
-LUTs and chain and rebuilds only the per-slot arrays.
+the tables whose generation moved since their program was built.  LUTs,
+classes and boxes depend on nothing but the entries' match-order bytes,
+so a lazy rebuild of a table on classes or boxes whose bytes equal one
+of the table's last two programs' (a rule set swapped back in) reuses
+that program's LUTs, chain and boxes and rebuilds only the per-slot
+arrays.
 :meth:`repro.dataplane.switch.Switch.compile` builds every table's
 program now, from scratch, for callers that want the cost up front.
 """
@@ -117,7 +156,7 @@ import functools
 import itertools
 import sys
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -162,17 +201,20 @@ class CompileReport:
     tables: int
     entries: int
     words: int
+    #: Bytes of the LUTs built (a table on boxes builds none).
     lut_bytes: int
     #: Cross-product cells of the class chains built (0: all on bitmaps).
     class_cells: int
     seconds: float
+    #: Boxes of the tables that classify over boxes (0: none does).
+    boxes: int = 0
 
     def __str__(self) -> str:
         return (
             f"gen {self.generation}: {self.tables} tables, "
             f"{self.entries} entries in {self.words} words "
-            f"({self.lut_bytes} LUT bytes, {self.class_cells} class cells), "
-            f"{self.seconds * 1e3:.2f} ms"
+            f"({self.lut_bytes} LUT bytes, {self.class_cells} class cells, "
+            f"{self.boxes} boxes), {self.seconds * 1e3:.2f} ms"
         )
 
 
@@ -363,19 +405,17 @@ class ClassChain:
         return cls + self.index[-1].take(keys[:, -1])
 
 
-def class_chain(luts: np.ndarray, entries: int, *, shadowed: bool) -> Optional[ClassChain]:
+def class_chain(luts: np.ndarray, *, shadowed: bool) -> Optional[ClassChain]:
     """Cross-product ``(width, 256, W)`` LUTs into a :class:`ClassChain`.
 
     Returns ``None`` — the table stays on its bitmaps — when any
     product would exceed :data:`CLASS_BUDGET` cells.  That is decided
-    before forming a product: a key's final cell fixes its winner, so
-    a table of ``CLASS_BUDGET`` entries or more is not tried at all,
-    and each product's size is known from the class counts before its
-    masks are ANDed.
+    before forming a product: each product's size is known from the
+    class counts before its masks are ANDed.  (A table of
+    ``CLASS_BUDGET`` entries or more is not tried at all, see
+    :meth:`CompiledTable.from_match_order`.)
     """
     width, __, words = luts.shape
-    if entries >= CLASS_BUDGET:
-        return None
     if width == 1:
         return ClassChain(None, np.empty((0, 256), dtype=np.intp), (), *_resolve(luts[0], shadowed))
     signatures = _signatures(luts)
@@ -396,6 +436,363 @@ def class_chain(luts: np.ndarray, entries: int, *, shadowed: bool) -> Optional[C
     return ClassChain(first, np.stack(index), tuple(tables), slot_of, crowded_of)
 
 
+def _member_codes(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``(width, E)`` uint16 ``(value & mask) << 8 | mask``, a row per byte.
+
+    Equal codes are equal byte patterns: value bits outside the mask
+    are cleared, since they match nothing.  Rows are bytes because the
+    box passes reduce across a key's bytes, which numpy does fast over
+    a leading axis and slowly over a short trailing one.
+    """
+    codes = ((values & masks).astype(np.uint16) << 8) | masks
+    return np.ascontiguousarray(codes.T)
+
+
+@functools.lru_cache(maxsize=1)
+def _byte_sets() -> Tuple[np.ndarray, ...]:
+    """Tables of the byte values a ``(value, mask)`` pattern admits.
+
+    Value ``b`` of a 4-word set is bit ``b % 64`` of word ``b // 64``.
+    Returns ``(low, high, spread, starts)``:
+
+    * ``low[v << 6 | m]``: the 64-bit set of ``b < 64`` with
+      ``(b ^ v) & m == 0``, for 6-bit ``v`` and ``m``;
+    * ``high[v << 2 | m]``: all-ones in the words whose two high bits
+      ``w`` have ``(w ^ v) & m == 0``, for 2-bit ``v`` and ``m``;
+    * ``spread[starts[m]:starts[m + 1]]``: the values ``s`` with
+      ``s & m == 0``, in order.
+    """
+    values = np.arange(256)
+    six, two = values[:64], values[:4]
+    low = ((six[None, None, :] ^ six[:, None, None]) & six[None, :, None]) == 0
+    low = np.packbits(low, axis=-1, bitorder="little").view("<u8").reshape(-1)
+    high = ((two[None, None, :] ^ two[:, None, None]) & two[None, :, None]) == 0
+    high = np.where(high, ~np.uint64(0), np.uint64(0)).reshape(16, 4)
+    mask, spread = np.nonzero((values[:, None] & values[None, :]) == 0)
+    starts = np.searchsorted(mask, np.arange(257))
+    tables = (low.astype(np.uint64), high, spread, starts)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _admit_words(codes: np.ndarray) -> np.ndarray:
+    """``(n, 4)`` uint64: the byte values each member code admits."""
+    low, high = _byte_sets()[:2]
+    value, mask = codes >> 8, codes & 0xFF
+    return high[((value >> 6) << 2) | (mask >> 6)] & low[((value & 63) << 6) | (mask & 63)][:, None]
+
+
+def _free(codes: np.ndarray) -> np.ndarray:
+    """uint16 count of the byte values each member code admits."""
+    return np.left_shift(np.uint16(1), 8 - np.bitwise_count(codes & 0xFF).astype(np.uint16))
+
+
+def _admitted(codes: np.ndarray, bases: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``bases[i] + b`` for every byte value ``b`` code ``i`` admits, and
+    how many values each code admits."""
+    spread, starts = _byte_sets()[2:]
+    mask = codes & 0xFF
+    first = starts[mask]
+    counts = starts[mask + 1] - first
+    heads = np.cumsum(counts) - counts
+    spots = np.repeat(first - heads, counts) + np.arange(counts.sum())
+    return np.repeat(bases + (codes >> 8), counts) + spread[spots], counts
+
+
+def _mix(codes: np.ndarray) -> np.ndarray:
+    """A uint32 hash per code (one to one); a member set's signature is
+    their sum."""
+    mixed = codes.astype(np.uint32) * np.uint32(0x9E3779B1)
+    mixed ^= mixed >> np.uint32(16)
+    return mixed
+
+
+def _sizes(starts: np.ndarray, count: int) -> np.ndarray:
+    """Lengths of the runs of ``count`` items that begin at ``starts``."""
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = count - starts[-1]
+    return sizes
+
+
+def _box_starts(codes: np.ndarray) -> list:
+    """Candidate boxes of ``(width, E)`` member codes, pass by pass.
+
+    Returns each pass's boxes as their first entries, from one box per
+    entry to the last pass's.  Each pass merges runs of adjacent
+    boxes whose member sets differ at one byte only, the same byte
+    along the run.  A box whose set there repeats its run's first box's
+    starts a new run (products of one shape laid end to end), and a
+    run whose members there admit more than 256 values between them
+    (so they cannot be disjoint) stays apart.  A product laid out in
+    :func:`itertools.product` order, bytes nested in any order, merges
+    one byte per pass.  Member sets are compared by signature
+    (:func:`_mix`), and a run's members may be disjoint only between
+    neighbours, so a candidate is only a candidate: :func:`_box_members`
+    checks it.
+    """
+    width, count = codes.shape
+    signature = _mix(codes)
+    cover = _free(codes)
+    weights = np.arange(width, dtype=np.uint16)[:, None]
+    starts = np.arange(count)
+    levels = [starts]
+    for __ in range(width):
+        boxes = len(starts)
+        if boxes < 2:
+            break
+        differs = (signature[:, 1:] != signature[:, :-1]).view(np.uint8)
+        one = np.add.reduce(differs, axis=0, dtype=np.uint16) == 1
+        axis = np.add.reduce(differs * weights, axis=0).astype(np.intp)
+        axis[~one] = 0  # the byte a one-byte pair differs at
+        # join[k]: box k + 1 joins box k.  A box joins one run only, so
+        # a pair along another byte than the pair before it waits.
+        join = one.copy()
+        join[1:] &= ~(one[:-1] & (axis[:-1] != axis[1:]))
+        columns = np.arange(boxes)
+        for cut in range(3):
+            heads = np.flatnonzero(np.concatenate(([True], ~join)))
+            sizes = _sizes(heads, boxes)
+            run_axis = axis[np.minimum(heads, boxes - 2)]
+            # Each box's cell at its run's byte, in the (width, B) arrays.
+            spots = np.repeat(run_axis * boxes, sizes) + columns
+            mine = signature.reshape(-1).take(spots)
+            if cut == 0:
+                repeats = mine == np.repeat(mine[heads], sizes)
+                repeats[heads] = False
+                join &= ~repeats[1:]
+                continue
+            covered = np.add.reduceat(cover.reshape(-1).take(spots), heads, dtype=np.int64)
+            crowded = covered > 256
+            if not crowded.any():
+                break
+            # The crowded runs' boxes stay single, so the next round
+            # is not crowded.
+            join &= ~np.repeat(crowded, sizes)[1:]
+        if len(heads) == boxes:
+            break
+        summed = np.add.reduceat(mine, heads)
+        merged = np.arange(len(heads))
+        signature, cover = signature.take(heads, axis=1), cover.take(heads, axis=1)
+        signature[run_axis, merged] = summed
+        cover[run_axis, merged] = covered
+        starts = starts[heads]
+        levels.append(starts)
+    return levels
+
+
+@dataclasses.dataclass
+class _Members:
+    """Boxes' per-byte member sets, from :func:`_box_members`."""
+
+    #: Whether each box is exactly the product of its member sets.
+    exact: np.ndarray
+    #: ``(B, width, 4)`` uint64: the byte values each box admits.
+    admitted: np.ndarray
+    #: ``(box, byte, code, rank * stride)`` of each member whose rank
+    #: is not 0.
+    ranked: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _box_members(codes: np.ndarray, starts: np.ndarray) -> _Members:
+    """Check the boxes cut at ``starts``, exactly, and rank their members.
+
+    A box is exact here when it lists its product in nested order:
+    each byte ``j`` keeps one member for ``stride[j]`` entries and
+    cycles through ``count[j]`` members, the bytes' strides chain
+    (each stride times its count is the next larger stride, or the
+    box's size), and the members of each byte admit disjoint values.
+    Then entry ``i`` of a box is the one whose member at every byte
+    ``j`` has rank ``(i // stride[j]) % count[j]``, so every entry is
+    distinct and the run is the whole product.  A byte's stride is
+    where its code first changes (the box's size if it never does).
+    """
+    width, count = codes.shape
+    boxes = len(starts)
+    sizes = _sizes(starts, count)
+    # Positions are exact in float32 below 2**24, and its division is
+    # several times faster than int64's.
+    real = np.float32 if count < 1 << 24 else np.float64
+    first = np.repeat(starts, sizes)
+    position = (np.arange(count) - first).astype(real)  # in its box
+    changes = np.zeros((width, count), dtype=bool)
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=changes[:, 1:])
+    changes[:, starts] = False
+    # Each byte's first change in each box, found among all changes.
+    spots = np.append(np.flatnonzero(changes), changes.size)
+    begins = starts + (np.arange(width) * count)[:, None]
+    stride = (spots[np.searchsorted(spots, begins)] - begins).astype(real)
+    np.minimum(stride, sizes, out=stride)
+    # A byte cycles until the next larger stride among its box's bytes.
+    larger = np.where(stride[None] > stride[:, None], stride[None], real(count))
+    members = np.minimum(larger.min(axis=1), sizes) / stride
+    exact = np.logical_and.reduce(members == np.floor(members), axis=0)
+    # (So the smallest stride is 1: the strides' chain telescopes.)
+    exact &= np.multiply.reduce(members, axis=0) == sizes
+    # Every entry repeats the member its position selects.
+    step = np.repeat(stride, sizes, axis=1)
+    cycle = np.repeat(members, sizes, axis=1)
+    digit = np.floor(position / step)
+    wraps = digit / cycle
+    np.floor(wraps, out=wraps)
+    wraps *= cycle
+    digit -= wraps
+    digit *= step
+    source = digit.astype(np.intp)
+    source += first + (np.arange(width) * count)[:, None]
+    repeats = np.logical_and.reduce(codes.reshape(-1).take(source) == codes, axis=0)
+    exact[np.repeat(np.arange(boxes), sizes)[~repeats]] = False
+    # The members themselves: box k's ranks 0..members[j, k] - 1.
+    members = members.astype(np.intp).reshape(-1)
+    varied = np.flatnonzero(members > 1)
+    byte, held = np.divmod(varied, boxes)
+    counts = members[varied]
+    heads = np.cumsum(counts) - counts
+    rank = np.arange(counts.sum()) - np.repeat(heads, counts)
+    owner, column = np.repeat(held, counts), np.repeat(byte, counts)
+    offset = rank * np.repeat(stride.reshape(-1)[varied].astype(np.intp), counts)
+    code = codes[column, starts[owner] + offset]
+    admitted = _admit_words(codes[:, starts].T.reshape(-1)).reshape(boxes, width, 4)
+    if len(varied):
+        # Pairwise disjoint iff the union admits as many values as the
+        # members do between them.
+        union = np.bitwise_or.reduceat(_admit_words(code), heads)
+        admitted.reshape(-1, 4)[held * width + byte] = union
+        bits = np.bitwise_count(union)
+        bits = bits[:, 0] + bits[:, 1] + bits[:, 2] + bits[:, 3]
+        crowded = bits != np.add.reduceat(_free(code), heads, dtype=np.int64)
+        exact[held[crowded]] = False
+    keep = rank > 0
+    return _Members(exact, admitted, (owner[keep], column[keep], code[keep], offset[keep]))
+
+
+def _transpose_bytes(x: np.ndarray) -> np.ndarray:
+    """Transpose each uint64 as an 8 x 8 bit matrix, in place.
+
+    Bit ``c`` of byte ``r`` (little-endian) moves to bit ``r`` of byte
+    ``c``: three delta swaps (Hacker's Delight, section 7-3).
+    """
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
+        t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
+        x ^= t ^ (t << np.uint64(shift))
+    return x
+
+
+def _box_luts(admitted: np.ndarray) -> np.ndarray:
+    """``(width, 256, W)`` box bitmaps from ``(B, width, 4)`` value sets.
+
+    A bit-matrix transpose: eight boxes' value bytes are gathered into
+    one word, transposed as 8 x 8 bits, and scattered into eight
+    values' box bytes.
+    """
+    boxes, width, __ = admitted.shape
+    words = _words_for(boxes)
+    padded = np.zeros((words * 64, width, 4), dtype=np.uint64)
+    padded[:boxes] = admitted
+    rows = padded.view(np.uint8).reshape(words * 8, 8, width * 32)
+    eights = np.ascontiguousarray(rows.transpose(0, 2, 1)).view("<u8")[..., 0]
+    flipped = _transpose_bytes(eights).view(np.uint8).reshape(words * 8, width * 32, 8)
+    luts = np.ascontiguousarray(flipped.transpose(1, 2, 0)).reshape(width, 256, words * 8)
+    return luts.view("<u8").astype(np.uint64, copy=False)
+
+
+@dataclasses.dataclass
+class BoxIndex:
+    """A value/mask table's match-order entries cut into *boxes*.
+
+    A box is a run of consecutive entries that is exactly the product
+    of its per-byte member sets, the members of each set admitting
+    disjoint byte values, so at most one of its entries matches any
+    key.  The first box that matches a key (bitmaps over boxes, as
+    over entries) holds the key's first matching entry, which one
+    gather per varying byte finds; two or more matching boxes are a
+    shadow hit.
+
+    Attributes:
+        luts: ``(key_width, 256, box words)`` uint64 box bitmaps.
+        base: ``(boxes + 1,)`` intp: each box's first slot, then ``-1``
+            for the miss box ``-1``.
+        index: ``(byte, flat)`` for each byte that varies in some box:
+            ``flat[box * 256 + b]`` is the offset in its box of the
+            member admitting value ``b`` (its rank times its stride;
+            0 elsewhere, and in the last row, which the miss box
+            reads).
+    """
+
+    luts: np.ndarray
+    base: np.ndarray
+    index: Tuple[Tuple[int, np.ndarray], ...]
+
+    @property
+    def boxes(self) -> int:
+        return len(self.base) - 1
+
+    def classify(self, keys: np.ndarray, shadowed: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Each key's slot, and whether two or more boxes match it."""
+        survivors = np.take(self.luts[0], keys[:, 0], axis=0)
+        for j in range(1, len(self.luts)):
+            survivors &= np.take(self.luts[j], keys[:, j], axis=0)
+        box, crowded = _resolve(survivors, shadowed)
+        row = box * 256
+        slot = self.base.take(box)
+        for j, flat in self.index:
+            slot += flat.take(row + keys[:, j])
+        return slot, crowded
+
+
+def box_index(values: np.ndarray, masks: np.ndarray) -> Optional[BoxIndex]:
+    """Cut ``(E, width)`` value/mask entries, in match order, into boxes.
+
+    Returns ``None`` when the boxes would pack into no fewer bitmap
+    words than the entries.  A candidate box (:func:`_box_starts`) that
+    is not exact (:func:`_box_members`) falls back to the candidates of
+    the pass before, down to one-entry boxes, which always are.
+    """
+    count, width = values.shape
+    words = _words_for(count)
+    if words == 1:
+        return None
+    codes = _member_codes(values, masks)
+    # An entry whose neighbours both differ from it at two bytes or more
+    # joins no box (no merge can bring their member sets to one byte of
+    # difference), so such entries alone may rule boxes out.
+    steps = (codes[:, 1:] != codes[:, :-1]).view(np.uint8)
+    steps = np.add.reduce(steps, axis=0, dtype=np.uint16) == 1
+    joins = np.zeros(count, dtype=bool)
+    joins[1:] = steps
+    joins[:-1] |= steps
+    if _words_for(count - int(np.count_nonzero(joins))) >= words:
+        return None
+    levels = _box_starts(codes)
+    starts = levels.pop()
+    if _words_for(len(starts)) >= words:
+        return None
+    members = _box_members(codes, starts)
+    while not members.exact.all():
+        finer = levels.pop()
+        loose = np.repeat(~members.exact, _sizes(starts, count))
+        starts = np.union1d(starts, finer[loose[finer]])
+        if _words_for(len(starts)) >= words:
+            return None
+        members = _box_members(codes, starts)
+    boxes = len(starts)
+    luts = _box_luts(members.admitted)
+    owner, byte, code, offset = members.ranked
+    varying = np.flatnonzero(np.bincount(byte, minlength=width))
+    # Each varying byte's row of the index.
+    row = np.cumsum(np.bincount(varying, minlength=width)) - 1
+    largest = int(_sizes(starts, count).max())
+    index = np.zeros((len(varying), (boxes + 1) * 256), dtype=np.min_scalar_type(largest - 1))
+    cells, value = _admitted(code, (row[byte] * (boxes + 1) + owner) * 256)
+    index.reshape(-1)[cells] = np.repeat(offset, value)
+    return BoxIndex(
+        luts=luts,
+        base=_with_miss(starts, -1, np.intp),
+        index=tuple(zip(varying.tolist(), index)),
+    )
+
+
 def _with_miss(values: Sequence, miss, dtype) -> np.ndarray:
     """``values`` as a ``dtype`` array, plus the miss slot's ``miss``."""
     out = np.empty(len(values) + 1, dtype=dtype)
@@ -407,13 +804,15 @@ def _with_miss(values: Sequence, miss, dtype) -> np.ndarray:
 @dataclasses.dataclass
 class CompiledTable:
     """One table's rule set, compiled to per-byte LUT bitmaps and, within
-    the budget, a class chain that classifies without them.
+    the budget, a class chain that classifies without them; a wider
+    value/mask table may classify over boxes instead.
 
     Attributes:
         key_width: bytes per key (LUT count).
         entries: installed entry count at compile time.
         words: uint64 words per bitmask (``ceil(entries / 64)``).
-        luts: ``(key_width, 256, words)`` uint64 — per-byte entry masks.
+        luts: ``(key_width, 256, words)`` uint64 — per-byte entry masks;
+            a table on boxes builds them only when they are read.
         entry_ids: ``(entries + 1,)`` int64 — match-order entry ids,
             then ``-1`` in the miss slot.
         priorities: ``(entries + 1,)`` int64 — match-order priorities
@@ -428,14 +827,16 @@ class CompiledTable:
             then the default action's.
         chain: the key's byte classes (:func:`class_chain`), or
             ``None`` for a table left on its bitmaps.
-        source: the match-order entry bytes ``luts`` and ``chain`` were
-            built from, which fix them.
+        source: the match-order entry bytes ``luts``, ``chain`` and
+            ``boxes`` were built from, which fix them.
+        boxes: the entries cut into boxes (:func:`box_index`), which
+            a table without a chain classifies over when they pack
+            into fewer bitmap words than its entries; else ``None``.
     """
 
     key_width: int
     entries: int
     words: int
-    luts: np.ndarray
     entry_ids: np.ndarray
     priorities: np.ndarray
     entry_actions: Tuple[str, ...]
@@ -444,6 +845,12 @@ class CompiledTable:
     rows: np.ndarray
     chain: Optional[ClassChain]
     source: bytes = dataclasses.field(repr=False)
+    boxes: Optional[BoxIndex] = dataclasses.field(default=None, repr=False)
+    #: The LUTs once built, and how to build them.
+    _luts: Optional[np.ndarray] = dataclasses.field(default=None, repr=False)
+    _build_luts: Optional[Callable[[], np.ndarray]] = dataclasses.field(
+        default=None, repr=False
+    )
     #: The default action ``codes``' miss slot holds the code of.
     _miss_action: Optional[str] = dataclasses.field(default=None, repr=False)
 
@@ -459,37 +866,47 @@ class CompiledTable:
         rows: Sequence[int],
         *,
         shadowed: bool,
+        boxed: bool = False,
         recent: Sequence["CompiledTable"] = (),
     ) -> "CompiledTable":
         """Compile entries listed in match order.
 
         ``build(first, second)`` makes the LUTs from the entries' two
         ``(E, width)`` byte matrices (:func:`value_mask_luts` or
-        :func:`interval_luts`).  A program in ``recent`` (earlier
-        programs of the same table) with a class chain, built from
-        equal matrices, lends its LUTs and chain instead, so a rule set
-        swapped back in is not rebuilt.  A table on bitmaps rebuilds
-        its LUTs as before: there reuse would save only the LUT build,
-        and its batches gather from the LUTs (a reused wide-table LUT
-        classified 3-5% slower than a fresh one in probes).
+        :func:`interval_luts`); ``boxed`` says they are values and
+        masks, which a table without a chain may cut into boxes (a
+        table on boxes builds its LUTs only if they are read).  A
+        program in ``recent`` (earlier programs of the same table) with
+        a class chain or boxes, built from equal matrices, lends its
+        LUTs, chain and boxes instead, so a rule set swapped back in is
+        not rebuilt.  A table on bitmaps rebuilds its LUTs as before:
+        there reuse would save only the LUT build, and its batches
+        gather from the LUTs (a reused wide-table LUT classified 3-5%
+        slower than a fresh one in probes).
         """
         source = first.tobytes() + second.tobytes()
+        count = len(entry_ids)
         for program in recent:
-            if program.chain is not None and program.source == source:
-                luts, chain = program.luts, program.chain
+            if program.reusable and program.source == source:
+                luts, make_luts = program._luts, program._build_luts
+                chain, boxes = program.chain, program.boxes
                 break
         else:
-            luts = build(first, second)
-            chain = class_chain(luts, len(entry_ids), shadowed=shadowed)
-        width, __, words = luts.shape
+            make_luts = functools.partial(build, first, second)
+            # A key's final cell fixes its winner, so a table of
+            # CLASS_BUDGET entries or more is not tried on classes.
+            luts = make_luts() if count < CLASS_BUDGET else None
+            chain = None if luts is None else class_chain(luts, shadowed=shadowed)
+            boxes = box_index(first, second) if boxed and chain is None else None
+            if luts is None and boxes is None:
+                luts = make_luts()
         code_of = {a: ACTION_CODES.get(a, NOT_TERMINAL) for a in set(actions)}
         codes = bytearray(map(code_of.__getitem__, actions))
         codes.append(0)  # the miss slot, set by verdict_codes
         return cls(
-            key_width=width,
-            entries=len(entry_ids),
-            words=words,
-            luts=luts,
+            key_width=first.shape[1],
+            entries=count,
+            words=_words_for(count),
             entry_ids=_with_miss(entry_ids, -1, np.int64),
             priorities=_with_miss(priorities, 0, np.int64),
             entry_actions=tuple(actions),
@@ -498,7 +915,24 @@ class CompiledTable:
             rows=_with_miss(rows, DEFAULT_ROW, np.intp),
             chain=chain,
             source=source,
+            boxes=boxes,
+            _luts=luts,
+            _build_luts=make_luts,
         )
+
+    @property
+    def luts(self) -> np.ndarray:
+        """The per-byte entry masks (see the class docstring), built
+        now if a table on boxes has not needed them yet."""
+        if self._luts is None:
+            self._luts = self._build_luts()
+        return self._luts
+
+    @property
+    def reusable(self) -> bool:
+        """Whether a rebuild from equal entries may borrow this program's
+        LUTs, chain and boxes (it classifies without the bitmaps)."""
+        return self.chain is not None or self.boxes is not None
 
     def verdict_codes(self, default_action: str) -> np.ndarray:
         """:attr:`codes`, its miss slot holding ``default_action``'s code.
@@ -529,11 +963,14 @@ class CompiledTable:
             cell = chain.walk(keys)
             shadow_hits = int(np.count_nonzero(chain.crowded_of[cell])) if count else 0
             return chain.slot_of[cell], shadow_hits
-        # One gather per selected byte, intersected into survivor masks.
-        survivors = np.take(self.luts[0], keys[:, 0], axis=0)
-        for j in range(1, self.key_width):
-            survivors &= np.take(self.luts[j], keys[:, j], axis=0)
-        slot, crowded = _resolve(survivors, count)
+        if self.boxes is not None:
+            slot, crowded = self.boxes.classify(keys, count)
+        else:
+            # One gather per selected byte, intersected into survivor masks.
+            survivors = np.take(self.luts[0], keys[:, 0], axis=0)
+            for j in range(1, self.key_width):
+                survivors &= np.take(self.luts[j], keys[:, j], axis=0)
+            slot, crowded = _resolve(survivors, count)
         shadow_hits = int(np.count_nonzero(crowded)) if count else 0
         return slot, shadow_hits
 
@@ -572,7 +1009,7 @@ def compile_table(table, recent: Sequence[CompiledTable] = ()) -> CompiledTable:
             first, second = bounds[:, :, 0], bounds[:, :, 1]
         return CompiledTable.from_match_order(
             build, first, second, ids, priorities, actions, rows,
-            shadowed=True, recent=recent,
+            shadowed=True, boxed=build is value_mask_luts, recent=recent,
         )
     if isinstance(table, ExactTable):
         items = list(table._entries.items())
@@ -614,6 +1051,7 @@ def compile_table(table, recent: Sequence[CompiledTable] = ()) -> CompiledTable:
             actions,
             rows,
             shadowed=False,
+            boxed=True,
             recent=recent,
         )
     raise TypeError(f"cannot compile table kind {type(table).__name__}")
@@ -709,8 +1147,9 @@ class CompiledClassifier:
                 if reuse:
                     recent = [p for p in cached[2:] if p is not None]
             program = compile_table(table, recent)
-            # Keep the program before for reuse only if it has classes.
-            previous = cached[2] if cached and cached[2].chain is not None else None
+            # Keep the program before for reuse only if it has classes
+            # or boxes.
+            previous = cached[2] if cached and cached[2].reusable else None
             self._programs[id(table)] = (table, table.generation, program, previous)
             built.append(program)
         seconds = time.perf_counter() - start
@@ -728,9 +1167,10 @@ class CompiledClassifier:
             tables=len(built),
             entries=sum(p.entries for p in built),
             words=sum(p.words for p in built),
-            lut_bytes=sum(p.luts.nbytes for p in built),
+            lut_bytes=sum(p._luts.nbytes for p in built if p._luts is not None),
             class_cells=sum(p.chain.cells for p in built if p.chain is not None),
             seconds=seconds,
+            boxes=sum(p.boxes.boxes for p in built if p.boxes is not None),
         )
 
     def refresh(self, tables: Sequence) -> Optional[CompileReport]:

@@ -426,10 +426,7 @@ class _RecordedRows:
 
     def __getitem__(self, i: int) -> tuple:
         if self._rows is None:
-            self._rows = list(zip(*(
-                column.tolist() if isinstance(column, np.ndarray) else column
-                for column in self._columns
-            )))
+            self._rows = list(zip(*(column.tolist() for column in self._columns)))
             self._columns = None
         return self._rows[i]
 
@@ -437,7 +434,7 @@ class _RecordedRows:
 class _DecisionRows:
     """Builds the :class:`DecisionRecord` of one row a batch recorded.
 
-    A row is ``(rows, i)``: row ``i`` of a batch's :class:`_RecordedRows`;
+    A row is ``(row,)``: one row of a batch's :class:`_RecordedRows`;
     ``context`` is the batch's ``(shard, tenant, table names)``.
     """
 
@@ -453,8 +450,7 @@ class _DecisionRows:
         self.offsets = offsets
 
     def __call__(self, row) -> DecisionRecord:
-        rows, i = row
-        seq, stamp, code, table, entry, values = rows[i]
+        (seq, stamp, code, table, entry, values), = row
         shard, tenant, __ = self.context
         return DecisionRecord(
             KIND_DECISION, seq, stamp, CODE_ACTIONS[code], shard, tenant,
@@ -681,7 +677,7 @@ class Switch:
         keys: np.ndarray,
         sizes: np.ndarray,
         *,
-        stamps_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        stamps_of: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
         seqs: Optional[Sequence[int]] = None,
     ) -> "ClassifiedArrays":
         """Classify a pre-extracted ``(n, key_width)`` key matrix, then
@@ -766,7 +762,7 @@ class Switch:
         keys: np.ndarray,
         sizes: np.ndarray,
         *,
-        stamps_of: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        stamps_of: Optional[Callable[[np.ndarray], Sequence[float]]] = None,
         seqs: Optional[Sequence[int]] = None,
     ) -> None:
         """Count one classified batch and record its decisions.
@@ -778,7 +774,8 @@ class Switch:
         Args:
             hits: what :meth:`classify_keys` returned with ``verdicts``.
             stamps_of: maps the sorted rows a recorder keeps to their
-                float64 stream timestamps (an array's ``take``, or
+                stream timestamps, any sequence with ``tolist`` (an
+                array's ``take``, or
                 :meth:`~repro.net.frames.FrameRows.stamps`); required
                 only when a recorder is attached.
             seqs: per-packet sequence numbers for decision records
@@ -815,9 +812,10 @@ class Switch:
         would.  ``seqs`` is the batch's seq array, or the int seq of
         its first row when the switch numbered the batch itself.
         The recorder gets the kept rows as one :class:`_RecordedRows`
-        block, with the batch's codes as criticality; the rows stay
-        numpy arrays, and each :class:`DecisionRecord` is built only
-        when the ring is read.
+        column, with the batch's codes as criticality; the rows stay
+        arrays (a packed block's stamps stay its packets, see
+        :class:`~repro.net.frames.PacketStamps`), and each
+        :class:`DecisionRecord` is built only when the ring is read.
         """
         recorder = self.recorder
         codes = verdicts.codes
@@ -827,23 +825,22 @@ class Switch:
         recorder.note_sampled_out(len(codes) - count)
         if not count:
             return
-        stamps = stamps_of(selected)
-        codes = codes[selected]
         build = self._decision_rows
         context = (self.recorder_shard, self.recorder_tenant, self._pipeline_names())
         if build is None or build.context != context:
             build = self._decision_rows = _DecisionRows(
                 context, tuple(self.config.key_offsets)
             )
+        codes = codes[selected]
         rows = _RecordedRows(
             selected + seqs if isinstance(seqs, int) else seqs[selected],
-            stamps,
+            stamps_of(selected),
             codes,
             verdicts.table_idx[selected],
             verdicts.entries[selected],
             keys.take(selected, axis=0),
         )
-        recorder.extend_lazy(([rows] * count, range(count)), build, critical=codes)
+        recorder.extend_lazy((rows,), build, critical=codes)
 
     def process_trace(
         self, packets: Sequence[Packet], *, batch_size: Optional[int] = None

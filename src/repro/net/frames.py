@@ -83,6 +83,30 @@ def crc32_rows(matrix: np.ndarray) -> np.ndarray:
     return crc ^ np.uint32(0xFFFFFFFF)
 
 
+class PacketStamps(collections.abc.Sequence):
+    """The capture stamps of ``packets[rows]``, read when first used.
+
+    What a block packed from packets hands a flight recorder for the
+    rows it keeps: reading cold packets' stamps costs more than keeping
+    the packet list they are in, and most records are evicted unbuilt.
+    """
+
+    __slots__ = ("packets", "rows")
+
+    def __init__(self, packets: Sequence[Packet], rows: np.ndarray):
+        self.packets = packets
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        return self.packets[self.rows[index]].timestamp
+
+    def tolist(self) -> List[float]:
+        return list(map(_STAMP, map(self.packets.__getitem__, self.rows.tolist())))
+
+
 class FrameBlock:
     """Frames that share one buffer.
 
@@ -134,12 +158,11 @@ class FrameBlock:
             self._stamps = np.fromiter(map(_STAMP, kept), dtype=np.float64, count=len(kept))
         return self._stamps
 
-    def stamps_at(self, rows: np.ndarray) -> np.ndarray:
-        """float64 stamps of ``rows``; a packed block whose stamps were
-        not read yet reads just those packets'."""
+    def stamps_at(self, rows: np.ndarray) -> Sequence[float]:
+        """Stamps of ``rows``: float64, or for a packed block whose stamps
+        were not read yet, those packets' :class:`PacketStamps`."""
         if self._stamps is None:
-            picked = map(self.kept.__getitem__, rows.tolist())
-            return np.fromiter(map(_STAMP, picked), dtype=np.float64, count=len(rows))
+            return PacketStamps(self.kept, rows)
         return self._stamps[rows]
 
     def __len__(self) -> int:
@@ -316,9 +339,10 @@ class FrameRows(collections.abc.Sequence):
             return np.zeros(0, dtype=np.int64)
         return self._concat([block.lengths[rows] for block, rows in self.segments])
 
-    def stamps(self, positions: np.ndarray) -> np.ndarray:
-        """float64 capture stamps of the rows at sorted ``positions``,
-        read from packed packets only for those rows."""
+    def stamps(self, positions: np.ndarray) -> Sequence[float]:
+        """Capture stamps of the rows at sorted ``positions`` (see
+        :meth:`FrameBlock.stamps_at`): packed packets' stamps are read
+        only for those rows, and only when first used."""
         if len(self.segments) == 1:
             block, rows = self.segments[0]
             return block.stamps_at(rows[positions])
